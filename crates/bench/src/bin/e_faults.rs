@@ -31,7 +31,7 @@
 
 use std::time::{Duration, Instant};
 
-use scdb_core::{CoreError, Db, DbMode, FaultPlan, FsyncPolicy};
+use scdb_core::{CoreError, Db, DbMode, DurabilityConfig, FaultPlan, IngestConfig};
 use scdb_txn::FailpointLog;
 use scdb_types::{Record, Value};
 
@@ -71,8 +71,8 @@ fn run_fault_cycle(seed_rows: usize, degraded_ops: usize) -> FaultRun {
     let plan = FaultPlan::new();
     let handle = plan.handle();
     let db = Db::builder()
-        .durability_store(Box::new(log.clone()), FsyncPolicy::Always)
-        .ingest_queue(64)
+        .durability_config(DurabilityConfig::store(Box::new(log.clone())))
+        .ingest_config(IngestConfig::queued(64))
         .fault_injection(plan.clone())
         .open()
         .expect("open durable db");
@@ -180,8 +180,8 @@ fn run_supervisor_cycle() -> SupervisorRun {
     let log = FailpointLog::new();
     let plan = FaultPlan::new();
     let db = Db::builder()
-        .durability_store(Box::new(log.clone()), FsyncPolicy::Always)
-        .ingest_queue(64)
+        .durability_config(DurabilityConfig::store(Box::new(log.clone())))
+        .ingest_config(IngestConfig::queued(64))
         .fault_injection(plan.clone())
         .open()
         .expect("open durable db");

@@ -40,7 +40,7 @@
 //! cost and the remaining batch win is one lock acquisition + one WAL
 //! append per batch instead of per row.
 
-use scdb_core::{Db, FsyncPolicy};
+use scdb_core::{Db, DurabilityConfig, FsyncPolicy, IngestConfig};
 use scdb_er::normalize::normalize;
 use scdb_placement::{PlacementPolicy, ShardMap};
 use scdb_types::{Record, Value};
@@ -122,9 +122,9 @@ fn run(mode: Mode, policy: FsyncPolicy, batch: usize, rows: usize) -> RunResult 
         policy_name(policy)
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut builder = Db::builder().durability(&dir, policy);
+    let mut builder = Db::builder().durability_config(DurabilityConfig::dir(&dir).fsync(policy));
     if mode == Mode::Queued {
-        builder = builder.ingest_queue(batch.max(1));
+        builder = builder.ingest_config(IngestConfig::queued(batch.max(1)));
     }
     let db = builder.open().expect("open fresh log");
     db.register_source("bench", Some("name"));
@@ -217,7 +217,7 @@ fn run_sharded(shards: u32, writers: usize, rows_per_writer: usize) -> ShardedRe
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut builder = Db::builder().durability(&dir, FsyncPolicy::Always);
+    let mut builder = Db::builder().durability_config(DurabilityConfig::dir(&dir));
     if shards > 1 {
         builder = builder.write_shards(shards);
     }

@@ -20,7 +20,7 @@
 //! alongside the human table.
 
 use scdb_bench::{apply_curation_op, banner, time_ms, Table};
-use scdb_core::{Db, FsyncPolicy};
+use scdb_core::{Db, DurabilityConfig, FsyncPolicy};
 use scdb_datagen::crash::{crash_schedule, ScheduleConfig};
 
 const SIZES: &[usize] = &[250, 500, 1000, 2000];
@@ -67,7 +67,7 @@ fn run(ops: usize, checkpoint: bool) -> RunResult {
         // EveryN batches fsyncs so building the log is not the bottleneck;
         // the clean Drop syncs the tail.
         let db = Db::builder()
-            .durability(&dir, FsyncPolicy::EveryN(32))
+            .durability_config(DurabilityConfig::dir(&dir).fsync(FsyncPolicy::EveryN(32)))
             .open()
             .expect("open fresh log");
         for op in &schedule {

@@ -31,7 +31,7 @@
 
 use std::time::Duration;
 
-use scdb_core::{Db, FsyncPolicy, TelemetryConfig};
+use scdb_core::{Db, DurabilityConfig, FsyncPolicy, IngestConfig, TelemetryConfig};
 use scdb_types::{Record, Value};
 
 use scdb_bench::{banner, time_ms, Table};
@@ -65,8 +65,8 @@ fn run_loop(rows: usize, observed: bool, tag: &str) -> f64 {
     let dir = std::env::temp_dir().join(format!("scdb-e-sys-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let db = Db::builder()
-        .durability(&dir, FsyncPolicy::EveryN(64))
-        .ingest_queue(64)
+        .durability_config(DurabilityConfig::dir(&dir).fsync(FsyncPolicy::EveryN(64)))
+        .ingest_config(IngestConfig::queued(64))
         .open()
         .expect("open fresh log");
     db.register_source("bench", Some("name"));
@@ -126,8 +126,8 @@ fn measure_refresh(rows: usize) -> Vec<RelationCost> {
     let dir = std::env::temp_dir().join(format!("scdb-e-sys-refresh-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let db = Db::builder()
-        .durability(&dir, FsyncPolicy::EveryN(64))
-        .ingest_queue(64)
+        .durability_config(DurabilityConfig::dir(&dir).fsync(FsyncPolicy::EveryN(64)))
+        .ingest_config(IngestConfig::queued(64))
         .telemetry(TelemetryConfig::default().interval(Duration::ZERO))
         .slow_query_threshold(Duration::ZERO)
         .open()
@@ -190,8 +190,8 @@ fn journey_check() -> Result<(), String> {
     let dir = std::env::temp_dir().join(format!("scdb-e-sys-journey-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let db = Db::builder()
-        .durability(&dir, FsyncPolicy::Always)
-        .ingest_queue(64)
+        .durability_config(DurabilityConfig::dir(&dir))
+        .ingest_config(IngestConfig::queued(64))
         .open()
         .expect("open fresh log");
     db.register_source("bench", Some("name"));

@@ -22,7 +22,10 @@
 
 use std::time::Duration;
 
-use scdb_core::{Db, FsyncPolicy, TelemetryConfig, WatchOp, WatchRule, WatchSignal};
+use scdb_core::{
+    Db, DurabilityConfig, FsyncPolicy, IngestConfig, TelemetryConfig, WatchOp, WatchRule,
+    WatchSignal,
+};
 use scdb_types::{Record, Value};
 
 use scdb_bench::{banner, time_ms, Table};
@@ -60,8 +63,8 @@ fn run_loop(rows: usize, telemetry: bool, tag: &str) -> LoopResult {
     let dir = std::env::temp_dir().join(format!("scdb-e-tel-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut builder = Db::builder()
-        .durability(&dir, FsyncPolicy::EveryN(64))
-        .ingest_queue(64);
+        .durability_config(DurabilityConfig::dir(&dir).fsync(FsyncPolicy::EveryN(64)))
+        .ingest_config(IngestConfig::queued(64));
     if telemetry {
         builder = builder.telemetry(
             TelemetryConfig::default()

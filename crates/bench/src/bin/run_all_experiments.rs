@@ -117,7 +117,7 @@ fn main() {
 /// run in-process: the event ring of a child experiment binary is
 /// invisible here.)
 fn events_sweep(path: &str) {
-    use scdb_core::{Db, FsyncPolicy};
+    use scdb_core::{Db, DurabilityConfig, FsyncPolicy};
 
     scdb_obs::metrics().set_enabled(true);
     let events = scdb_obs::events();
@@ -127,7 +127,7 @@ fn events_sweep(path: &str) {
     let _ = std::fs::remove_dir_all(&dir);
     {
         let db = Db::builder()
-            .durability(&dir, FsyncPolicy::EveryN(64))
+            .durability_config(DurabilityConfig::dir(&dir).fsync(FsyncPolicy::EveryN(64)))
             .slow_query_threshold(std::time::Duration::ZERO)
             .open()
             .expect("open durable db");

@@ -35,130 +35,122 @@ pub struct CoddItem {
     pub evidence: String,
 }
 
-/// Compute the §5 compliance report.
-#[deprecated(note = "promoted to a method: use `db.codd_report()`")]
-pub fn codd_report(db: &Db) -> Vec<CoddItem> {
-    db.codd_report()
-}
-
 impl Db {
     /// Compute the §5 compliance report: one [`CoddItem`] per revisited
     /// Codd rule, with a verdict drawn from the live instance's actual
     /// state (sources, layers, heterogeneity, saturation runs, axioms).
     pub fn codd_report(&self) -> Vec<CoddItem> {
-        codd_report_inner(self)
-    }
-}
+        let mut items = Vec::new();
 
-fn codd_report_inner(db: &Db) -> Vec<CoddItem> {
-    let mut items = Vec::new();
+        // Deviation from the foundation rule: data is not all local/relational.
+        let sources = self.source_count();
+        let text_docs = self.text().len();
+        items.push(CoddItem {
+            rule: "foundation rule (deviation): multiple independent, non-relational sources",
+            status: if sources > 1 || text_docs > 0 {
+                CoddStatus::Exhibited
+            } else if sources == 1 {
+                CoddStatus::Supported
+            } else {
+                CoddStatus::Missing
+            },
+            evidence: format!(
+                "{sources} registered source(s), {text_docs} unstructured document(s)"
+            ),
+        });
 
-    // Deviation from the foundation rule: data is not all local/relational.
-    let sources = db.source_count();
-    let text_docs = db.text().len();
-    items.push(CoddItem {
-        rule: "foundation rule (deviation): multiple independent, non-relational sources",
-        status: if sources > 1 || text_docs > 0 {
-            CoddStatus::Exhibited
-        } else if sources == 1 {
-            CoddStatus::Supported
-        } else {
-            CoddStatus::Missing
-        },
-        evidence: format!("{sources} registered source(s), {text_docs} unstructured document(s)"),
-    });
+        // Deviation from the information rule: hierarchical multi-layer model,
+        // meta-data unified with data.
+        let records: usize = self
+            .source_names()
+            .iter()
+            .map(|n| self.record_count(n).unwrap_or(0))
+            .sum();
+        let edges = self.graph().edge_count();
+        let axioms = self.ontology().axioms().len();
+        items.push(CoddItem {
+            rule: "information rule (deviation): hierarchical multi-layered representation",
+            status: if records > 0 && edges > 0 && axioms > 0 {
+                CoddStatus::Exhibited
+            } else if records > 0 {
+                CoddStatus::Supported
+            } else {
+                CoddStatus::Missing
+            },
+            evidence: format!(
+                "instance layer: {records} record(s); relation layer: {edges} link(s); semantic layer: {axioms} axiom(s)"
+            ),
+        });
 
-    // Deviation from the information rule: hierarchical multi-layer model,
-    // meta-data unified with data.
-    let records: usize = db
-        .source_names()
-        .iter()
-        .map(|n| db.record_count(n).unwrap_or(0))
-        .sum();
-    let edges = db.graph().edge_count();
-    let axioms = db.ontology().axioms().len();
-    items.push(CoddItem {
-        rule: "information rule (deviation): hierarchical multi-layered representation",
-        status: if records > 0 && edges > 0 && axioms > 0 {
-            CoddStatus::Exhibited
-        } else if records > 0 {
-            CoddStatus::Supported
-        } else {
-            CoddStatus::Missing
-        },
-        evidence: format!(
-            "instance layer: {records} record(s); relation layer: {edges} link(s); semantic layer: {axioms} axiom(s)"
-        ),
-    });
-
-    // Extended null treatment: heterogeneous/noisy/fuzzy items.
-    let mut hetero_columns = 0usize;
-    let mut nullable_columns = 0usize;
-    for name in db.source_names() {
-        if let Ok(store) = db.store(&name) {
-            for (_, stats) in store.schema().attrs() {
-                if stats.kinds.len() > 1 {
-                    hetero_columns += 1;
-                }
-                if stats.missing > 0 {
-                    nullable_columns += 1;
+        // Extended null treatment: heterogeneous/noisy/fuzzy items.
+        let mut hetero_columns = 0usize;
+        let mut nullable_columns = 0usize;
+        for name in self.source_names() {
+            if let Ok(store) = self.store(&name) {
+                for (_, stats) in store.schema().attrs() {
+                    if stats.kinds.len() > 1 {
+                        hetero_columns += 1;
+                    }
+                    if stats.missing > 0 {
+                        nullable_columns += 1;
+                    }
                 }
             }
         }
+        items.push(CoddItem {
+            rule: "null treatment (extension): noisy/fuzzy/uncertain/incomplete items",
+            status: if hetero_columns > 0 || nullable_columns > 0 {
+                CoddStatus::Exhibited
+            } else {
+                CoddStatus::Supported
+            },
+            evidence: format!(
+                "{hetero_columns} heterogeneous column(s), {nullable_columns} column(s) with missing values; fuzzy CLOSE TO and evidence intervals available in the query layer"
+            ),
+        });
+
+        // Comprehensive sublanguage (extension): discovery & refinement
+        // operators. Static capability — ScQL always carries them.
+        items.push(CoddItem {
+            rule: "data sublanguage (extension): discovery and refinement operators",
+            status: CoddStatus::Exhibited,
+            evidence: "ScQL atoms: CLOSE TO (fuzzy), IS (semantic), HAS SOME (existential), LINKED BY (model); explore() refines queries from context".into(),
+        });
+
+        // View updating (deviation): external views lazily updated.
+        let stats = self.stats();
+        items.push(CoddItem {
+            rule: "view updating rule (deviation): lazy, incremental external views",
+            status: if stats.reason_runs > 0 {
+                CoddStatus::Exhibited
+            } else {
+                CoddStatus::Supported
+            },
+            evidence: format!(
+                "semantic view recomputed lazily; {} saturation run(s), {} derived fact(s) in the last run",
+                stats.reason_runs, stats.inferred_facts
+            ),
+        });
+
+        // Integrity independence (deviation): constraints live in the
+        // relation/semantic layers and are physically linked.
+        items.push(CoddItem {
+            rule:
+                "integrity independence (deviation): constraints modeled in relation & semantic layers",
+            status: if axioms > 0 && edges > 0 {
+                CoddStatus::Exhibited
+            } else if axioms > 0 {
+                CoddStatus::Supported
+            } else {
+                CoddStatus::Missing
+            },
+            evidence: format!(
+                "{axioms} TBox/RBox axiom(s) govern {edges} physically-linked instance edge(s)"
+            ),
+        });
+
+        items
     }
-    items.push(CoddItem {
-        rule: "null treatment (extension): noisy/fuzzy/uncertain/incomplete items",
-        status: if hetero_columns > 0 || nullable_columns > 0 {
-            CoddStatus::Exhibited
-        } else {
-            CoddStatus::Supported
-        },
-        evidence: format!(
-            "{hetero_columns} heterogeneous column(s), {nullable_columns} column(s) with missing values; fuzzy CLOSE TO and evidence intervals available in the query layer"
-        ),
-    });
-
-    // Comprehensive sublanguage (extension): discovery & refinement
-    // operators. Static capability — ScQL always carries them.
-    items.push(CoddItem {
-        rule: "data sublanguage (extension): discovery and refinement operators",
-        status: CoddStatus::Exhibited,
-        evidence: "ScQL atoms: CLOSE TO (fuzzy), IS (semantic), HAS SOME (existential), LINKED BY (model); explore() refines queries from context".into(),
-    });
-
-    // View updating (deviation): external views lazily updated.
-    let stats = db.stats();
-    items.push(CoddItem {
-        rule: "view updating rule (deviation): lazy, incremental external views",
-        status: if stats.reason_runs > 0 {
-            CoddStatus::Exhibited
-        } else {
-            CoddStatus::Supported
-        },
-        evidence: format!(
-            "semantic view recomputed lazily; {} saturation run(s), {} derived fact(s) in the last run",
-            stats.reason_runs, stats.inferred_facts
-        ),
-    });
-
-    // Integrity independence (deviation): constraints live in the
-    // relation/semantic layers and are physically linked.
-    items.push(CoddItem {
-        rule:
-            "integrity independence (deviation): constraints modeled in relation & semantic layers",
-        status: if axioms > 0 && edges > 0 {
-            CoddStatus::Exhibited
-        } else if axioms > 0 {
-            CoddStatus::Supported
-        } else {
-            CoddStatus::Missing
-        },
-        evidence: format!(
-            "{axioms} TBox/RBox axiom(s) govern {edges} physically-linked instance edge(s)"
-        ),
-    });
-
-    items
 }
 
 /// True when the store holds any value of more than one kind under one
@@ -182,10 +174,7 @@ mod tests {
     #[test]
     fn empty_db_mostly_missing_or_supported() {
         let db = Db::new();
-        // Exercise the deprecated free-function shim once so its
-        // delegation stays covered until removal.
-        #[allow(deprecated)]
-        let report = codd_report(&db);
+        let report = db.codd_report();
         assert_eq!(report.len(), 6);
         assert!(report
             .iter()

@@ -1,0 +1,888 @@
+//! Operator surface: secondary-index DDL and advice, metrics and the
+//! telemetry pipeline, the health report, diagnostic bundles, and the
+//! durable kv/enrichment store.
+
+use std::sync::{Arc, Weak};
+
+use scdb_obs::{metrics, FieldValue as F, MetricsSnapshot, Sample, SeriesSummary, WatchStatus};
+use scdb_query::{parse, Query};
+use scdb_storage::{IndexDef, IndexKind};
+use scdb_txn::{EnrichedDb, IsolationMode, LogRecord, Transaction};
+use scdb_types::Value;
+
+use super::{lock_labels, Db, DbInner, DbMode};
+use crate::error::CoreError;
+use crate::telemetry::TelemetryState;
+
+/// Receipt for a [`Db::diagnostic_bundle`] call: where the bundle
+/// landed and which files were written (in write order).
+#[derive(Debug, Clone)]
+pub struct DiagnosticBundle {
+    /// The bundle directory (created if it did not exist).
+    pub dir: std::path::PathBuf,
+    /// File names written inside [`DiagnosticBundle::dir`]:
+    /// `health.json`, `metrics.prom`, and one JSONL per exported
+    /// `sys.*` relation.
+    pub files: Vec<String>,
+}
+
+impl Db {
+    /// Drop a one-call postmortem bundle into `dir` (created if
+    /// needed): `health.json` (the [`Db::health_report`]),
+    /// `metrics.prom` (Prometheus text of the same registry
+    /// `sys.metrics` reads), and `events.jsonl` / `samples.jsonl` /
+    /// `slow_queries.jsonl` / `watches.jsonl` rendered by running
+    /// `SELECT *` over the corresponding `sys.*` relations — the
+    /// catalog is the single source of truth for what lands on disk.
+    pub fn diagnostic_bundle(
+        &self,
+        dir: impl AsRef<std::path::Path>,
+    ) -> Result<DiagnosticBundle, CoreError> {
+        let dir = dir.as_ref();
+        std::fs::create_dir_all(dir).map_err(|e| {
+            CoreError::Recovery(format!("create bundle dir {}: {e}", dir.display()))
+        })?;
+        let mut files: Vec<String> = Vec::new();
+        let mut write = |name: &str, contents: String| -> Result<(), CoreError> {
+            let path = dir.join(name);
+            std::fs::write(&path, contents)
+                .map_err(|e| CoreError::Recovery(format!("write {}: {e}", path.display())))?;
+            files.push(name.to_string());
+            Ok(())
+        };
+        let health = serde_json::to_string(&self.health_report().to_json())
+            .map_err(|e| CoreError::Recovery(format!("serialize health report: {e:?}")))?;
+        write("health.json", health)?;
+        write("metrics.prom", self.export_prometheus())?;
+        for (rel, file) in [
+            ("sys.events", "events.jsonl"),
+            ("sys.samples", "samples.jsonl"),
+            ("sys.slow_queries", "slow_queries.jsonl"),
+            ("sys.watches", "watches.jsonl"),
+        ] {
+            let query = Query {
+                select: Vec::new(),
+                from: rel.to_string(),
+                atoms: Vec::new(),
+                limit: None,
+            };
+            let out = self.run_sys_query(&query)?;
+            let mut text = String::new();
+            {
+                let symbols = self.inner.symbols.read();
+                for row in &out.rows {
+                    let json = crate::syscat::record_to_json(row, &symbols);
+                    text.push_str(
+                        &serde_json::to_string(&json).map_err(|e| {
+                            CoreError::Recovery(format!("serialize {rel} row: {e:?}"))
+                        })?,
+                    );
+                    text.push('\n');
+                }
+            }
+            write(file, text)?;
+        }
+        Ok(DiagnosticBundle {
+            dir: dir.to_path_buf(),
+            files,
+        })
+    }
+
+    // ------------------------------------------------------------------
+    // Secondary indexes: definition, maintenance, advice.
+    // ------------------------------------------------------------------
+
+    /// Create a secondary index named `name` over `source`'s `attr`.
+    ///
+    /// The index is built from the rows already stored and maintained
+    /// incrementally by every subsequent ingest; the optimizer starts
+    /// considering it immediately for access-path selection (an
+    /// `IndexScan` replaces the full scan when the driving predicate is
+    /// selective enough). On a durable database the definition is
+    /// logged (auto-sealed, like source registrations) before the
+    /// build, and [`Db::open`] re-creates the index and rebuilds its
+    /// contents from the recovered rows — contents are never logged.
+    ///
+    /// Index names are unique across the whole database
+    /// ([`Db::drop_index`] addresses them by name alone). Indexing an
+    /// attribute no row carries yet is allowed: the index starts empty
+    /// and fills as matching rows arrive.
+    pub fn create_index(
+        &self,
+        name: &str,
+        source: &str,
+        attr: &str,
+        kind: IndexKind,
+    ) -> Result<IndexDef, CoreError> {
+        self.ensure_writable()?;
+        if crate::syscat::is_sys_name(name) || crate::syscat::is_sys_name(source) {
+            let offender = if crate::syscat::is_sys_name(name) {
+                name
+            } else {
+                source
+            };
+            return Err(CoreError::ReservedNamespace(offender.to_string()));
+        }
+        // DDL broadcasts on a sharded database: the definition lands in
+        // every shard's slice and every shard's WAL, and each shard
+        // builds contents from its own rows.
+        let symbols = self.inner.symbols.read();
+        let mut instances = Vec::with_capacity(self.inner.shards.len());
+        for shard in &self.inner.shards {
+            instances.push(shard.instance.write());
+        }
+        if instances[0].index_owner_mut(name).is_some() {
+            return Err(CoreError::DuplicateIndex(name.to_string()));
+        }
+        instances[0].source_state(source)?;
+        // Log before mutating (auto-sealed, mirroring source
+        // registration): the definition takes effect at this log
+        // position, and replay rebuilds contents from the rows visible
+        // there — later replayed ingests maintain it incrementally,
+        // exactly like the live pipeline did.
+        self.log_to_every_shard(&LogRecord::IndexCreate {
+            name: name.to_string(),
+            source: source.to_string(),
+            attr: attr.to_string(),
+            kind: kind.tag(),
+        })?;
+        let def = IndexDef {
+            name: name.to_string(),
+            source: source.to_string(),
+            attr: attr.to_string(),
+            kind,
+        };
+        let mut entries = 0u64;
+        for instance in &mut instances {
+            let state = instance.source_state_mut(source)?;
+            state.indexes.create(def.clone(), &symbols, &state.store);
+            entries += state.indexes.get(name).map(|i| i.entries()).unwrap_or(0);
+        }
+        metrics().inc("core.index.creates");
+        scdb_obs::event(
+            "core",
+            "index.create",
+            &[
+                ("name", F::Str(name.into())),
+                ("source", F::Str(source.into())),
+                ("attr", F::Str(attr.into())),
+                ("entries", F::U64(entries)),
+            ],
+        );
+        Ok(def)
+    }
+
+    /// Drop the secondary index named `name`. Concurrent queries
+    /// already planned against it degrade to a full scan (the executor
+    /// re-checks every atom), so results are unaffected. Durable: the
+    /// drop is logged before the in-memory removal.
+    pub fn drop_index(&self, name: &str) -> Result<(), CoreError> {
+        self.ensure_writable()?;
+        let mut instances = Vec::with_capacity(self.inner.shards.len());
+        for shard in &self.inner.shards {
+            instances.push(shard.instance.write());
+        }
+        if instances[0].index_owner_mut(name).is_none() {
+            return Err(CoreError::UnknownIndex(name.to_string()));
+        }
+        self.log_to_every_shard(&LogRecord::IndexDrop {
+            name: name.to_string(),
+        })?;
+        for instance in &mut instances {
+            if let Some(state) = instance.index_owner_mut(name) {
+                state.indexes.drop_index(name);
+            }
+        }
+        metrics().inc("core.index.drops");
+        scdb_obs::event("core", "index.drop", &[("name", F::Str(name.into()))]);
+        Ok(())
+    }
+
+    /// Definitions of every secondary index: creation order within a
+    /// source, sources in registration order.
+    pub fn indexes(&self) -> Vec<IndexDef> {
+        let instance = self.inner.shard0().instance.read();
+        instance
+            .sources
+            .iter()
+            .flat_map(|(_, s)| s.indexes.defs())
+            .collect()
+    }
+
+    /// Propose secondary indexes from the slow-query ring
+    /// ([`Db::slow_queries`]): every comparison atom in a captured slow
+    /// query whose attribute is not yet indexed becomes a candidate —
+    /// equality-only workloads suggest a hash index, any range
+    /// predicate upgrades the proposal to an ordered index (which also
+    /// answers equality). With `create` set the advisor also creates
+    /// each proposal, named `auto_<source>_<attr>`. Returns the
+    /// proposals either way.
+    pub fn advise_indexes(&self, create: bool) -> Result<Vec<IndexDef>, CoreError> {
+        use scdb_query::CompareOp;
+        let texts: Vec<String> = self
+            .inner
+            .slow
+            .lock()
+            .iter()
+            .map(|s| s.text.clone())
+            .collect();
+        // (source, attr, wants_range) — one slot per distinct column.
+        let mut wanted: Vec<(String, String, bool)> = Vec::new();
+        for text in &texts {
+            let Ok(query) = parse(text) else { continue };
+            for atom in &query.atoms {
+                let scdb_query::Atom::Compare { attr, op, .. } = atom else {
+                    continue;
+                };
+                let range = match op {
+                    CompareOp::Eq => false,
+                    CompareOp::Ne => continue, // no index shape answers ≠
+                    _ => true,
+                };
+                match wanted
+                    .iter_mut()
+                    .find(|(s, a, _)| s == &query.from && a == attr)
+                {
+                    Some((_, _, r)) => *r |= range,
+                    None => wanted.push((query.from.clone(), attr.clone(), range)),
+                }
+            }
+        }
+        let mut proposals = Vec::new();
+        {
+            let instance = self.inner.shard0().instance.read();
+            for (source, attr, range) in wanted {
+                let Ok(state) = instance.source_state(&source) else {
+                    continue;
+                };
+                if state.indexes.iter().any(|i| i.def().attr == attr) {
+                    continue;
+                }
+                let name = format!("auto_{source}_{attr}");
+                if instance
+                    .sources
+                    .iter()
+                    .any(|(_, s)| s.indexes.get(&name).is_some())
+                {
+                    continue;
+                }
+                proposals.push(IndexDef {
+                    name,
+                    source,
+                    attr,
+                    kind: if range {
+                        IndexKind::Ordered
+                    } else {
+                        IndexKind::Hash
+                    },
+                });
+            }
+            // The read guard drops here; create_index retakes write.
+        }
+        scdb_obs::event(
+            "core",
+            "index.advise",
+            &[
+                ("slow_queries", F::U64(texts.len() as u64)),
+                ("proposals", F::U64(proposals.len() as u64)),
+            ],
+        );
+        if create {
+            for def in &proposals {
+                self.create_index(&def.name, &def.source, &def.attr, def.kind)?;
+            }
+        }
+        Ok(proposals)
+    }
+
+    /// Snapshot of the global metrics registry: every counter, gauge, and
+    /// latency histogram the pipeline has touched so far. Serialize with
+    /// [`MetricsSnapshot::to_json`] or render with
+    /// [`MetricsSnapshot::render`].
+    pub fn metrics_report(&self) -> MetricsSnapshot {
+        metrics().snapshot()
+    }
+
+    /// Take one telemetry sample right now — the same tick the
+    /// background sampler runs: refresh sampled gauges (WAL lag,
+    /// flight-recorder loss), fold a registry snapshot into the
+    /// time-series ring, evaluate the watch rules, and append to the
+    /// JSONL sink when one is configured. Returns `None` when no
+    /// telemetry pipeline is configured
+    /// ([`DbBuilder::telemetry`](crate::DbBuilder::telemetry)).
+    pub fn sample_now(&self) -> Option<Arc<Sample>> {
+        let state = Arc::clone(self.inner.telemetry.as_ref()?);
+        Some(self.telemetry_tick(&state))
+    }
+
+    /// The retained time-series history, oldest first (empty when no
+    /// telemetry pipeline is configured or nothing was sampled yet).
+    pub fn telemetry_samples(&self) -> Vec<Arc<Sample>> {
+        self.inner
+            .telemetry
+            .as_ref()
+            .map(|t| t.ring.samples())
+            .unwrap_or_default()
+    }
+
+    /// Summary statistics for one metric across the retained window:
+    /// counter names summarize their per-sample deltas, gauge names
+    /// their levels, histogram names their per-window counts. `None`
+    /// when no telemetry is configured or the metric never appeared.
+    pub fn telemetry_summary(&self, metric: &str) -> Option<SeriesSummary> {
+        self.inner.telemetry.as_ref()?.ring.summary(metric)
+    }
+
+    /// Current status of every configured watch rule (empty without a
+    /// telemetry pipeline).
+    pub fn watch_statuses(&self) -> Vec<WatchStatus> {
+        self.inner
+            .telemetry
+            .as_ref()
+            .map(|t| t.statuses())
+            .unwrap_or_default()
+    }
+
+    /// Render the current metrics registry in the Prometheus text
+    /// exposition format — serve it from a scrape endpoint or write it
+    /// for the textfile collector. Works with or without a telemetry
+    /// pipeline (it reads the registry, not the ring).
+    pub fn export_prometheus(&self) -> String {
+        scdb_obs::prometheus_text(&metrics().snapshot())
+    }
+
+    /// One sampler tick (see [`Db::sample_now`] for the sequence).
+    fn telemetry_tick(&self, state: &TelemetryState) -> Arc<Sample> {
+        let m = metrics();
+        // Refresh sampled gauges so watch rules compare current levels,
+        // not whatever the last mutation happened to leave behind.
+        if let Some(lag) = self.inner.wal_lag_total() {
+            m.gauge_set(
+                "core.wal.records_since_ckpt",
+                lag.records_since_checkpoint as i64,
+            );
+            m.gauge_set("core.wal.unsynced_bytes", lag.unsynced_bytes as i64);
+        }
+        // Mirror flight-recorder loss accounting into monotone counters
+        // so the ring can window and rate them like everything else.
+        let ev = scdb_obs::events();
+        for (name, cur) in [
+            ("obs.events.recorded", ev.recorded()),
+            ("obs.events.dropped", ev.dropped()),
+        ] {
+            let c = m.counter(name);
+            let seen = c.get();
+            if cur > seen {
+                c.add(cur - seen);
+            }
+        }
+        let sample = state.record(m.snapshot(), scdb_obs::event::coarse_now_ms());
+        let transitions = state.evaluate(&sample);
+        state.jsonl_append("sample", &sample.to_json());
+        for status in &transitions {
+            state.jsonl_append("watch", &status.to_json());
+        }
+        if state.jsonl.is_some() {
+            state.jsonl_append("health", &self.health_report().to_json());
+        }
+        sample
+    }
+
+    /// One composite health summary: uptime counters, WAL lag, per-shard
+    /// lock-wait tails, slow-query and warning ring sizes, and
+    /// flight-recorder loss accounting. Render with
+    /// [`crate::health::DbHealthReport::render`] or serialize with
+    /// [`crate::health::DbHealthReport::to_json`].
+    pub fn health_report(&self) -> crate::health::DbHealthReport {
+        use crate::health::{
+            DbHealthReport, GroupCommitHealth, IngestStageLatency, LockWaitSummary, ModeHealth,
+            WalHealth,
+        };
+        let curation = self.stats();
+        let entities = self.entity_count();
+        let sources = self.source_count();
+        let wal = self.inner.wal_lag_total().map(|lag| WalHealth {
+            lag,
+            checkpoints: metrics().counter("txn.checkpoints").get(),
+            fsyncs: metrics().counter("txn.wal.fsyncs").get(),
+        });
+        let durable = wal.is_some();
+        // Every lock label, so a sharded node's wait tails stay visible
+        // per shard.
+        let locks = lock_labels(self.inner.shard_count())
+            .into_iter()
+            .map(|shard| {
+                let h = metrics()
+                    .histogram(&format!("core.lock.{shard}.wait_ns"))
+                    .snapshot();
+                LockWaitSummary {
+                    shard,
+                    count: h.count,
+                    p99_ns: h.p99,
+                    max_ns: h.max,
+                }
+            })
+            .collect();
+        let queue_capacity = self
+            .inner
+            .shard0()
+            .queue
+            .as_ref()
+            .map(|q| q.capacity())
+            .unwrap_or(0);
+        let flushes = metrics().counter("txn.group_commit.flushes").get();
+        // The commit-latency decomposition, in pipeline order. The
+        // per-row queue_wait count doubling as "did any staged ingest
+        // run" widens the section gate below: unqueued ingests also
+        // decompose, so they also deserve the section.
+        let stages: Vec<IngestStageLatency> =
+            ["queue_wait", "batch_build", "wal_append", "fsync", "apply"]
+                .iter()
+                .map(|stage| {
+                    let h = metrics()
+                        .histogram(&format!("core.ingest.stage.{stage}_ns"))
+                        .snapshot();
+                    IngestStageLatency {
+                        stage: stage.to_string(),
+                        count: h.count,
+                        p50_ns: h.p50,
+                        p99_ns: h.p99,
+                        max_ns: h.max,
+                    }
+                })
+                .collect();
+        let staged_rows = stages.first().map(|s| s.count).unwrap_or(0);
+        let group_commit = (queue_capacity > 0 || flushes > 0 || staged_rows > 0).then(|| {
+            let batch = metrics()
+                .histogram("txn.group_commit.batch_records")
+                .snapshot();
+            let stall = metrics().histogram("txn.group_commit.stall_ns").snapshot();
+            GroupCommitHealth {
+                queue_capacity,
+                queue_depth: metrics().gauge("core.ingest_queue.depth").get(),
+                flushes,
+                batch_records: batch.sum,
+                max_batch: batch.max,
+                fsyncs_saved: metrics().counter("txn.group_commit.fsyncs_saved").get(),
+                stalls: stall.count,
+                stall_p99_ns: stall.p99,
+                stages,
+            }
+        });
+        let mode = {
+            let (degraded, reason, degraded_for_ms) = match self.mode() {
+                DbMode::Normal => (false, None, None),
+                DbMode::Degraded { reason, since_ms } => (
+                    true,
+                    Some(reason),
+                    Some(scdb_obs::event::coarse_now_ms().saturating_sub(since_ms)),
+                ),
+            };
+            ModeHealth {
+                degraded,
+                reason,
+                degraded_for_ms,
+                tripped: metrics().counter("core.fault.tripped").get(),
+                recoveries: metrics().counter("core.fault.recoveries").get(),
+                faults_injected: metrics().counter("core.fault.injected").get(),
+                thread_panics: metrics().counter("core.thread.panics").get(),
+                thread_restarts: metrics().counter("core.thread.restarts").get(),
+            }
+        };
+        let events = scdb_obs::events();
+        DbHealthReport {
+            seq: self
+                .inner
+                .health_seq
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+            at_ms: scdb_obs::event::coarse_now_ms(),
+            uptime_ms: self.inner.started.elapsed().as_millis() as u64,
+            curation,
+            entities,
+            sources,
+            durable,
+            mode,
+            wal,
+            group_commit,
+            locks,
+            slow_queries: self.inner.slow.lock().len(),
+            slow_query_threshold_ms: self.inner.slow_threshold.as_millis() as u64,
+            warnings: scdb_obs::recent_warnings(),
+            events_recorded: events.recorded(),
+            events_dropped: events.dropped(),
+            watches: self.watch_statuses(),
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // The kv/enrichment store (FS.11) through the durable log. It is
+    // global state, not sharded: its records ride shard 0's WAL (and
+    // shard 0's snapshots).
+    // ------------------------------------------------------------------
+
+    /// The isolation regime of the kv/enrichment store.
+    pub fn kv_isolation(&self) -> IsolationMode {
+        self.inner.enriched.mode()
+    }
+
+    /// Handle to the kv/enrichment store for reads and anomaly counters.
+    /// Writes routed through the handle directly bypass the WAL — use
+    /// [`Db::kv_commit`] / [`Db::kv_enrich`] / [`Db::kv_retract`] for
+    /// durable writes.
+    pub fn kv_store(&self) -> &EnrichedDb {
+        &self.inner.enriched
+    }
+
+    /// Begin a kv transaction (snapshot taken now).
+    pub fn kv_begin(&self) -> Transaction {
+        self.inner.enriched.begin()
+    }
+
+    /// Read under the configured [`IsolationMode`], recording anomaly
+    /// statistics.
+    pub fn kv_read(&self, txn: &mut Transaction, key: u64) -> Option<Value> {
+        self.inner.enriched.read(txn, key)
+    }
+
+    /// Durably commit a kv transaction: validate first-committer-wins,
+    /// log the write set plus a commit seal, then install. The `durable`
+    /// mutex serializes validation → log → install, so a transaction
+    /// whose seal reached the log always installs.
+    pub fn kv_commit(&self, txn: &mut Transaction) -> Result<u64, CoreError> {
+        self.ensure_writable()?;
+        let mut durable = self.inner.shard0().durable.lock();
+        let tm = self.inner.enriched.txn_manager();
+        if let Some(key) = tm.would_conflict(txn) {
+            return Err(CoreError::Txn(scdb_txn::TxnError::WriteConflict { key }));
+        }
+        if let Some(wal) = durable.as_mut() {
+            let id = wal.next_txn_id();
+            let mut records: Vec<LogRecord> = txn
+                .writes()
+                .map(|(key, value)| LogRecord::Write {
+                    txn: id,
+                    key,
+                    value: value.cloned(),
+                })
+                .collect();
+            records.push(LogRecord::Commit { txn: id });
+            wal.append_sealed(&records)
+                .map_err(|e| self.trip_on_io(e))?;
+        }
+        // Cannot conflict: validation above ran under the same lock that
+        // every durable kv writer (commit and enrichment) holds.
+        Ok(tm.commit(txn)?)
+    }
+
+    /// A durable curation write: logged (auto-sealed), then installed at
+    /// a fresh timestamp with enrichment origin.
+    pub fn kv_enrich(&self, key: u64, value: Value) -> Result<u64, CoreError> {
+        self.ensure_writable()?;
+        let mut durable = self.inner.shard0().durable.lock();
+        if let Some(wal) = durable.as_mut() {
+            wal.append_sealed(&[LogRecord::Enrich {
+                key,
+                value: Some(value.clone()),
+            }])
+            .map_err(|e| self.trip_on_io(e))?;
+        }
+        Ok(self.inner.enriched.enrich(key, value))
+    }
+
+    /// A durable curation retraction (tombstone with enrichment origin).
+    pub fn kv_retract(&self, key: u64) -> Result<u64, CoreError> {
+        self.ensure_writable()?;
+        let mut durable = self.inner.shard0().durable.lock();
+        if let Some(wal) = durable.as_mut() {
+            wal.append_sealed(&[LogRecord::Enrich { key, value: None }])
+                .map_err(|e| self.trip_on_io(e))?;
+        }
+        Ok(self.inner.enriched.retract(key))
+    }
+}
+
+/// The telemetry sampler loop: sleep one interval (interruptible by
+/// [`TelemetryState::stop`]), upgrade the [`Weak`], run one tick. Exits
+/// on shutdown or once the last [`Db`] handle is gone — the thread
+/// never keeps the database alive, exactly like the committer above.
+pub(super) fn telemetry_sampler(inner: Weak<DbInner>, state: Arc<TelemetryState>) {
+    loop {
+        if state.wait_shutdown(state.interval) {
+            return;
+        }
+        let Some(inner) = inner.upgrade() else { return };
+        let db = Db { inner };
+        db.telemetry_tick(&state);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testutil::*;
+    use super::super::DurabilityConfig;
+    use super::*;
+    use scdb_types::Record;
+
+    #[test]
+    fn durable_kv_and_enrichment_recover() {
+        let dir = tmpdir("kv");
+        {
+            let db = Db::builder()
+                .isolation(IsolationMode::RelaxedEnrichment)
+                .durability_config(DurabilityConfig::dir(&dir))
+                .open()
+                .unwrap();
+            let mut t = db.kv_begin();
+            t.write(1, Value::Int(10)).unwrap();
+            t.write(2, Value::str("hello")).unwrap();
+            db.kv_commit(&mut t).unwrap();
+            db.kv_enrich(3, Value::Float(0.5)).unwrap();
+            db.kv_retract(2).unwrap();
+        }
+        let db = Db::open(&dir).unwrap();
+        let mut t = db.kv_begin();
+        assert_eq!(db.kv_read(&mut t, 1), Some(Value::Int(10)));
+        assert_eq!(db.kv_read(&mut t, 2), None, "retraction recovered");
+        assert_eq!(db.kv_read(&mut t, 3), Some(Value::Float(0.5)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn kv_conflict_is_rejected_before_logging() {
+        let db = Db::new();
+        let mut a = db.kv_begin();
+        let mut b = db.kv_begin();
+        a.write(7, Value::Int(1)).unwrap();
+        b.write(7, Value::Int(2)).unwrap();
+        db.kv_commit(&mut a).unwrap();
+        assert!(matches!(
+            db.kv_commit(&mut b),
+            Err(CoreError::Txn(scdb_txn::TxnError::WriteConflict { key: 7 }))
+        ));
+    }
+
+    #[test]
+    fn index_accelerates_point_queries_and_drops_cleanly() {
+        let db = Db::new();
+        trials_db(&db, 200);
+        let full = db
+            .query("SELECT drug FROM trials WHERE drug = 'Drug007'")
+            .unwrap();
+        assert!(full.plan.index_scan().is_none());
+
+        let def = db
+            .create_index("ix_drug", "trials", "drug", IndexKind::Hash)
+            .unwrap();
+        assert_eq!((def.source.as_str(), def.attr.as_str()), ("trials", "drug"));
+        assert_eq!(db.indexes().len(), 1);
+        assert!(matches!(
+            db.create_index("ix_drug", "trials", "dose", IndexKind::Hash),
+            Err(CoreError::DuplicateIndex(_))
+        ));
+        assert!(matches!(
+            db.create_index("ix2", "nope", "drug", IndexKind::Hash),
+            Err(CoreError::UnknownSource(_))
+        ));
+
+        let indexed = db
+            .query("SELECT drug FROM trials WHERE drug = 'Drug007'")
+            .unwrap();
+        assert!(indexed.plan.index_scan().is_some(), "{}", indexed.plan);
+        assert_eq!(indexed.rows, full.rows, "index path ≡ full scan");
+        assert!(
+            indexed.stats.rows_scanned < full.stats.rows_scanned,
+            "index touched {} rows vs {} for the scan",
+            indexed.stats.rows_scanned,
+            full.stats.rows_scanned
+        );
+        assert!(indexed
+            .profile
+            .stages
+            .iter()
+            .flat_map(|s| &s.notes)
+            .any(|n| n.contains("access=index_scan via 'ix_drug'")));
+
+        // New rows are maintained incrementally into the live index.
+        let d = db.intern("drug");
+        let dose = db.intern("dose");
+        db.ingest(
+            "trials",
+            Record::from_pairs([(d, Value::str("Drug007")), (dose, Value::Int(999))]),
+            None,
+        )
+        .unwrap();
+        let again = db
+            .query("SELECT drug FROM trials WHERE drug = 'Drug007'")
+            .unwrap();
+        assert_eq!(again.rows.len(), full.rows.len() + 1);
+
+        db.drop_index("ix_drug").unwrap();
+        assert!(db.indexes().is_empty());
+        assert!(matches!(
+            db.drop_index("ix_drug"),
+            Err(CoreError::UnknownIndex(_))
+        ));
+        let after = db
+            .query("SELECT drug FROM trials WHERE drug = 'Drug007'")
+            .unwrap();
+        assert!(after.plan.index_scan().is_none());
+        assert_eq!(after.rows.len(), full.rows.len() + 1);
+    }
+
+    #[test]
+    fn ordered_index_answers_ranges() {
+        let db = Db::new();
+        trials_db(&db, 200);
+        db.create_index("ix_dose", "trials", "dose", IndexKind::Ordered)
+            .unwrap();
+        let full = db
+            .query("SELECT dose FROM trials WHERE dose >= 190 AND dose <= 195")
+            .unwrap();
+        assert_eq!(full.rows.len(), 6);
+        // Whatever access path the stats pick, results must match a
+        // reference filter; force the comparison by checking values.
+        let dose = db.intern("dose");
+        for r in &full.rows {
+            match r.get(dose) {
+                Some(Value::Int(v)) => assert!((190..=195).contains(v)),
+                other => panic!("unexpected dose {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_range_picks_the_ordered_index_via_live_stats() {
+        // Regression (ISSUE 10 satellite): histograms seeded from the
+        // first observed values used to estimate every range at ~0.5,
+        // so ranges never took the ordered index. The equi-depth
+        // rebuild learns the real value spread from live ingest alone —
+        // no ANALYZE step — and a narrow range must now cost below the
+        // scan and pick the index path.
+        let db = Db::new();
+        trials_db(&db, 400);
+        db.create_index("ix_dose", "trials", "dose", IndexKind::Ordered)
+            .unwrap();
+        let narrow = db
+            .query("SELECT dose FROM trials WHERE dose >= 17 AND dose <= 19")
+            .unwrap();
+        assert!(
+            narrow.plan.index_scan().is_some(),
+            "narrow range takes the ordered index: {}",
+            narrow.plan
+        );
+        assert_eq!(narrow.rows.len(), 3);
+        // A range spanning (nearly) the whole domain stays on the scan:
+        // the histogram prices it as unselective.
+        let wide = db
+            .query("SELECT dose FROM trials WHERE dose >= 0 AND dose <= 399")
+            .unwrap();
+        assert!(
+            wide.plan.index_scan().is_none(),
+            "full-domain range stays on the scan: {}",
+            wide.plan
+        );
+        assert_eq!(wide.rows.len(), 400);
+    }
+
+    #[test]
+    fn durable_reopen_rebuilds_indexes() {
+        let dir = tmpdir("index-reopen");
+        let reference = Db::new();
+        trials_db(&reference, 120);
+        reference
+            .create_index("ix_drug", "trials", "drug", IndexKind::Hash)
+            .unwrap();
+        {
+            let db = Db::open(&dir).unwrap();
+            trials_db(&db, 100);
+            db.create_index("ix_drug", "trials", "drug", IndexKind::Hash)
+                .unwrap();
+            // Rows ingested after the create maintain the index through
+            // the WAL replay path too.
+            let d = db.intern("drug");
+            let dose = db.intern("dose");
+            for i in 100..120 {
+                let r = Record::from_pairs([
+                    (d, Value::str(format!("Drug{:03}", i % 50))),
+                    (dose, Value::Int(i)),
+                ]);
+                db.ingest("trials", r, None).unwrap();
+            }
+            assert_eq!(db.state_dump(), reference.state_dump());
+        }
+        let db = Db::open(&dir).unwrap();
+        // state_dump includes `index … entries=N` lines, so equality
+        // proves the definition survived AND the rebuild converged on
+        // the incrementally-maintained contents.
+        assert_eq!(db.state_dump(), reference.state_dump());
+        let out = db
+            .query("SELECT drug FROM trials WHERE drug = 'Drug007'")
+            .unwrap();
+        assert!(out.plan.index_scan().is_some(), "{}", out.plan);
+        let expected = reference
+            .query("SELECT drug FROM trials WHERE drug = 'Drug007'")
+            .unwrap();
+        assert_eq!(out.rows, expected.rows);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoint_carries_index_definitions() {
+        let dir = tmpdir("index-ckpt");
+        let reference = Db::new();
+        trials_db(&reference, 60);
+        reference
+            .create_index("ix_drug", "trials", "drug", IndexKind::Hash)
+            .unwrap();
+        reference
+            .create_index("ix_dose", "trials", "dose", IndexKind::Ordered)
+            .unwrap();
+        {
+            let db = Db::open(&dir).unwrap();
+            trials_db(&db, 60);
+            db.create_index("ix_drug", "trials", "drug", IndexKind::Hash)
+                .unwrap();
+            db.create_index("ix_dose", "trials", "dose", IndexKind::Ordered)
+                .unwrap();
+            db.drop_index("ix_dose").unwrap();
+            db.create_index("ix_dose", "trials", "dose", IndexKind::Ordered)
+                .unwrap();
+            // Checkpointing compacts the WAL, which truncates the
+            // IndexCreate records — the snapshot must carry the defs.
+            db.checkpoint().unwrap();
+        }
+        let db = Db::open(&dir).unwrap();
+        assert_eq!(db.recovery_report().unwrap().records_replayed, 0);
+        assert_eq!(db.state_dump(), reference.state_dump());
+        let names: Vec<String> = db.indexes().into_iter().map(|d| d.name).collect();
+        assert_eq!(names, vec!["ix_drug".to_string(), "ix_dose".to_string()]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn advise_indexes_from_slow_query_ring() {
+        let db = Db::builder()
+            .slow_query_threshold(std::time::Duration::from_nanos(0))
+            .build();
+        trials_db(&db, 100);
+        // Everything is "slow" at a zero threshold: one equality-only
+        // column and one column that also sees ranges.
+        db.query("SELECT drug FROM trials WHERE drug = 'Drug007'")
+            .unwrap();
+        db.query("SELECT dose FROM trials WHERE dose = 10").unwrap();
+        db.query("SELECT dose FROM trials WHERE dose > 90").unwrap();
+        let proposals = db.advise_indexes(false).unwrap();
+        assert_eq!(db.indexes().len(), 0, "advise alone creates nothing");
+        let drug = proposals.iter().find(|p| p.attr == "drug").unwrap();
+        assert_eq!(drug.kind, IndexKind::Hash);
+        assert_eq!(drug.name, "auto_trials_drug");
+        let dose = proposals.iter().find(|p| p.attr == "dose").unwrap();
+        assert_eq!(dose.kind, IndexKind::Ordered, "range upgrades to ordered");
+
+        let created = db.advise_indexes(true).unwrap();
+        assert_eq!(created.len(), proposals.len());
+        assert_eq!(db.indexes().len(), proposals.len());
+        // Re-advising proposes nothing: every column is now covered.
+        assert!(db.advise_indexes(false).unwrap().is_empty());
+    }
+}

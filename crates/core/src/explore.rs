@@ -38,18 +38,6 @@ pub struct ExplorationOutcome {
     pub materialized: usize,
 }
 
-/// Run one explore round against `db`, materializing discoveries into
-/// `cache`.
-#[deprecated(note = "promoted to a method: use `db.explore(sql, config, cache)`")]
-pub fn explore(
-    db: &Db,
-    sql: &str,
-    config: &ExploreConfig,
-    cache: &mut MaterializationCache,
-) -> Result<ExplorationOutcome, CoreError> {
-    db.explore(sql, config, cache)
-}
-
 impl Db {
     /// Run one §4.1 exploration round: execute `sql`, take its matched
     /// entities as the context, discover related entities by the FS.6
@@ -62,83 +50,74 @@ impl Db {
         config: &ExploreConfig,
         cache: &mut MaterializationCache,
     ) -> Result<ExplorationOutcome, CoreError> {
-        explore_inner(self, sql, config, cache)
-    }
-}
+        let query = parse(sql)?;
+        let base = self.run_query(&query)?;
 
-fn explore_inner(
-    db: &Db,
-    sql: &str,
-    config: &ExploreConfig,
-    cache: &mut MaterializationCache,
-) -> Result<ExplorationOutcome, CoreError> {
-    let query = parse(sql)?;
-    let base = db.run_query(&query)?;
-
-    // Seeds: entities named by any string value in the result rows.
-    let mut seeds: Vec<EntityId> = Vec::new();
-    for row in &base.rows {
-        for (_, v) in row.iter() {
-            if v.kind() == ValueKind::Str {
-                if let Some(e) = db.entity_named(&v.render()) {
-                    if !seeds.contains(&e) {
-                        seeds.push(e);
+        // Seeds: entities named by any string value in the result rows.
+        let mut seeds: Vec<EntityId> = Vec::new();
+        for row in &base.rows {
+            for (_, v) in row.iter() {
+                if v.kind() == ValueKind::Str {
+                    if let Some(e) = self.entity_named(&v.render()) {
+                        if !seeds.contains(&e) {
+                            seeds.push(e);
+                        }
                     }
                 }
             }
         }
-    }
-    seeds.sort();
+        seeds.sort();
 
-    let discoveries = discover(&db.graph(), &seeds, &config.walk);
+        let discoveries = discover(&self.graph(), &seeds, &config.walk);
 
-    // Refined queries probe discovered entities through the query's
-    // first projected attribute (or the identity attribute convention).
-    let name_attr_str = query
-        .select
-        .first()
-        .cloned()
-        .unwrap_or_else(|| "name".to_string());
-    let refined = match db.symbols_ref().get(&name_attr_str) {
-        Some(sym) => refine_queries(&query, &discoveries, &db.graph(), sym, &name_attr_str),
-        None => Vec::new(),
-    };
+        // Refined queries probe discovered entities through the query's
+        // first projected attribute (or the identity attribute convention).
+        let name_attr_str = query
+            .select
+            .first()
+            .cloned()
+            .unwrap_or_else(|| "name".to_string());
+        let refined = match self.symbols_ref().get(&name_attr_str) {
+            Some(sym) => refine_queries(&query, &discoveries, &self.graph(), sym, &name_attr_str),
+            None => Vec::new(),
+        };
 
-    // Materialize discovered links (edges from seeds into discoveries)
-    // under the context key, weighted by current graph richness.
-    let richness = db.richness().richness;
-    let mut facts = Vec::new();
-    {
-        // Lock order: symbols before relation (the graph guard).
-        let symbols = db.symbols_ref();
-        let graph = db.graph();
-        for d in &discoveries {
-            for seed in &seeds {
-                for e in graph.edges(*seed) {
-                    if e.to == d.entity {
-                        facts.push(DiscoveredFact {
-                            subject: *seed,
-                            role: symbols.resolve(e.role).to_string(),
-                            object: d.entity,
-                            richness,
-                        });
+        // Materialize discovered links (edges from seeds into discoveries)
+        // under the context key, weighted by current graph richness.
+        let richness = self.richness().richness;
+        let mut facts = Vec::new();
+        {
+            // Lock order: symbols before relation (the graph guard).
+            let symbols = self.symbols_ref();
+            let graph = self.graph();
+            for d in &discoveries {
+                for seed in &seeds {
+                    for e in graph.edges(*seed) {
+                        if e.to == d.entity {
+                            facts.push(DiscoveredFact {
+                                subject: *seed,
+                                role: symbols.resolve(e.role).to_string(),
+                                object: d.entity,
+                                richness,
+                            });
+                        }
                     }
                 }
             }
         }
-    }
-    let materialized = facts.len();
-    if !facts.is_empty() {
-        cache.materialize(&context_key(&query), facts);
-    }
+        let materialized = facts.len();
+        if !facts.is_empty() {
+            cache.materialize(&context_key(&query), facts);
+        }
 
-    Ok(ExplorationOutcome {
-        base,
-        seeds,
-        discoveries,
-        refined,
-        materialized,
-    })
+        Ok(ExplorationOutcome {
+            base,
+            seeds,
+            discoveries,
+            refined,
+            materialized,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -190,16 +169,13 @@ mod tests {
     fn refined_queries_reference_discovered_names() {
         let db = seeded_db();
         let mut cache = MaterializationCache::new(8);
-        // Exercise the deprecated free-function shim once so its
-        // delegation stays covered until removal.
-        #[allow(deprecated)]
-        let out = explore(
-            &db,
-            "SELECT drug FROM drugbank WHERE drug = 'Warfarin'",
-            &ExploreConfig::default(),
-            &mut cache,
-        )
-        .unwrap();
+        let out = db
+            .explore(
+                "SELECT drug FROM drugbank WHERE drug = 'Warfarin'",
+                &ExploreConfig::default(),
+                &mut cache,
+            )
+            .unwrap();
         // Refined queries select through the projected attr `drug`; the
         // discovered gene nodes carry `gene` attrs, not `drug`, so only
         // drug-named discoveries yield refinements — at minimum the

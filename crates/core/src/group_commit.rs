@@ -1,7 +1,7 @@
 //! Group-commit ingest machinery: the bounded queue producers feed and
 //! the commit tickets they wait on.
 //!
-//! With [`crate::DbBuilder::ingest_queue`] configured, `Db::ingest` no
+//! With [`crate::IngestConfig::queued`] configured, `Db::ingest` no
 //! longer runs the curation pipeline on the caller's thread. Producers
 //! enqueue `(source, record, text)` items into a bounded queue and
 //! receive a [`CommitTicket`]; a dedicated committer thread drains the

@@ -61,16 +61,12 @@ mod snapshot;
 pub mod syscat;
 pub mod telemetry;
 
-#[allow(deprecated)]
-pub use codd::codd_report;
 pub use codd::{CoddItem, CoddStatus};
 pub use db::{
     CurationStats, Db, DbBuilder, DbMode, DbRecoveryReport, DiagnosticBundle, DurabilityConfig,
     IngestConfig, IngestReport, QueryOutcome, SlowQuery, SLOW_QUERY_RING,
 };
 pub use error::CoreError;
-#[allow(deprecated)]
-pub use explore::explore;
 pub use explore::{ExplorationOutcome, ExploreConfig};
 pub use group_commit::CommitTicket;
 pub use health::{

@@ -272,22 +272,14 @@ pub(crate) fn index_rows(defs: &[(IndexDef, u64)]) -> Vec<SysRow> {
 }
 
 /// `sys.locks`: per-shard wait statistics from the
-/// `core.lock.<shard>.wait_ns` histograms. The baseline lock set plus
-/// every configured write shard's slices (`instance.s1`, `durable.s2`,
-/// …) are always listed — the wait histograms only materialize on
-/// contended acquisitions, so the rows must not depend on them — and
-/// any further `core.lock.*` histograms are discovered from the
-/// registry, so the relation grows without a schema change here.
+/// `core.lock.<shard>.wait_ns` histograms. Every lock of the database
+/// (`instance`, `instance.s1`, `durable.s2`, …) is always listed — the
+/// wait histograms only materialize on contended acquisitions, so the
+/// rows must not depend on them — and any further `core.lock.*`
+/// histograms are discovered from the registry, so the relation grows
+/// without a schema change here.
 pub(crate) fn lock_rows(write_shards: u32, snap: &MetricsSnapshot) -> Vec<SysRow> {
-    let mut shards: Vec<String> = crate::db::LOCK_SHARDS
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    for k in 1..write_shards {
-        for base in ["instance", "relation", "durable"] {
-            shards.push(format!("{base}.s{k}"));
-        }
-    }
+    let mut shards = crate::db::lock_labels(write_shards);
     let mut extra: Vec<String> = snap
         .histograms
         .keys()
@@ -320,15 +312,16 @@ pub(crate) fn lock_rows(write_shards: u32, snap: &MetricsSnapshot) -> Vec<SysRow
 /// `sys.wal`: one row per write-shard WAL — that shard's lag columns,
 /// plus the (global) fsync/checkpoint counters and mode on every row.
 pub(crate) fn wal_rows(
-    lags: &[(u32, Option<WalLag>)],
+    lags: &[Option<WalLag>],
     mode: &DbMode,
     snap: &MetricsSnapshot,
 ) -> Vec<SysRow> {
     let counter = |name: &str| *snap.counters.get(name).unwrap_or(&0) as i64;
     lags.iter()
+        .enumerate()
         .map(|(shard, lag)| {
             let mut row: SysRow = vec![
-                ("shard".to_string(), Value::Int(*shard as i64)),
+                ("shard".to_string(), Value::Int(shard as i64)),
                 ("durable".to_string(), Value::Bool(lag.is_some())),
             ];
             if let Some(lag) = lag {

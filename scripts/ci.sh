@@ -126,6 +126,14 @@ if errors:
 print(f"check_prom: {n} samples ok")
 PY
 
+echo "== benchmark package gate (release)"
+# perf/ is a package of its own (it builds into .bench_build/): format,
+# clippy -D warnings, and the counts-only smoke run of all seven
+# workloads with their output checks. Proves the surface the benchmark
+# compiles against still exists; timings are judged by
+# `perf/run.sh compare`, not here.
+perf/check.sh
+
 echo "== flight recorder event dump (release)"
 events_jsonl="target/experiments/events.jsonl"
 mkdir -p target/experiments

@@ -14,15 +14,16 @@
 use std::collections::BTreeMap;
 
 use scdb_bench::apply_curation_op as apply;
-use scdb_core::{CoreError, Db, FsyncPolicy};
+use scdb_core::{CoreError, Db, DurabilityConfig, FsyncPolicy, IngestConfig};
 use scdb_datagen::crash::{crash_schedule, CurationOp, ScheduleConfig};
 use scdb_txn::FailpointLog;
 use scdb_types::Value;
 
 fn open_store(log: &FailpointLog, segment_bytes: u64) -> Result<Db, CoreError> {
     Db::builder()
-        .durability_store(Box::new(log.clone()), FsyncPolicy::Always)
-        .segment_bytes(segment_bytes)
+        .durability_config(
+            DurabilityConfig::store(Box::new(log.clone())).segment_bytes(segment_bytes),
+        )
         .open()
 }
 
@@ -365,8 +366,8 @@ fn queued_group_commit_crash_recovers_a_sealed_record_prefix() {
 
     let live = FailpointLog::new();
     let db = Db::builder()
-        .durability_store(Box::new(live.clone()), FsyncPolicy::Always)
-        .ingest_queue(4)
+        .durability_config(DurabilityConfig::store(Box::new(live.clone())))
+        .ingest_config(IngestConfig::queued(4))
         .open()
         .expect("open queued durable db");
     db.register_source("src0", Some("name"));
@@ -385,7 +386,7 @@ fn queued_group_commit_crash_recovers_a_sealed_record_prefix() {
     for (fi, fork) in forks.iter().enumerate() {
         fork.crash();
         let recovered = Db::builder()
-            .durability_store(Box::new(fork.clone()), FsyncPolicy::Always)
+            .durability_config(DurabilityConfig::store(Box::new(fork.clone())))
             .open()
             .expect("reopen after crash");
         let dump = recovered.state_dump();
@@ -405,7 +406,7 @@ fn queued_group_commit_crash_recovers_a_sealed_record_prefix() {
     // Every ticket was acked before the last fork, so nothing is lost.
     let last = forks.last().unwrap();
     let recovered = Db::builder()
-        .durability_store(Box::new(last.clone()), FsyncPolicy::Always)
+        .durability_config(DurabilityConfig::store(Box::new(last.clone())))
         .open()
         .unwrap();
     assert_eq!(
@@ -515,7 +516,7 @@ fn enospc_mid_checkpoint_recovers_pre_checkpoint_snapshot_plus_wal() {
     let plan = FaultPlan::new();
     let handle = plan.handle();
     let db = Db::builder()
-        .durability_store(Box::new(live.clone()), FsyncPolicy::Always)
+        .durability_config(DurabilityConfig::store(Box::new(live.clone())))
         .fault_injection(plan.clone())
         .open()
         .expect("open injected store");
@@ -583,8 +584,11 @@ fn fs_store_schedule_survives_reopen_generations() {
     let reference = Db::builder().build();
     {
         let db = Db::builder()
-            .durability(&dir, FsyncPolicy::EveryN(4))
-            .segment_bytes(1024)
+            .durability_config(
+                DurabilityConfig::dir(&dir)
+                    .fsync(FsyncPolicy::EveryN(4))
+                    .segment_bytes(1024),
+            )
             .open()
             .unwrap();
         for op in &ops {

@@ -12,7 +12,7 @@
 
 use std::time::{Duration, Instant};
 
-use scdb_core::{CoreError, Db, DbMode, FaultPlan, FsyncPolicy, IngestConfig};
+use scdb_core::{CoreError, Db, DbMode, DurabilityConfig, FaultPlan, IngestConfig};
 use scdb_txn::FailpointLog;
 use scdb_types::{Record, Value};
 
@@ -41,7 +41,7 @@ fn persistent_fsync_failure_degrades_then_recovers_without_reopen() {
     let plan = FaultPlan::new();
     let handle = plan.handle();
     let db = Db::builder()
-        .durability_store(Box::new(log.clone()), FsyncPolicy::Always)
+        .durability_config(DurabilityConfig::store(Box::new(log.clone())))
         .fault_injection(plan.clone())
         .open()
         .expect("open durable db");
@@ -120,7 +120,7 @@ fn persistent_fsync_failure_degrades_then_recovers_without_reopen() {
     log.crash();
     drop(db);
     let recovered = Db::builder()
-        .durability_store(Box::new(log.clone()), FsyncPolicy::Always)
+        .durability_config(DurabilityConfig::store(Box::new(log.clone())))
         .open()
         .expect("reopen after the fault episode");
     let out = recovered
@@ -135,7 +135,7 @@ fn try_recover_is_a_manual_probe() {
     let plan = FaultPlan::new();
     let handle = plan.handle();
     let db = Db::builder()
-        .durability_store(Box::new(log.clone()), FsyncPolicy::Always)
+        .durability_config(DurabilityConfig::store(Box::new(log.clone())))
         .fault_injection(plan.clone())
         .open()
         .unwrap();
@@ -159,8 +159,8 @@ fn committer_panic_mid_batch_resolves_every_ticket_and_restarts() {
     let log = FailpointLog::new();
     let plan = FaultPlan::new();
     let db = Db::builder()
-        .durability_store(Box::new(log.clone()), FsyncPolicy::Always)
-        .ingest_queue(64)
+        .durability_config(DurabilityConfig::store(Box::new(log.clone())))
+        .ingest_config(IngestConfig::queued(64))
         .fault_injection(plan.clone())
         .open()
         .expect("open queued durable db");
@@ -217,8 +217,8 @@ fn degraded_mode_fails_queued_tickets_fast() {
     let log = FailpointLog::new();
     let plan = FaultPlan::new();
     let db = Db::builder()
-        .durability_store(Box::new(log.clone()), FsyncPolicy::Always)
-        .ingest_queue(32)
+        .durability_config(DurabilityConfig::store(Box::new(log.clone())))
+        .ingest_config(IngestConfig::queued(32))
         .fault_injection(plan.clone())
         .open()
         .unwrap();
@@ -262,7 +262,7 @@ fn failed_checkpoint_leaves_no_staging_file() {
     let plan = FaultPlan::new();
     let handle = plan.handle();
     let db = Db::builder()
-        .durability_store(Box::new(log.clone()), FsyncPolicy::Always)
+        .durability_config(DurabilityConfig::store(Box::new(log.clone())))
         .fault_injection(plan.clone())
         .open()
         .unwrap();

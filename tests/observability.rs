@@ -8,7 +8,8 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use scdb_core::{
-    Db, DbRecoveryReport, FsyncPolicy, TelemetryConfig, WatchOp, WatchRule, WatchSignal,
+    Db, DbRecoveryReport, DurabilityConfig, FsyncPolicy, IngestConfig, TelemetryConfig, WatchOp,
+    WatchRule, WatchSignal,
 };
 use scdb_obs::{EventFilter, EventLog, FieldValue};
 use scdb_types::{Record, Value};
@@ -200,7 +201,7 @@ fn flight_recorder_captures_ingest_checkpoint_recovery() {
     let dir = scratch_dir("flight");
     {
         let db = Db::builder()
-            .durability(&dir, FsyncPolicy::Always)
+            .durability_config(DurabilityConfig::dir(&dir))
             .open()
             .expect("open fresh");
         db.register_source("flight", Some("name"));
@@ -222,7 +223,7 @@ fn flight_recorder_captures_ingest_checkpoint_recovery() {
         db.sync_wal().expect("sync");
     }
     let db2 = Db::builder()
-        .durability(&dir, FsyncPolicy::Always)
+        .durability_config(DurabilityConfig::dir(&dir))
         .open()
         .expect("reopen");
 
@@ -299,7 +300,7 @@ fn metric_names_follow_design_convention() {
     let dir = scratch_dir("naming");
     {
         let db = Db::builder()
-            .durability(&dir, FsyncPolicy::EveryN(8))
+            .durability_config(DurabilityConfig::dir(&dir).fsync(FsyncPolicy::EveryN(8)))
             .slow_query_threshold(Duration::ZERO)
             .open()
             .expect("open");
@@ -361,7 +362,7 @@ fn health_report_nontrivial_after_workload() {
 
     let dir = scratch_dir("health");
     let db = Db::builder()
-        .durability(&dir, FsyncPolicy::EveryN(64))
+        .durability_config(DurabilityConfig::dir(&dir).fsync(FsyncPolicy::EveryN(64)))
         .slow_query_threshold(Duration::ZERO)
         .open()
         .expect("open");
@@ -441,8 +442,8 @@ fn commit_latency_decomposes_into_stages() {
 
     let dir = scratch_dir("stages");
     let db = Db::builder()
-        .durability(&dir, FsyncPolicy::Always)
-        .ingest_queue(16)
+        .durability_config(DurabilityConfig::dir(&dir))
+        .ingest_config(IngestConfig::queued(16))
         .open()
         .expect("open");
     db.register_source("stages", Some("k"));

@@ -275,7 +275,7 @@ proptest! {
         frac in 0.0f64..=1.0,
         trim in 0u64..48,
     ) {
-        use scdb_core::{Db, FsyncPolicy};
+        use scdb_core::{Db, DurabilityConfig};
         use scdb_datagen::crash::{crash_schedule, ScheduleConfig};
         use scdb_txn::FailpointLog;
 
@@ -285,8 +285,7 @@ proptest! {
         );
         let live = FailpointLog::new();
         let db = Db::builder()
-            .durability_store(Box::new(live.clone()), FsyncPolicy::Always)
-            .segment_bytes(512)
+            .durability_config(DurabilityConfig::store(Box::new(live.clone())).segment_bytes(512))
             .open()
             .unwrap();
         let reference = Db::builder().build();
@@ -311,8 +310,7 @@ proptest! {
             }
         }
         let recovered = Db::builder()
-            .durability_store(Box::new(fork.clone()), FsyncPolicy::Always)
-            .segment_bytes(512)
+            .durability_config(DurabilityConfig::store(Box::new(fork.clone())).segment_bytes(512))
             .open()
             .unwrap();
         let dump = recovered.state_dump();

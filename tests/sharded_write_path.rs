@@ -12,19 +12,26 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use scdb_core::{CoreError, Db, FsyncPolicy, IndexKind};
+use scdb_core::{CoreError, Db, DurabilityConfig, IndexKind};
 use scdb_er::normalize::normalize;
 use scdb_obs::EventFilter;
 use scdb_placement::{PlacementPolicy, ShardMap};
-use scdb_txn::FailpointLog;
+use scdb_txn::frame::read_frames;
+use scdb_txn::wal::decode_record;
+use scdb_txn::{FailpointLog, LogRecord, WalStore};
 use scdb_types::{Record, Value};
 
 const SHARDS: u32 = 4;
 
-/// The same routing table [`Db`] builds for `write_shards(4)` with the
-/// default policy — lets the tests pick keys with known destinations.
+/// The same routing table [`Db`] builds for `write_shards(shards)` with
+/// the default policy — lets the tests pick keys with known
+/// destinations.
+fn routing_map_for(shards: u32) -> ShardMap {
+    ShardMap::build(PlacementPolicy::Range, shards, &[])
+}
+
 fn routing_map() -> ShardMap {
-    ShardMap::build(PlacementPolicy::Range, SHARDS, &[])
+    routing_map_for(SHARDS)
 }
 
 /// `n` distinct probe keys that the default range map places on `shard`.
@@ -45,11 +52,16 @@ fn row(db: &Db, name: &str, dose: i64) -> Record {
     ])
 }
 
-fn open_sharded(log: &FailpointLog) -> Result<Db, CoreError> {
+/// Open over `log` with `shards` write shards (fsync on every seal).
+fn open_with(log: &FailpointLog, shards: u32) -> Result<Db, CoreError> {
     Db::builder()
-        .durability_store(Box::new(log.clone()), FsyncPolicy::Always)
-        .write_shards(SHARDS)
+        .durability_config(DurabilityConfig::store(Box::new(log.clone())))
+        .write_shards(shards)
         .open()
+}
+
+fn open_sharded(log: &FailpointLog) -> Result<Db, CoreError> {
+    open_with(log, SHARDS)
 }
 
 fn durable_sizes(log: &FailpointLog) -> BTreeMap<String, u64> {
@@ -195,11 +207,7 @@ fn reopen_with_a_different_shard_count_is_refused() {
     db.register_source("s", Some("name"));
     db.ingest("s", row(&db, "entity-1", 1), None).unwrap();
     drop(db);
-    let err = match Db::builder()
-        .durability_store(Box::new(live.clone()), FsyncPolicy::Always)
-        .write_shards(2)
-        .open()
-    {
+    let err = match open_with(&live, 2) {
         Err(e) => e,
         Ok(_) => panic!("a 4-shard directory must refuse a 2-shard open"),
     };
@@ -208,10 +216,7 @@ fn reopen_with_a_different_shard_count_is_refused() {
         "the error names the shard layout: {err}"
     );
     assert!(
-        Db::builder()
-            .durability_store(Box::new(live.clone()), FsyncPolicy::Always)
-            .open()
-            .is_err(),
+        open_with(&live, 1).is_err(),
         "a 4-shard directory must refuse an unsharded open"
     );
 }
@@ -339,5 +344,183 @@ fn torn_cross_shard_seal_discards_the_batch_on_every_shard() {
     assert!(
         discard_reported > 0,
         "at least the intact-peer forks report a discarded txn"
+    );
+}
+
+/// Every durable segment on `log`, decoded record by record and
+/// rendered to one compact label per record: `(file name, labels)` in
+/// file-name order. `CommitGroup` labels carry the sealed-txn count and
+/// the participant shards.
+fn decoded_segments(log: &FailpointLog) -> Vec<(String, Vec<String>)> {
+    segment_records(log)
+        .into_iter()
+        .map(|(name, records)| {
+            let labels = records
+                .iter()
+                .map(|r| match r {
+                    LogRecord::SourceReg { .. } => "SourceReg".to_string(),
+                    LogRecord::IngestRow { .. } => "IngestRow".to_string(),
+                    LogRecord::Commit { .. } => "Commit".to_string(),
+                    LogRecord::CommitGroup { txns, shards } => {
+                        let participants: Vec<u32> = shards.iter().map(|(s, _)| *s).collect();
+                        format!("CommitGroup({} txns, shards {participants:?})", txns.len())
+                    }
+                    other => format!("{other:?}"),
+                })
+                .collect();
+            (name, labels)
+        })
+        .collect()
+}
+
+fn segment_records(log: &FailpointLog) -> Vec<(String, Vec<LogRecord>)> {
+    log.file_names()
+        .into_iter()
+        .filter(|name| name.ends_with(".seg"))
+        .map(|name| {
+            let data = WalStore::read(log, &name).expect("read segment");
+            let (frames, tail) = read_frames(&data);
+            assert_eq!(tail.truncated_bytes, 0, "{name} decodes to its last byte");
+            let records = frames
+                .into_iter()
+                .map(|mut frame| decode_record(&mut frame, 0).expect("decode record"))
+                .collect();
+            (name, records)
+        })
+        .collect()
+}
+
+/// The fixed schedule of the framing pin: one row, a three-row batch on
+/// the same shard, then a two-row batch that spans every shard the
+/// database has (`home` keys route to shard 0, `away` to the last).
+fn run_framing_schedule(db: &Db, home: &[String], away: &str) {
+    db.register_source("trials", Some("name"));
+    db.ingest("trials", row(db, &home[0], 0), None).unwrap();
+    let same_shard = home[1..4].iter().map(|k| row(db, k, 1)).collect();
+    db.ingest_batch("trials", same_shard).unwrap();
+    db.ingest_batch("trials", vec![row(db, &home[4], 2), row(db, away, 3)])
+        .unwrap();
+}
+
+fn labels(items: &[&str]) -> Vec<String> {
+    items.iter().map(|s| s.to_string()).collect()
+}
+
+/// The on-disk framing the commit path must not move (ISSUE 16): which
+/// record kinds a commit writes, in what order, into which file. One
+/// row seals with `Commit`; a same-shard batch with a `CommitGroup`
+/// whose participant vector is empty; a cross-shard batch with the
+/// identical non-empty vector in every participant's log. An unsharded
+/// database writes the unsuffixed `wal-*.seg`; shard `k` of a sharded
+/// one writes `wal-s<k>-*.seg`.
+#[test]
+fn commit_framing_is_pinned_for_one_and_two_shards() {
+    // 1 shard: every key is home, one unsuffixed log, no shard vectors.
+    let map = routing_map_for(2);
+    let home = keys_on(&map, 0, 5);
+    let away = keys_on(&map, 1, 1).remove(0);
+    let log = FailpointLog::new();
+    let db = open_with(&log, 1).unwrap();
+    run_framing_schedule(&db, &home, &away);
+    drop(db);
+    assert_eq!(
+        decoded_segments(&log),
+        vec![(
+            "wal-00000001.seg".to_string(),
+            labels(&[
+                "SourceReg",
+                "IngestRow",
+                "Commit",
+                "IngestRow",
+                "IngestRow",
+                "IngestRow",
+                "CommitGroup(3 txns, shards [])",
+                "IngestRow",
+                "IngestRow",
+                "CommitGroup(2 txns, shards [])",
+            ])
+        )]
+    );
+
+    // 2 shards: the same schedule splits its last batch over both logs.
+    let log = FailpointLog::new();
+    let db = open_with(&log, 2).unwrap();
+    run_framing_schedule(&db, &home, &away);
+    drop(db);
+    assert_eq!(
+        decoded_segments(&log),
+        vec![
+            (
+                "wal-s0-00000001.seg".to_string(),
+                labels(&[
+                    "SourceReg",
+                    "IngestRow",
+                    "Commit",
+                    "IngestRow",
+                    "IngestRow",
+                    "IngestRow",
+                    "CommitGroup(3 txns, shards [])",
+                    "IngestRow",
+                    "CommitGroup(1 txns, shards [0, 1])",
+                ])
+            ),
+            (
+                "wal-s1-00000001.seg".to_string(),
+                labels(&[
+                    "SourceReg",
+                    "IngestRow",
+                    "CommitGroup(1 txns, shards [0, 1])",
+                ])
+            ),
+        ]
+    );
+    // Both participants sealed the identical vector, and each entry
+    // names the first transaction its own shard sealed under it.
+    let mut vectors = Vec::new();
+    for (shard, (_, records)) in segment_records(&log).into_iter().enumerate() {
+        let Some(LogRecord::CommitGroup { txns, shards }) = records.last() else {
+            panic!("each log ends in the cross-shard seal: {records:?}");
+        };
+        assert_eq!(shards[shard], (shard as u32, txns[0]));
+        vectors.push(shards.clone());
+    }
+    assert_eq!(vectors[0], vectors[1], "one vector, sealed twice");
+}
+
+/// First differential arm of ROADMAP item E: a shard is a whole
+/// database. Fed only keys that route to shard 1, a 2-shard database's
+/// `shard 1` section of `state_dump` equals, byte for byte, the dump of
+/// an unsharded database fed the same rows.
+#[test]
+fn one_shards_slice_equals_the_unsharded_database() {
+    let keys = keys_on(&routing_map_for(2), 1, 12);
+    let feed = |db: &Db| {
+        db.register_source("trials", Some("name"));
+        db.register_source("notes", None);
+        for (i, k) in keys.iter().take(6).enumerate() {
+            db.ingest("trials", row(db, k, i as i64), Some("free text"))
+                .unwrap();
+        }
+        // A repeated key merges; the rest arrive as one batch.
+        db.ingest("notes", row(db, &keys[0], 99), None).unwrap();
+        let batch = keys[6..].iter().map(|k| row(db, k, 7)).collect();
+        db.ingest_batch("trials", batch).unwrap();
+        db.create_index("ix_dose", "trials", "dose", IndexKind::Ordered)
+            .unwrap();
+        db.discover_links().unwrap();
+    };
+    let unsharded = Db::new();
+    feed(&unsharded);
+    let sharded = Db::builder().write_shards(2).build();
+    feed(&sharded);
+    let dump = sharded.state_dump();
+    let (shard0, shard1) = dump
+        .strip_prefix("shard 0\n")
+        .and_then(|rest| rest.split_once("shard 1\n"))
+        .expect("two labelled sections");
+    assert_eq!(shard1, unsharded.state_dump());
+    assert!(
+        shard0.contains("rows=0") && !shard0.contains("\nrow "),
+        "nothing routed to shard 0: {shard0}"
     );
 }

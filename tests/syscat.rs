@@ -8,7 +8,9 @@
 use std::sync::Mutex;
 use std::time::Duration;
 
-use scdb_core::{CoreError, Db, FsyncPolicy, TelemetryConfig};
+use scdb_core::{CoreError, Db, DurabilityConfig, IngestConfig, TelemetryConfig};
+use scdb_er::normalize::normalize;
+use scdb_placement::{PlacementPolicy, ShardMap};
 use scdb_types::{Record, Value};
 
 /// Serializes tests that toggle process-global observability state or
@@ -87,8 +89,8 @@ fn correlation_id_reconstructs_batch_journey() {
 
     let dir = scratch_dir("journey");
     let db = Db::builder()
-        .durability(&dir, FsyncPolicy::Always)
-        .ingest_queue(64)
+        .durability_config(DurabilityConfig::dir(&dir))
+        .ingest_config(IngestConfig::queued(64))
         .open()
         .expect("open");
     db.register_source("journey", Some("k"));
@@ -401,7 +403,9 @@ fn wal_and_lock_relations_learn_shards() {
     scdb_obs::metrics().set_enabled(true);
 
     let db = Db::builder()
-        .durability_store(Box::new(scdb_txn::FailpointLog::new()), FsyncPolicy::Always)
+        .durability_config(DurabilityConfig::store(Box::new(
+            scdb_txn::FailpointLog::new(),
+        )))
         .write_shards(4)
         .open()
         .expect("open sharded db");
@@ -460,4 +464,106 @@ fn wal_and_lock_relations_learn_shards() {
             "shard {k}'s instance lock label discovered from traffic: {labels:?}"
         );
     }
+
+    // One `ingest.stages` schema whatever the batch's shape (ISSUE 16):
+    // a commit on one shard and a commit spanning shards both carry
+    // `shard` (the first participant), so the `sys.events` column is
+    // not ragged; the spanning one also has a `shard.seal` event that
+    // counts its participants.
+    scdb_obs::events().set_enabled(true);
+    let one = db
+        .ingest(
+            "trials",
+            Record::from_pairs([(db.intern("name"), Value::str("entity-900"))]),
+            None,
+        )
+        .expect("single-row commit");
+    let spanning: Vec<Record> = (901..917i64)
+        .map(|i| Record::from_pairs([(db.intern("name"), Value::str(format!("entity-{i}")))]))
+        .collect();
+    let many = db.ingest_batch("trials", spanning).expect("batch commit");
+    let event_of = |batch_id: u64, kind: &str| {
+        let out = db
+            .query(&format!(
+                "SELECT * FROM sys.events WHERE batch_id = {batch_id}"
+            ))
+            .expect("correlated trace");
+        out.rows
+            .iter()
+            .map(|r| row_json(&db, r))
+            .find(|j| j.get("kind").and_then(|v| v.as_str()) == Some(kind))
+    };
+    let shard_of = |batch_id: u64| {
+        event_of(batch_id, "ingest.stages")
+            .expect("the batch's ingest.stages event")
+            .get("shard")
+            .and_then(|v| v.as_i64())
+    };
+    assert!(shard_of(one.batch_id).is_some());
+    assert!(event_of(one.batch_id, "shard.seal").is_none());
+    assert!(
+        shard_of(many[0].batch_id).is_some(),
+        "the cross-shard commit reports its first participant"
+    );
+    let seal = event_of(many[0].batch_id, "shard.seal").expect("16 spread keys span shards");
+    assert!(seal.get("shards").and_then(|v| v.as_i64()) > Some(1));
+}
+
+/// Satellite (ISSUE 16): `query.{plan,optimize,execute}_ns` are observed
+/// once per query and cover every shard the query fanned out to. With
+/// every row on shard 1 of 2, the executed time a query reports must be
+/// in the range of the same scan on an unsharded database — not the
+/// near-zero cost of scanning the empty shard 0.
+#[test]
+fn sharded_query_metrics_cover_every_shard() {
+    let _g = obs_lock();
+    scdb_obs::metrics().set_enabled(true);
+
+    let map = ShardMap::build(PlacementPolicy::Range, 2, &[]);
+    let keys: Vec<String> = (0..)
+        .map(|i| format!("k{i}"))
+        .filter(|k| map.shard_of_key(&normalize(k)) == 1)
+        .take(400)
+        .collect();
+    let load = |db: &Db| {
+        db.register_source("t", Some("name"));
+        let name = db.intern("name");
+        let rows = keys
+            .iter()
+            .map(|k| Record::from_pairs([(name, Value::str(k.as_str()))]))
+            .collect();
+        db.ingest_batch("t", rows).expect("load");
+    };
+    let unsharded = Db::new();
+    load(&unsharded);
+    let sharded = Db::builder().write_shards(2).build();
+    load(&sharded);
+
+    // (observations, nanoseconds) one query adds to `query.execute_ns`.
+    let executed = |db: &Db| {
+        let read = || {
+            let snap = scdb_obs::metrics().snapshot();
+            let h = snap.histograms.get("query.execute_ns");
+            h.map_or((0, 0), |h| (h.count, h.sum))
+        };
+        let before = read();
+        let out = db.query("SELECT name FROM t").expect("scan");
+        assert_eq!(out.rows.len(), keys.len());
+        let after = read();
+        (after.0 - before.0, after.1 - before.1)
+    };
+    let (mut lone_ns, mut fanned_ns) = (u64::MAX, 0);
+    for _ in 0..5 {
+        let (n, ns) = executed(&unsharded);
+        assert_eq!(n, 1);
+        lone_ns = lone_ns.min(ns);
+        let (n, ns) = executed(&sharded);
+        assert_eq!(n, 1, "one observation per query, not one per shard");
+        fanned_ns = fanned_ns.max(ns);
+    }
+    assert!(
+        fanned_ns * 4 >= lone_ns,
+        "the sharded scan reports {fanned_ns} ns executed against {lone_ns} ns \
+         for the same rows unsharded: shard 1's time is missing"
+    );
 }
