@@ -49,7 +49,6 @@ pub enum BlockingStrategy {
 pub struct Blocker {
     strategy: BlockingStrategy,
     blocks: HashMap<u64, Vec<u64>>,
-    keys_of: HashMap<u64, Vec<u64>>,
     /// Seeds for MinHash hash functions (deterministic).
     seeds: Vec<u64>,
 }
@@ -80,7 +79,6 @@ impl Blocker {
         Blocker {
             strategy,
             blocks: HashMap::new(),
-            keys_of: HashMap::new(),
             seeds,
         }
     }
@@ -165,11 +163,10 @@ impl Blocker {
     /// by the number of blocks shared (excluding itself). Oversized
     /// blocks do not contribute candidates.
     pub fn insert(&mut self, handle: u64, record: &Record) -> Vec<u64> {
-        let keys = self.keys(record);
         let purge = self.purge_limit();
         let mut shared: HashMap<u64, u32> = HashMap::new();
-        for k in &keys {
-            let bucket = self.blocks.entry(*k).or_default();
+        for k in self.keys(record) {
+            let bucket = self.blocks.entry(k).or_default();
             if bucket.len() <= purge {
                 for h in bucket.iter() {
                     *shared.entry(*h).or_insert(0) += 1;
@@ -177,7 +174,6 @@ impl Blocker {
             }
             bucket.push(handle);
         }
-        self.keys_of.insert(handle, keys);
         Self::rank_candidates(shared, handle)
     }
 
@@ -205,20 +201,6 @@ impl Blocker {
             }
         }
         Self::rank_candidates(shared, u64::MAX)
-    }
-
-    /// Remove a handle from all its blocks.
-    pub fn remove(&mut self, handle: u64) {
-        if let Some(keys) = self.keys_of.remove(&handle) {
-            for k in keys {
-                if let Some(bucket) = self.blocks.get_mut(&k) {
-                    bucket.retain(|h| *h != handle);
-                    if bucket.is_empty() {
-                        self.blocks.remove(&k);
-                    }
-                }
-            }
-        }
     }
 
     /// Number of non-empty blocks.
@@ -294,16 +276,6 @@ mod tests {
         let r = rec(&mut syms, "ibuprofen advil");
         assert_eq!(b.probe(&r), vec![1]);
         assert_eq!(b.probe(&r), vec![1]); // unchanged
-    }
-
-    #[test]
-    fn remove_cleans_blocks() {
-        let mut syms = SymbolTable::new();
-        let mut b = Blocker::new(BlockingStrategy::StandardKeys { prefix_len: 3 });
-        b.insert(1, &rec(&mut syms, "ibuprofen"));
-        b.remove(1);
-        assert_eq!(b.block_count(), 0);
-        assert!(b.probe(&rec(&mut syms, "ibuprofen")).is_empty());
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //! re-resolution ([`BatchResolver`]).
 
 use std::collections::HashMap;
+use std::time::Instant;
 
 use scdb_types::{EntityId, IdGen, Record, RecordId, SourceId, Symbol, SymbolTable};
 
 use crate::align::{AlignmentMap, SchemaAligner};
 use crate::blocking::{Blocker, BlockingStrategy};
+use crate::features::{IdentityKey, Probe, StrFeatures};
 use crate::similarity::{
     record_similarity, record_similarity_same_schema, record_similarity_weighted,
 };
@@ -25,6 +27,23 @@ fn scdb_er_weighted(a: &Record, b: &Record, profile: &SchemaAligner) -> f64 {
         let d = profile.distinctiveness(attr);
         d * d
     })
+}
+
+/// The score of a comparison where both records carry an identity.
+/// Identity dominates; context corroborates. A perfect identity match
+/// with weak context still clears a high threshold; a weak identity
+/// cannot be rescued by context.
+fn combine(id_sim: f64, context_sim: f64) -> f64 {
+    0.8 * id_sim + 0.2 * context_sim.max(id_sim * id_sim)
+}
+
+/// The best score a candidate with identity similarity `id_sim` can
+/// reach. [`combine`] is monotone in the context similarity (every
+/// float operation in it rounds monotonically) and no context
+/// similarity exceeds 1.0, so a candidate whose ceiling is below the
+/// threshold cannot match, whatever its context.
+fn identity_ceiling(id_sim: f64) -> f64 {
+    combine(id_sim, 1.0)
 }
 
 /// Resolver tuning knobs.
@@ -82,6 +101,18 @@ struct CachedAlignment {
     built_at: u64,
 }
 
+/// A record's identity value as the resolver caches it.
+#[derive(Debug)]
+enum Identity {
+    /// Not derived yet: the record was adopted from a snapshot, or its
+    /// source's designation changed.
+    Unfilled,
+    /// No designated identity attribute, or no non-null value for it.
+    Absent,
+    /// The value's normalized rendering and numeric reading.
+    Key(IdentityKey),
+}
+
 /// The streaming entity resolver.
 #[derive(Debug)]
 pub struct IncrementalResolver {
@@ -98,7 +129,14 @@ pub struct IncrementalResolver {
     /// value *names* the record's entity). When both sides of a
     /// comparison have one, identity similarity dominates the score.
     identity_attrs: HashMap<SourceId, Symbol>,
+    /// Per handle: its identity value, normalized. Filled when a record
+    /// is added, and for adopted records on their first comparison, so
+    /// a snapshot reopen derives nothing it does not score.
+    identities: Vec<Identity>,
+    /// A candidate's identity views, refilled per comparison.
+    scratch: StrFeatures,
     comparisons: u64,
+    context_evals: u64,
     added: u64,
 }
 
@@ -117,7 +155,10 @@ impl IncrementalResolver {
             aligners: HashMap::new(),
             alignments: HashMap::new(),
             identity_attrs: HashMap::new(),
+            identities: Vec::new(),
+            scratch: StrFeatures::default(),
             comparisons: 0,
+            context_evals: 0,
             added: 0,
         }
     }
@@ -130,6 +171,11 @@ impl IncrementalResolver {
     /// analogue of a declared key, learnable or user-supplied.
     pub fn designate_identity(&mut self, source: SourceId, attr: Symbol) {
         self.identity_attrs.insert(source, attr);
+        for ((id, _), identity) in self.records.iter().zip(&mut self.identities) {
+            if id.source == source {
+                *identity = Identity::Unfilled;
+            }
+        }
     }
 
     /// Root of `h` with path compression (mutating fast path for `add`).
@@ -152,7 +198,14 @@ impl IncrementalResolver {
         h
     }
 
-    fn alignment(&mut self, a: SourceId, b: SourceId, symbols: &SymbolTable) -> AlignmentMap {
+    /// Rebuild the alignment between sources `a` and `b` if it is missing
+    /// or stale, and return its key — the map is oriented (min, max).
+    fn refresh_alignment(
+        &mut self,
+        a: SourceId,
+        b: SourceId,
+        symbols: &SymbolTable,
+    ) -> (SourceId, SourceId) {
         let key = if a <= b { (a, b) } else { (b, a) };
         let stale = match self.alignments.get(&key) {
             Some(c) => self.added - c.built_at >= self.config.realign_interval,
@@ -184,78 +237,110 @@ impl IncrementalResolver {
                 },
             );
         }
-        self.alignments[&key].map.clone()
+        key
     }
 
-    fn similarity_between(&mut self, a_idx: u64, b_idx: u64, symbols: &SymbolTable) -> f64 {
+    /// The designated, non-null identity value of `record`, cached form.
+    fn identity_key(&self, source: SourceId, record: &Record) -> Option<IdentityKey> {
+        let attr = self.identity_attrs.get(&source)?;
+        IdentityKey::of(record.get(*attr)?)
+    }
+
+    /// Score the record being added (`a_idx`, whose identity is `probe`)
+    /// against candidate `b_idx`.
+    fn similarity_between(
+        &mut self,
+        probe: Option<&Probe>,
+        a_idx: u64,
+        b_idx: u64,
+        symbols: &SymbolTable,
+    ) -> f64 {
         self.comparisons += 1;
-        let (ida, ra) = &self.records[a_idx as usize];
-        let (idb, rb) = &self.records[b_idx as usize];
         // Identity similarity, when both sides designate an identity
         // attribute and carry a value for it.
-        let identity_sim = match (
-            self.identity_attrs.get(&ida.source),
-            self.identity_attrs.get(&idb.source),
-        ) {
-            (Some(aa), Some(ab)) => match (ra.get(*aa), rb.get(*ab)) {
-                (Some(va), Some(vb)) if !va.is_null() && !vb.is_null() => {
-                    Some(crate::similarity::value_similarity(va, vb))
+        let identity_sim = match probe {
+            Some(probe) => {
+                let b = b_idx as usize;
+                if let Identity::Unfilled = self.identities[b] {
+                    let (id, record) = &self.records[b];
+                    self.identities[b] = match self.identity_key(id.source, record) {
+                        Some(key) => Identity::Key(key),
+                        None => Identity::Absent,
+                    };
                 }
-                _ => None,
-            },
-            _ => None,
+                match &self.identities[b] {
+                    Identity::Key(key) => Some(probe.similarity(key, &mut self.scratch)),
+                    _ => None,
+                }
+            }
+            None => None,
         };
-        let context_sim = if ida.source == idb.source {
+        let (sa, sb) = (
+            self.records[a_idx as usize].0.source,
+            self.records[b_idx as usize].0.source,
+        );
+        // Realign on schedule even when the context is skipped below: when
+        // a rebuild happens decides what every later comparison sees.
+        let alignment = (sa != sb).then(|| self.refresh_alignment(sa, sb, symbols));
+        if let Some(id_sim) = identity_sim {
+            let ceiling = identity_ceiling(id_sim);
+            if ceiling < self.config.match_threshold {
+                return ceiling;
+            }
+        }
+        self.context_evals += 1;
+        let (ra, rb) = (
+            &self.records[a_idx as usize].1,
+            &self.records[b_idx as usize].1,
+        );
+        let context_sim = match alignment {
             // Weight shared attributes by the source profile's
             // distinctiveness.
-            match self.aligners.get(&ida.source) {
+            None => match self.aligners.get(&sa) {
                 Some(profile) => scdb_er_weighted(ra, rb, profile),
                 None => record_similarity_same_schema(ra, rb),
-            }
-        } else {
-            let (sa, sb) = (ida.source, idb.source);
-            let (ra, rb) = (ra.clone(), rb.clone());
-            let key_ordered = sa <= sb;
-            let map = self.alignment(sa, sb, symbols);
-            if key_ordered {
-                record_similarity(&ra, &rb, &map)
-            } else {
-                // Map is oriented (min, max); swap operands to match.
-                record_similarity(&rb, &ra, &map)
-            }
+            },
+            // The map is oriented (min, max); order the operands to match.
+            Some(key) if sa <= sb => record_similarity(ra, rb, &self.alignments[&key].map),
+            Some(key) => record_similarity(rb, ra, &self.alignments[&key].map),
         };
         match identity_sim {
-            // Identity dominates; context corroborates. A perfect
-            // identity match with weak context still clears a high
-            // threshold; a weak identity cannot be rescued by context.
-            Some(id_sim) => 0.8 * id_sim + 0.2 * context_sim.max(id_sim * id_sim),
+            Some(id_sim) => combine(id_sim, context_sim),
             None => context_sim,
         }
     }
 
     /// Resolve one incoming record.
     pub fn add(&mut self, id: RecordId, record: Record, symbols: &SymbolTable) -> MergeEvent {
+        let started = Instant::now();
         self.added += 1;
         let comparisons_before = self.comparisons;
+        let context_evals_before = self.context_evals;
         self.aligners
             .entry(id.source)
             .or_insert_with(|| SchemaAligner::new(self.config.align_sample_cap))
             .observe(&record);
 
         let handle = self.records.len() as u64;
-        self.records.push((id, record.clone()));
-        self.parent.push(handle);
-        self.handle_of.insert(id, handle);
-
         let mut candidates = self.blocker.insert(handle, &record);
         candidates.truncate(self.config.max_candidates);
+        let blocked = Instant::now();
+
+        let probe = self.identity_key(id.source, &record).map(Probe::new);
+        self.identities.push(match &probe {
+            Some(probe) => Identity::Key(probe.key().clone()),
+            None => Identity::Absent,
+        });
+        self.records.push((id, record));
+        self.parent.push(handle);
+        self.handle_of.insert(id, handle);
 
         // Score against candidates; collect distinct matching cluster
         // roots.
         let mut best_sim = 0.0f64;
         let mut matched_roots: Vec<u64> = Vec::new();
         for c in candidates {
-            let sim = self.similarity_between(handle, c, symbols);
+            let sim = self.similarity_between(probe.as_ref(), handle, c, symbols);
             if sim >= self.config.match_threshold {
                 let root = self.find_compress(c);
                 if !matched_roots.contains(&root) {
@@ -264,26 +349,63 @@ impl IncrementalResolver {
                 best_sim = best_sim.max(sim);
             }
         }
+        let scored = Instant::now();
+
+        let event = if matched_roots.is_empty() {
+            self.mint(id, handle)
+        } else {
+            self.unite(id, handle, &matched_roots, best_sim)
+        };
+        let united = Instant::now();
 
         let m = scdb_obs::metrics();
         m.add("er.comparisons", self.comparisons - comparisons_before);
+        m.add(
+            "er.context_evals",
+            self.context_evals - context_evals_before,
+        );
+        m.observe(
+            "er.stage.block_ns",
+            blocked.duration_since(started).as_nanos() as u64,
+        );
+        m.observe(
+            "er.stage.score_ns",
+            scored.duration_since(blocked).as_nanos() as u64,
+        );
+        m.observe(
+            "er.stage.union_ns",
+            united.duration_since(scored).as_nanos() as u64,
+        );
+        event
+    }
 
-        if matched_roots.is_empty() {
-            let entity = self.idgen.next_entity();
-            self.entity_of_root.insert(handle, entity);
-            m.inc("er.fresh_entities");
-            return MergeEvent {
-                record: id,
-                entity,
-                absorbed: Vec::new(),
-                similarity: 1.0,
-                fresh: true,
-            };
+    /// `handle` matched nothing: it founds a new entity.
+    fn mint(&mut self, id: RecordId, handle: u64) -> MergeEvent {
+        let entity = self.idgen.next_entity();
+        self.entity_of_root.insert(handle, entity);
+        scdb_obs::metrics().inc("er.fresh_entities");
+        MergeEvent {
+            record: id,
+            entity,
+            absorbed: Vec::new(),
+            similarity: 1.0,
+            fresh: true,
         }
-        m.inc("er.matches");
+    }
 
-        // Union all matched clusters plus the new record. Keep the entity
-        // with the smallest id (the oldest) as the survivor.
+    /// Union every matched cluster plus `handle`, keeping the entity with
+    /// the smallest id (the oldest) as the survivor. `entity_of_root`
+    /// keeps exactly one entry per root: each absorbed root's entry is
+    /// removed as it is linked under another.
+    fn unite(
+        &mut self,
+        id: RecordId,
+        handle: u64,
+        matched_roots: &[u64],
+        best_sim: f64,
+    ) -> MergeEvent {
+        let m = scdb_obs::metrics();
+        m.inc("er.matches");
         let mut entities: Vec<EntityId> = matched_roots
             .iter()
             .filter_map(|r| self.entity_of_root.get(r).copied())
@@ -304,9 +426,6 @@ impl IncrementalResolver {
         let final_root = self.find_compress(root);
         self.parent[handle as usize] = final_root;
         self.entity_of_root.insert(final_root, survivor);
-        // Drop stale entries for non-root handles.
-        self.entity_of_root
-            .retain(|h, _| self.parent[*h as usize] == *h);
 
         m.add("er.entities_absorbed", absorbed.len() as u64);
         if !absorbed.is_empty() {
@@ -353,13 +472,14 @@ impl IncrementalResolver {
                 .or_insert_with(|| SchemaAligner::new(self.config.align_sample_cap))
                 .observe(&record);
             let handle = self.records.len() as u64;
-            self.records.push((id, record.clone()));
-            self.parent.push(handle);
-            self.handle_of.insert(id, handle);
             // Register with the blocker so future live ingests still see
             // this record as a candidate; the returned candidates are
             // ignored — the assignment is already known.
             let _ = self.blocker.insert(handle, &record);
+            self.records.push((id, record));
+            self.identities.push(Identity::Unfilled);
+            self.parent.push(handle);
+            self.handle_of.insert(id, handle);
             match root_of_entity.get(&entity) {
                 Some(&root) => {
                     self.parent[handle as usize] = root;
@@ -404,6 +524,13 @@ impl IncrementalResolver {
     /// E-T1-FS1.
     pub fn comparisons(&self) -> u64 {
         self.comparisons
+    }
+
+    /// Comparisons that evaluated the context similarity. The others
+    /// were settled by the identity similarity alone: even a perfect
+    /// context could not have lifted them to the threshold.
+    pub fn context_evals(&self) -> u64 {
+        self.context_evals
     }
 
     /// Records resolved so far.
@@ -464,7 +591,75 @@ impl BatchResolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arbitrary::{attr, cells, edit, record, text, ALPHABET, ATTRS};
+    use crate::similarity::value_similarity;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use scdb_types::Value;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Whenever the identity ceiling prunes a candidate, the score
+        /// the resolver would otherwise have computed — identity and
+        /// context through the public functions — is below the
+        /// threshold too. Thresholds one and two ulps above the ceiling
+        /// are the tightest that prune, so they probe the rounding.
+        #[test]
+        fn pruned_candidates_could_never_match(
+            a in cells(),
+            other in cells(),
+            twin in proptest::option::of((text(), 0usize..14, 0..ALPHABET.len())),
+            weights in vec(0.0f64..2.0, ATTRS..ATTRS + 1),
+            threshold in 0.3f64..1.0,
+        ) {
+            // Mostly a twin of `a` whose identity is a near-duplicate
+            // name, so the context is high where the prune is tight.
+            let mut a = a;
+            let b = match twin {
+                Some((name, at, with)) => {
+                    a[0] = Some(Value::str(&name));
+                    let mut b = a.clone();
+                    b[0] = Some(Value::str(edit(&name, at, with)));
+                    b
+                }
+                None => other,
+            };
+            let (Some(Some(ia)), Some(Some(ib))) = (a.first(), b.first()) else {
+                return;
+            };
+            if ia.is_null() || ib.is_null() {
+                return;
+            }
+            let mut symbols = SymbolTable::new();
+            let (ra, rb) = (record(&mut symbols, &a), record(&mut symbols, &b));
+            let syms: Vec<Symbol> = (0..ATTRS).map(|i| attr(&mut symbols, i)).collect();
+            let aligned = AlignmentMap::from_pairs(
+                (0..ATTRS).map(|i| (syms[i], syms[(i + 1) % ATTRS], weights[i])).collect(),
+            );
+            let weight = |s: Symbol| weights[syms.iter().position(|x| *x == s).unwrap_or(0)];
+            let contexts = [
+                record_similarity(&ra, &rb, &aligned),
+                record_similarity(&ra, &rb, &AlignmentMap::empty()),
+                record_similarity_same_schema(&ra, &rb),
+                record_similarity_weighted(&ra, &rb, weight),
+            ];
+            let id_sim = value_similarity(ia, ib);
+            let ceiling = identity_ceiling(id_sim);
+            for t in [threshold, ceiling.next_up(), ceiling.next_up().next_up()] {
+                if ceiling >= t {
+                    continue;
+                }
+                for ctx in contexts {
+                    prop_assert!(
+                        combine(id_sim, ctx) < t,
+                        "pruned at {t} with ceiling {ceiling}, but context {ctx} scores {}",
+                        combine(id_sim, ctx)
+                    );
+                }
+            }
+        }
+    }
 
     fn rec(syms: &mut SymbolTable, attr: &str, name: &str) -> Record {
         let a = syms.intern(attr);
@@ -592,5 +787,25 @@ mod tests {
     fn entity_of_unknown_record_is_none() {
         let r = IncrementalResolver::new(ResolverConfig::default());
         assert_eq!(r.entity_of(rid(5, 5)), None);
+    }
+
+    #[test]
+    fn late_designation_scores_like_early_designation() {
+        // Same name, different gene: only the identity can merge them,
+        // so a cached "no identity" from before the designation would
+        // show as a fresh entity.
+        let mut syms = SymbolTable::new();
+        let (name, gene) = (syms.intern("name"), syms.intern("gene"));
+        let row =
+            |g: &str| Record::from_pairs([(name, Value::str("Warfarin")), (gene, Value::str(g))]);
+        let mut early = IncrementalResolver::new(ResolverConfig::default());
+        let mut late = IncrementalResolver::new(ResolverConfig::default());
+        early.designate_identity(SourceId(0), name);
+        early.add(rid(0, 0), row("VKORC1"), &syms);
+        late.add(rid(0, 0), row("VKORC1"), &syms);
+        late.designate_identity(SourceId(0), name);
+        let expected = early.add(rid(0, 1), row("CYP2C9"), &syms);
+        assert!(!expected.fresh);
+        assert_eq!(late.add(rid(0, 1), row("CYP2C9"), &syms), expected);
     }
 }

@@ -21,16 +21,20 @@
 //! * [`blocking`] — candidate generation: standard key blocking and
 //!   MinHash-LSH, ablated in experiment E-T1-FS1;
 //! * [`incremental`] — the incremental resolver (union-find clusters,
-//!   per-record candidate probing) and the batch all-pairs baseline it is
-//!   measured against;
+//!   per-record candidate probing, exact pruning of candidates whose
+//!   identity cannot reach the threshold, cached identity features) and
+//!   the batch all-pairs baseline it is measured against;
 //! * [`eval`] — pairwise precision/recall/F1 against ground truth.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod align;
+#[cfg(test)]
+mod arbitrary;
 pub mod blocking;
 pub mod eval;
+mod features;
 pub mod incremental;
 pub mod normalize;
 pub mod similarity;

@@ -33,7 +33,12 @@ pub fn norm_tokens(s: &str) -> Vec<String> {
 /// Sorted, deduplicated token set after normalization — the input for
 /// Jaccard and blocking keys.
 pub fn token_set(s: &str) -> Vec<String> {
-    let mut t = norm_tokens(s);
+    token_set_of_normalized(&normalize(s))
+}
+
+/// [`token_set`] of a string [`normalize`] already returned.
+pub(crate) fn token_set_of_normalized(norm: &str) -> Vec<String> {
+    let mut t = tokenize(norm);
     t.sort();
     t.dedup();
     t
@@ -42,8 +47,12 @@ pub fn token_set(s: &str) -> Vec<String> {
 /// Character q-grams of the normalized string (with boundary padding so
 /// prefixes/suffixes weigh in).
 pub fn qgrams(s: &str, q: usize) -> Vec<String> {
+    qgrams_of_normalized(&normalize(s), q)
+}
+
+/// [`qgrams`] of a string [`normalize`] already returned.
+pub(crate) fn qgrams_of_normalized(norm: &str, q: usize) -> Vec<String> {
     let q = q.max(1);
-    let norm = normalize(s);
     if norm.is_empty() {
         return Vec::new();
     }

@@ -11,7 +11,9 @@ use std::collections::HashMap;
 use scdb_types::{Record, Symbol, Value};
 
 use crate::align::AlignmentMap;
-use crate::normalize::{norm_tokens, normalize, qgrams, token_set};
+use crate::normalize::{
+    norm_tokens, normalize, qgrams, qgrams_of_normalized, token_set, token_set_of_normalized,
+};
 
 /// Levenshtein edit distance (iterative two-row DP).
 pub fn levenshtein(a: &str, b: &str) -> usize {
@@ -49,6 +51,12 @@ pub fn levenshtein_sim(a: &str, b: &str) -> f64 {
 pub fn jaro(a: &str, b: &str) -> f64 {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
+    jaro_chars(&a, &b)
+}
+
+/// Jaro similarity over already-decoded characters: the core [`jaro`]
+/// wraps, for callers that keep `Vec<char>` features.
+pub fn jaro_chars(a: &[char], b: &[char]) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
@@ -57,37 +65,35 @@ pub fn jaro(a: &str, b: &str) -> f64 {
     }
     let window = (a.len().max(b.len()) / 2).saturating_sub(1);
     let mut b_used = vec![false; b.len()];
-    let mut matches = 0usize;
-    let mut a_matched = Vec::new();
+    // The b position each matched a-char took, in a order.
+    let mut b_order = Vec::with_capacity(a.len().min(b.len()));
     for (i, ca) in a.iter().enumerate() {
         let lo = i.saturating_sub(window);
         let hi = (i + window + 1).min(b.len());
         for j in lo..hi {
             if !b_used[j] && b[j] == *ca {
                 b_used[j] = true;
-                a_matched.push((i, j));
-                matches += 1;
+                b_order.push(j);
                 break;
             }
         }
     }
+    let matches = b_order.len();
     if matches == 0 {
         return 0.0;
     }
-    // Transpositions: matched b-chars out of order.
-    let mut b_order: Vec<usize> = a_matched.iter().map(|(_, j)| *j).collect();
-    let mut transpositions = 0usize;
-    let sorted = {
-        let mut s = b_order.clone();
-        s.sort_unstable();
-        s
-    };
-    for (x, y) in b_order.iter().zip(sorted.iter()) {
-        if x != y {
-            transpositions += 1;
-        }
-    }
-    b_order.clear();
+    // Transpositions: matched b positions out of order — compared with
+    // the same positions ascending, which is `b_used` read left to right.
+    let ascending = b_used
+        .iter()
+        .enumerate()
+        .filter(|(_, u)| **u)
+        .map(|(j, _)| j);
+    let transpositions = b_order
+        .iter()
+        .zip(ascending)
+        .filter(|(x, y)| **x != *y)
+        .count();
     let t = transpositions as f64 / 2.0;
     let m = matches as f64;
     (m / a.len() as f64 + m / b.len() as f64 + (m - t) / m) / 3.0
@@ -95,26 +101,41 @@ pub fn jaro(a: &str, b: &str) -> f64 {
 
 /// Jaro–Winkler similarity (prefix bonus up to 4 chars, scale 0.1).
 pub fn jaro_winkler(a: &str, b: &str) -> f64 {
-    let j = jaro(a, b);
-    let prefix = a
-        .chars()
-        .zip(b.chars())
-        .take(4)
-        .take_while(|(x, y)| x == y)
-        .count() as f64;
+    let a: Vec<char> = a.chars().collect();
+    let b: Vec<char> = b.chars().collect();
+    jaro_winkler_chars(&a, &b)
+}
+
+/// Jaro–Winkler over already-decoded characters: the core
+/// [`jaro_winkler`] wraps.
+pub fn jaro_winkler_chars(a: &[char], b: &[char]) -> f64 {
+    let j = jaro_chars(a, b);
+    let prefix = a.iter().zip(b).take(4).take_while(|(x, y)| x == y).count() as f64;
     j + prefix * 0.1 * (1.0 - j)
 }
 
 /// Jaccard similarity of two sorted, deduplicated slices.
 pub fn jaccard<T: Ord>(a: &[T], b: &[T]) -> f64 {
-    if a.is_empty() && b.is_empty() {
+    jaccard_by(a.len(), b.len(), |i, j| a[i].cmp(&b[j]))
+}
+
+/// Jaccard of two sorted, deduplicated sequences of lengths `la` and
+/// `lb`, given the order between the `i`-th element of one and the
+/// `j`-th of the other. [`jaccard`] and the cached-feature path share
+/// it, so both count and divide identically.
+pub(crate) fn jaccard_by(
+    la: usize,
+    lb: usize,
+    cmp: impl Fn(usize, usize) -> std::cmp::Ordering,
+) -> f64 {
+    if la == 0 && lb == 0 {
         return 1.0;
     }
     let mut i = 0;
     let mut j = 0;
     let mut inter = 0usize;
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
+    while i < la && j < lb {
+        match cmp(i, j) {
             std::cmp::Ordering::Equal => {
                 inter += 1;
                 i += 1;
@@ -124,7 +145,7 @@ pub fn jaccard<T: Ord>(a: &[T], b: &[T]) -> f64 {
             std::cmp::Ordering::Greater => j += 1,
         }
     }
-    let union = a.len() + b.len() - inter;
+    let union = la + lb - inter;
     if union == 0 {
         1.0
     } else {
@@ -139,13 +160,13 @@ pub fn token_jaccard(a: &str, b: &str) -> f64 {
 
 /// q-gram Jaccard of two strings (multiset collapsed to set).
 pub fn qgram_jaccard(a: &str, b: &str, q: usize) -> f64 {
-    let mut ga = qgrams(a, q);
-    let mut gb = qgrams(b, q);
-    ga.sort();
-    ga.dedup();
-    gb.sort();
-    gb.dedup();
-    jaccard(&ga, &gb)
+    jaccard(&gram_set(qgrams(a, q)), &gram_set(qgrams(b, q)))
+}
+
+fn gram_set(mut grams: Vec<String>) -> Vec<String> {
+    grams.sort();
+    grams.dedup();
+    grams
 }
 
 /// Cosine similarity over term-frequency maps.
@@ -184,9 +205,14 @@ pub fn string_similarity(a: &str, b: &str) -> f64 {
     if na == nb {
         return 1.0;
     }
-    token_jaccard(a, b)
-        .max(jaro_winkler(&na, &nb))
-        .max(qgram_jaccard(a, b, 3))
+    // `token_jaccard(a, b)` and `qgram_jaccard(a, b, 3)`, from the
+    // strings normalized once.
+    let tokens = jaccard(&token_set_of_normalized(&na), &token_set_of_normalized(&nb));
+    let grams = jaccard(
+        &gram_set(qgrams_of_normalized(&na, 3)),
+        &gram_set(qgrams_of_normalized(&nb, 3)),
+    );
+    tokens.max(jaro_winkler(&na, &nb)).max(grams)
 }
 
 /// Similarity between two values of possibly different kinds.
@@ -195,12 +221,15 @@ pub fn value_similarity(a: &Value, b: &Value) -> f64 {
         return 0.0;
     }
     match (a.as_float(), b.as_float()) {
-        (Some(x), Some(y)) => {
-            let denom = x.abs().max(y.abs()).max(1e-9);
-            (1.0 - (x - y).abs() / denom).max(0.0)
-        }
+        (Some(x), Some(y)) => numeric_similarity(x, y),
         _ => string_similarity(&a.render(), &b.render()),
     }
+}
+
+/// Relative closeness of two numbers in [0, 1].
+pub(crate) fn numeric_similarity(x: f64, y: f64) -> f64 {
+    let denom = x.abs().max(y.abs()).max(1e-9);
+    (1.0 - (x - y).abs() / denom).max(0.0)
 }
 
 /// Record similarity through an attribute alignment.
@@ -224,6 +253,9 @@ pub fn record_similarity(a: &Record, b: &Record, alignment: &AlignmentMap) -> f6
         let (Some(va), Some(vb)) = (a.get(attr_a), b.get(attr_b)) else {
             continue;
         };
+        // Aligner weights are never negative; clamping keeps the result
+        // in [0, 1] for any hand-built map too.
+        let weight = weight.max(0.0);
         score += weight * value_similarity(va, vb);
         total_weight += weight;
         compared += 1;
@@ -276,7 +308,44 @@ pub fn record_similarity_weighted(a: &Record, b: &Record, weight: impl Fn(Symbol
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arbitrary::{attr, cells, record, ATTRS};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use scdb_types::SymbolTable;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The resolver's exact pruning rests on this: no context
+        /// similarity exceeds 1.0, for any records and any finite
+        /// weights (negative ones included).
+        #[test]
+        fn record_similarities_stay_in_unit_interval(
+            a in cells(),
+            b in cells(),
+            weights in vec(-1.0f64..2.0, ATTRS..ATTRS + 1),
+        ) {
+            let mut symbols = SymbolTable::new();
+            let (ra, rb) = (record(&mut symbols, &a), record(&mut symbols, &b));
+            let syms: Vec<Symbol> = (0..ATTRS).map(|i| attr(&mut symbols, i)).collect();
+            let straight = AlignmentMap::from_pairs(
+                (0..ATTRS).map(|i| (syms[i], syms[i], weights[i])).collect(),
+            );
+            let crossed = AlignmentMap::from_pairs(
+                (0..ATTRS).map(|i| (syms[i], syms[(i + 1) % ATTRS], weights[i])).collect(),
+            );
+            let weight = |s: Symbol| weights[syms.iter().position(|x| *x == s).unwrap_or(0)];
+            for (name, sim) in [
+                ("aligned", record_similarity(&ra, &rb, &straight)),
+                ("crossed", record_similarity(&ra, &rb, &crossed)),
+                ("unaligned", record_similarity(&ra, &rb, &AlignmentMap::empty())),
+                ("same_schema", record_similarity_same_schema(&ra, &rb)),
+                ("weighted", record_similarity_weighted(&ra, &rb, weight)),
+            ] {
+                prop_assert!((0.0..=1.0).contains(&sim), "{name}: {sim} for {ra:?} / {rb:?}");
+            }
+        }
+    }
 
     #[test]
     fn levenshtein_basics() {

@@ -347,6 +347,21 @@ fn metric_names_follow_design_convention() {
         offenders.is_empty(),
         "metric names violating the DESIGN.md \u{a7}7 convention: {offenders:?}"
     );
+    // The resolver's sub-stage split, and context evaluations beside
+    // comparisons, are part of the vocabulary the pass must mint.
+    for name in [
+        "er.stage.block_ns",
+        "er.stage.score_ns",
+        "er.stage.union_ns",
+    ] {
+        assert!(
+            snap.histograms.contains_key(name),
+            "missing histogram {name}"
+        );
+    }
+    for name in ["er.comparisons", "er.context_evals"] {
+        assert!(snap.counters.contains_key(name), "missing counter {name}");
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }
