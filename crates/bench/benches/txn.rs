@@ -1,8 +1,10 @@
 //! Criterion benches for FS.11: transaction throughput under snapshot vs
-//! relaxed enrichment isolation, and WAL encode/decode.
+//! relaxed enrichment isolation, and the log record codec.
 
+use bytes::BytesMut;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use scdb_txn::{EnrichedDb, IsolationMode, LogRecord, Wal};
+use scdb_txn::wal::{decode_record, encode_record};
+use scdb_txn::{EnrichedDb, IsolationMode, LogRecord};
 use scdb_types::Value;
 
 fn bench_read_modes(c: &mut Criterion) {
@@ -46,21 +48,39 @@ fn bench_commit(c: &mut Criterion) {
 }
 
 fn bench_wal(c: &mut Criterion) {
-    let mut wal = Wal::new();
-    for i in 0..10_000u64 {
-        wal.append(LogRecord::Write {
-            txn: i,
-            key: i,
-            value: Some(Value::Int(i as i64)),
-        });
-        wal.append(LogRecord::Commit { txn: i });
-    }
+    let records: Vec<LogRecord> = (0..10_000u64)
+        .flat_map(|i| {
+            [
+                LogRecord::Write {
+                    txn: i,
+                    key: i,
+                    value: Some(Value::Int(i as i64)),
+                },
+                LogRecord::seal(&[i], &[]),
+            ]
+        })
+        .collect();
+    let encode = || {
+        let mut buf = BytesMut::new();
+        for r in &records {
+            encode_record(&mut buf, r);
+        }
+        buf.freeze()
+    };
     c.bench_function("txn/wal_encode_10k", |b| {
-        b.iter(|| black_box(wal.encode().len()))
+        b.iter(|| black_box(encode().len()))
     });
-    let bytes = wal.encode();
+    let bytes = encode();
     c.bench_function("txn/wal_decode_10k", |b| {
-        b.iter(|| black_box(Wal::decode(bytes.clone()).len()))
+        b.iter(|| {
+            let mut cursor = bytes.clone();
+            let mut n = 0usize;
+            while !cursor.is_empty() {
+                decode_record(&mut cursor, n).expect("clean log");
+                n += 1;
+            }
+            black_box(n)
+        })
     });
 }
 

@@ -4,7 +4,7 @@
 //!
 //! A self-curating database is meant to run unattended, so the
 //! interesting question is not *whether* the disk fails but what the
-//! node does while it is failing. This experiment arms a [`FaultPlan`]
+//! node does while it is failing. This experiment arms a `FaultPlan`
 //! with a persistent fsync failure against a live queued durable
 //! [`Db`] and measures the degraded-mode contract end to end:
 //!
@@ -31,8 +31,7 @@
 
 use std::time::{Duration, Instant};
 
-use scdb_core::{CoreError, Db, DbMode, DurabilityConfig, FaultPlan, IngestConfig};
-use scdb_txn::FailpointLog;
+use scdb_core::{CoreError, Db, DbMode, DurabilityConfig, FailpointLog, IngestConfig};
 use scdb_types::{Record, Value};
 
 use scdb_bench::{banner, Table};
@@ -68,12 +67,10 @@ struct FaultRun {
 /// window (reads green, writes fail fast) → clear → probe recovery.
 fn run_fault_cycle(seed_rows: usize, degraded_ops: usize) -> FaultRun {
     let log = FailpointLog::new();
-    let plan = FaultPlan::new();
-    let handle = plan.handle();
+    let plan = log.plan();
     let db = Db::builder()
         .durability_config(DurabilityConfig::store(Box::new(log.clone())))
         .ingest_config(IngestConfig::queued(64))
-        .fault_injection(plan.clone())
         .open()
         .expect("open durable db");
     db.register_source("bench", Some("name"));
@@ -130,7 +127,7 @@ fn run_fault_cycle(seed_rows: usize, degraded_ops: usize) -> FaultRun {
 
     // Recover: clear the fault, wait for the probe (50 ms · 2ⁿ backoff)
     // to re-arm the node — no reopen.
-    handle.clear();
+    plan.clear();
     let recover_started = Instant::now();
     let mut recovered_without_reopen = false;
     while recover_started.elapsed() < Duration::from_secs(15) {
@@ -160,7 +157,7 @@ fn run_fault_cycle(seed_rows: usize, degraded_ops: usize) -> FaultRun {
         recover_ms,
         recovered_without_reopen,
         post_recovery_commits,
-        injected: handle.injected(),
+        injected: plan.injected(),
     }
 }
 
@@ -178,11 +175,10 @@ struct SupervisorRun {
 fn run_supervisor_cycle() -> SupervisorRun {
     let restarts_before = scdb_obs::metrics().counter("core.thread.restarts").get();
     let log = FailpointLog::new();
-    let plan = FaultPlan::new();
+    let plan = log.plan();
     let db = Db::builder()
         .durability_config(DurabilityConfig::store(Box::new(log.clone())))
         .ingest_config(IngestConfig::queued(64))
-        .fault_injection(plan.clone())
         .open()
         .expect("open durable db");
     db.register_source("bench", Some("name"));
@@ -322,7 +318,7 @@ fn check(fault: &FaultRun, sup: &SupervisorRun) -> i32 {
         fault.post_recovery_commits > 0,
         "writes commit again after recovery",
     );
-    gate(fault.injected > 0, "the injector actually fired");
+    gate(fault.injected > 0, "the fault plan actually fired");
     gate(
         sup.failed_tickets > 0 && sup.hung_tickets == 0,
         "committer panic failed its batch without hanging a ticket",

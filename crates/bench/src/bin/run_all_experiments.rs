@@ -29,7 +29,7 @@ use scdb_datagen::life_science::ScaledConfig;
 use scdb_storage::cluster::{ClusterStrategy, ClusteredLayout, CoAccessTracker};
 use scdb_storage::page::PageConfig;
 use scdb_storage::RowStore;
-use scdb_txn::{LogRecord, TxnManager, Wal};
+use scdb_txn::{DurableWal, FailpointLog, FsyncPolicy, LogRecord, TxnManager};
 use scdb_types::{Record, SourceId, Value};
 
 const EXPERIMENTS: &[&str] = &[
@@ -232,27 +232,32 @@ fn metrics_sweep(path: &str) {
     db.advise_indexes(false).expect("advise");
     db.drop_index("ix_dose").expect("drop index");
 
-    // Transactions: MVCC begin/commit/abort + WAL append/encode.
+    // Transactions: MVCC begin/commit/abort, each committed write set
+    // appended with its seal through a durable WAL on the in-memory
+    // medium. Aborted transactions are never logged, as in
+    // `Db::kv_commit`.
     let mgr = TxnManager::new();
-    let mut wal = Wal::new();
+    let (mut wal, _) =
+        DurableWal::open(Box::new(FailpointLog::new()), FsyncPolicy::Always, 1 << 20)
+            .expect("open in-memory log");
     for k in 0..16u64 {
         let mut txn = mgr.begin();
         txn.write(k, Value::Int(k as i64)).expect("write");
-        wal.append(LogRecord::Write {
-            txn: txn.id(),
-            key: k,
-            value: Some(Value::Int(k as i64)),
-        });
         if k % 4 == 3 {
             mgr.abort(&mut txn);
-            wal.append(LogRecord::Abort { txn: txn.id() });
-        } else {
-            let ts = mgr.commit(&mut txn).expect("commit");
-            wal.append(LogRecord::Commit { txn: txn.id() });
-            let _ = ts;
+            continue;
         }
+        mgr.commit(&mut txn).expect("commit");
+        wal.append_sealed(&[
+            LogRecord::Write {
+                txn: txn.id(),
+                key: k,
+                value: Some(Value::Int(k as i64)),
+            },
+            LogRecord::seal(&[txn.id()], &[]),
+        ])
+        .expect("append");
     }
-    let _encoded = wal.encode();
 
     // Storage: direct point reads + a clustering pass.
     let mut store = RowStore::new(SourceId(99));

@@ -565,7 +565,7 @@ impl Db {
                     value: value.cloned(),
                 })
                 .collect();
-            records.push(LogRecord::Commit { txn: id });
+            records.push(LogRecord::seal(&[id], &[]));
             wal.append_sealed(&records)
                 .map_err(|e| self.trip_on_io(e))?;
         }

@@ -18,8 +18,8 @@ use scdb_query::optimizer::OptimizerConfig;
 use scdb_semantic::Ontology;
 use scdb_storage::TextStore;
 use scdb_txn::{
-    discover_shard_count, DurableWal, EnrichedDb, FaultInjector, FaultPlan, FsStore, FsyncPolicy,
-    IsolationMode, SharedStore, TxnManager, WalStore,
+    discover_shard_count, DurableWal, EnrichedDb, FsStore, FsyncPolicy, IsolationMode, SharedStore,
+    TxnManager, WalStore,
 };
 use scdb_types::SymbolTable;
 
@@ -36,7 +36,8 @@ use crate::group_commit::IngestQueue;
 use crate::telemetry::{TelemetryConfig, TelemetryState};
 
 /// Where the WAL lives: a real directory or an injected store (tests
-/// use the fault-injection medium).
+/// use the in-memory [`scdb_txn::FailpointLog`], whose fault plan fires
+/// against the live database).
 enum DurabilityTarget {
     Dir(std::path::PathBuf),
     Store(Box<dyn WalStore>),
@@ -94,8 +95,9 @@ impl DurabilityConfig {
         Self::new(DurabilityTarget::Dir(dir.as_ref().to_path_buf()))
     }
 
-    /// Log to an explicit storage medium — the crash-matrix tests
-    /// inject [`scdb_txn::FailpointLog`] here.
+    /// Log to an explicit storage medium — the crash-matrix and
+    /// fault-resilience tests inject [`scdb_txn::FailpointLog`] here and
+    /// arm faults through its [`plan`](scdb_txn::FailpointLog::plan).
     pub fn store(store: Box<dyn WalStore>) -> Self {
         Self::new(DurabilityTarget::Store(store))
     }
@@ -199,7 +201,6 @@ pub struct DbBuilder {
     slow_query_capacity: Option<usize>,
     ingest: IngestConfig,
     telemetry: Option<TelemetryConfig>,
-    fault: Option<FaultPlan>,
     write_shards: Option<u32>,
     shard_policy: Option<PlacementPolicy>,
 }
@@ -252,19 +253,6 @@ impl DbBuilder {
     /// Without one every ingest is a batch of one.
     pub fn ingest_config(mut self, config: IngestConfig) -> Self {
         self.ingest = config;
-        self
-    }
-
-    /// Arm a runtime [`FaultPlan`] against the durable medium: the WAL
-    /// store configured by [`DbBuilder::durability_config`] is wrapped
-    /// in a [`FaultInjector`] when [`DbBuilder::open`] installs it, so
-    /// the plan's schedule fires against the *live* database — failed
-    /// fsyncs, a filling medium, seeded write errors, a committer
-    /// panic. Keep a [`scdb_txn::FaultHandle`] (via
-    /// [`FaultPlan::handle`]) to clear the faults later and watch the
-    /// node recover. Ignored without a durability target.
-    pub fn fault_injection(mut self, plan: FaultPlan) -> Self {
-        self.fault = Some(plan);
         self
     }
 
@@ -505,7 +493,6 @@ impl DbBuilder {
     /// durability target this is equivalent to [`DbBuilder::build`].
     pub fn open(mut self) -> Result<Db, CoreError> {
         let durability = self.durability.take();
-        let fault = self.fault.take();
         let db = self.build_volatile();
         let Some(DurabilityConfig {
             target,
@@ -521,12 +508,6 @@ impl DbBuilder {
                     .map_err(|e| scdb_txn::TxnError::io(format!("open {}", dir.display()), &e))?,
             ),
             DurabilityTarget::Store(store) => store,
-        };
-        // Fault injection sits between the WAL and whatever medium was
-        // configured, so an armed plan fires against live traffic.
-        let store: Box<dyn WalStore> = match &fault {
-            Some(plan) => Box::new(FaultInjector::new(store, plan)),
-            None => store,
         };
         // The on-disk shard layout is fixed at creation: refuse to open
         // a directory whose file names describe a different shard count

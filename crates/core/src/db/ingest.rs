@@ -307,11 +307,11 @@ impl Db {
     ///    the batch is unaffected.
     /// 2. **Log** — under the participants' `durable` mutexes (taken in
     ///    shard order), frame each participant's valid rows plus one
-    ///    seal ([`seal_for`]) into a single append to that shard's WAL.
-    ///    Attribute names are *moved* into the log records and moved
-    ///    back out after the append, never re-cloned. A failed append
-    ///    fails the whole batch: nothing was applied, nothing gets
-    ///    acked.
+    ///    seal ([`LogRecord::seal`]) into a single append to that
+    ///    shard's WAL. Attribute names are *moved* into the log records
+    ///    and moved back out after the append, never re-cloned. A failed
+    ///    append fails the whole batch: nothing was applied, nothing
+    ///    gets acked.
     /// 3. **Apply** — run the curation pipeline per row via
     ///    [`curate_one`], which clones the row exactly once (the
     ///    store's copy; the resolver consumes the original).
@@ -571,8 +571,11 @@ impl Db {
         // state, so a single sealed marker record is enough for replay.
         if let Some(wal) = slice.durable.lock().as_mut() {
             let txn = wal.next_txn_id();
-            wal.append_sealed(&[LogRecord::DiscoverLinks { txn }, LogRecord::Commit { txn }])
-                .map_err(|e| self.trip_on_io(e))?;
+            wal.append_sealed(&[
+                LogRecord::DiscoverLinks { txn },
+                LogRecord::seal(&[txn], &[]),
+            ])
+            .map_err(|e| self.trip_on_io(e))?;
         }
         rel.tick += 1;
         let tick = rel.tick;
@@ -651,7 +654,7 @@ impl Participant<'_> {
                 text: p.text.take(),
             });
         }
-        recs.push(seal_for(&self.txns, batch_rows, sealers));
+        recs.push(LogRecord::seal(&self.txns, sealers));
         // Bracket the append with the batch's correlation id so the
         // WAL's append/fsync events carry it; cleared on both exits so
         // unrelated appends (checkpoints, registrations) stay
@@ -676,28 +679,6 @@ impl Participant<'_> {
             }
         }
         Ok(wal.last_stage_ns())
-    }
-}
-
-/// The seal that closes one participant's append — the only place the
-/// on-disk framing of a commit is chosen, and it is chosen from what
-/// the batch looks like. One row seals with a plain `Commit` (the
-/// historical single-record framing). A batch on one shard seals with a
-/// `CommitGroup` that needs no participant vector: it commit-gates
-/// within that shard's log alone. A batch spanning shards carries the
-/// full `(shard, first_txn)` vector, identical in every participant's
-/// log.
-fn seal_for(txns: &[u64], batch_rows: usize, sealers: &[(u32, u64)]) -> LogRecord {
-    match (batch_rows, sealers.len()) {
-        (1, _) => LogRecord::Commit { txn: txns[0] },
-        (_, 1) => LogRecord::CommitGroup {
-            txns: txns.to_vec(),
-            shards: Vec::new(),
-        },
-        _ => LogRecord::CommitGroup {
-            txns: txns.to_vec(),
-            shards: sealers.to_vec(),
-        },
     }
 }
 

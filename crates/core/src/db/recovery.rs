@@ -33,8 +33,9 @@ pub struct DbRecoveryReport {
     pub snapshot_rows: usize,
     /// Committed log records replayed through the live pipeline.
     pub records_replayed: usize,
-    /// Transactions discarded: logged but never sealed by a commit (or
-    /// explicitly aborted) at the time of the crash.
+    /// Transactions discarded: logged but never sealed (or sealed by a
+    /// cross-shard seal some participant's log lost) at the time of the
+    /// crash.
     pub txns_discarded: usize,
 }
 
@@ -286,22 +287,16 @@ impl Db {
                 | LogRecord::Write { txn, .. } => {
                     pending.entry(txn).or_default().push(record);
                 }
-                LogRecord::Commit { txn } => {
-                    let ops = pending.remove(&txn).unwrap_or_default();
-                    report.records_replayed += ops.len() + 1;
-                    for op in ops {
-                        self.replay_op(shard, op)?;
-                    }
-                }
                 LogRecord::CommitGroup { txns, shards } => {
-                    // A group seal commits every listed transaction at
-                    // once, in log (= apply) order. A missing/torn seal
-                    // leaves them all in `pending` — discarded below.
-                    // Non-empty `shards` is a cross-shard seal: it
-                    // commits only when every participant's log carries
-                    // it too (the ledger barrier); a participant whose
-                    // copy was torn forces every other shard to discard
-                    // the batch, keeping the group atomic.
+                    // The one commit-gating rule: a seal commits every
+                    // listed transaction at once, in log (= apply)
+                    // order. A missing/torn seal leaves them all in
+                    // `pending` — discarded below. Non-empty `shards` is
+                    // a cross-shard seal: it commits only when every
+                    // participant's log carries it too (the ledger
+                    // barrier); a participant whose copy was torn forces
+                    // every other shard to discard the batch, keeping
+                    // the group atomic.
                     report.records_replayed += 1;
                     let commit = shards.is_empty() || ledger.arrive(shard, &shards);
                     for txn in txns {
@@ -314,11 +309,6 @@ impl Db {
                         } else if !ops.is_empty() {
                             report.txns_discarded += 1;
                         }
-                    }
-                }
-                LogRecord::Abort { txn } => {
-                    if pending.remove(&txn).is_some() {
-                        report.txns_discarded += 1;
                     }
                 }
                 LogRecord::IndexCreate {
@@ -347,7 +337,6 @@ impl Db {
                     self.replay_drop_index(shard, &name);
                     report.records_replayed += 1;
                 }
-                LogRecord::Checkpoint => {}
             }
         }
         // Unsealed tails: logged, never committed — discarded, exactly

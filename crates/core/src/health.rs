@@ -104,8 +104,9 @@ pub struct ModeHealth {
     pub tripped: u64,
     /// Times it recovered back to normal (`core.fault.recoveries`).
     pub recoveries: u64,
-    /// Faults fired by a configured injector (`core.fault.injected`);
-    /// `0` in production, where no [`crate::FaultPlan`] is installed.
+    /// Faults fired by a [`crate::FaultPlan`] (`core.fault.injected`);
+    /// `0` in production, where the log is not on an in-memory
+    /// [`crate::FailpointLog`].
     pub faults_injected: u64,
     /// Background-thread panics caught by the supervisor.
     pub thread_panics: u64,

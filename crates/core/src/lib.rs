@@ -78,8 +78,8 @@ pub use scdb_obs::{
 };
 pub use scdb_storage::{IndexDef, IndexKind};
 pub use scdb_txn::{
-    CheckpointStats, FaultHandle, FaultInjector, FaultPlan, FsyncPolicy, IoClass, IsolationMode,
-    Transaction, TxnError, WalRecoveryReport, WalStore,
+    CheckpointStats, FailpointLog, FaultPlan, FsyncPolicy, IoClass, IsolationMode, Transaction,
+    TxnError, WalRecoveryReport, WalStore,
 };
 pub use syscat::is_sys_name;
 pub use telemetry::TelemetryConfig;

@@ -636,8 +636,9 @@ mod tests {
     use super::*;
 
     /// Tests share the process-global registry; serialize the ones that
-    /// toggle `enabled` or reset it.
-    static TEST_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+    /// toggle `enabled` or reset it, and the ones that compare its counts
+    /// before and after a step.
+    pub(crate) static TEST_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
     #[test]
     fn counters_and_gauges() {

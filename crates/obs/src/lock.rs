@@ -214,6 +214,7 @@ mod tests {
 
     #[test]
     fn contended_write_feeds_histogram_and_events() {
+        let _guard = crate::tests::TEST_LOCK.lock();
         let l = Arc::new(TrackedRwLock::new(
             "t_cont",
             "test.lock.t_cont.wait_ns",
@@ -223,12 +224,15 @@ mod tests {
             .histogram("test.lock.t_cont.wait_ns")
             .count();
         let holder = Arc::clone(&l);
+        let (taken_tx, taken) = std::sync::mpsc::channel();
         let held = std::thread::spawn(move || {
             let _g = holder.write();
+            taken_tx.send(()).unwrap();
             std::thread::sleep(Duration::from_millis(20));
         });
-        // Give the holder time to take the lock, then contend.
-        std::thread::sleep(Duration::from_millis(5));
+        // Contend only once the holder has the lock: a late-scheduled
+        // holder would otherwise block briefly on this read instead.
+        taken.recv().unwrap();
         {
             let _r = l.read();
         }
@@ -237,7 +241,7 @@ mod tests {
             .histogram("test.lock.t_cont.wait_ns")
             .snapshot();
         assert!(h.count > before, "blocked read was measured");
-        // The ~15 ms wait is far above the 1 ms default threshold, so a
+        // The ~20 ms wait is far above the 1 ms default threshold, so a
         // contended event for this shard must exist.
         let hits = crate::events().select(
             &crate::EventFilter::new()

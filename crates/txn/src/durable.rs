@@ -1,4 +1,5 @@
-//! The disk-backed, segmented WAL: durability layered under [`crate::Wal`].
+//! The segmented write-ahead log: the one log every durable mutation
+//! goes through.
 //!
 //! Layout inside a log directory:
 //!
@@ -12,9 +13,9 @@
 //! ([`crate::frame`]) before it is appended, so recovery can cut a torn
 //! or bit-rotted tail at the last clean frame. The medium itself hides
 //! behind the [`WalStore`] trait: [`FsStore`] talks to real files, while
-//! the fault-injection store ([`crate::fault::FailpointLog`]) models a
-//! volatile/durable byte split so tests can crash the "machine" at any
-//! byte and reopen.
+//! the in-memory medium ([`crate::fault::FailpointLog`]) models a
+//! volatile/durable byte split and fires a [`crate::FaultPlan`], so tests
+//! can fail the "machine" live or crash it at any byte and reopen.
 //!
 //! ## Checkpoint protocol
 //!
@@ -612,8 +613,6 @@ impl DurableWal {
             .iter()
             .filter_map(|r| match r {
                 LogRecord::Write { txn, .. }
-                | LogRecord::Commit { txn }
-                | LogRecord::Abort { txn }
                 | LogRecord::IngestRow { txn, .. }
                 | LogRecord::DiscoverLinks { txn } => Some(*txn),
                 LogRecord::CommitGroup { txns, .. } => txns.iter().copied().max(),
@@ -646,7 +645,9 @@ impl DurableWal {
             active_seq,
             active_len,
             seals_since_sync: 0,
-            next_txn: max_txn + 1,
+            // Saturating: a hostile log naming txn u64::MAX must not
+            // panic the open.
+            next_txn: max_txn.saturating_add(1),
             // The replayed suffix is exactly what the next checkpoint
             // will fold in — seed the lag with it.
             records_since_checkpoint: records.len() as u64,
@@ -706,7 +707,7 @@ impl DurableWal {
     /// never collide within one log lifetime.
     pub fn next_txn_id(&mut self) -> u64 {
         let id = self.next_txn;
-        self.next_txn += 1;
+        self.next_txn = self.next_txn.saturating_add(1);
         id
     }
 
@@ -1036,7 +1037,7 @@ mod tests {
             let store = Box::new(FsStore::open(&dir).unwrap());
             let (mut wal, rec) = DurableWal::open(store, FsyncPolicy::Always, 1 << 20).unwrap();
             assert!(rec.records.is_empty());
-            wal.append_sealed(&[write_rec(1, 10, 100), LogRecord::Commit { txn: 1 }])
+            wal.append_sealed(&[write_rec(1, 10, 100), LogRecord::seal(&[1], &[])])
                 .unwrap();
             wal.append_sealed(&[write_rec(2, 20, 200)]).unwrap(); // unsealed
         }
@@ -1054,9 +1055,9 @@ mod tests {
         {
             let store = Box::new(FsStore::open(&dir).unwrap());
             let (mut wal, _) = DurableWal::open(store, FsyncPolicy::Always, 1 << 20).unwrap();
-            wal.append_sealed(&[write_rec(1, 1, 1), LogRecord::Commit { txn: 1 }])
+            wal.append_sealed(&[write_rec(1, 1, 1), LogRecord::seal(&[1], &[])])
                 .unwrap();
-            wal.append_sealed(&[write_rec(2, 2, 2), LogRecord::Commit { txn: 2 }])
+            wal.append_sealed(&[write_rec(2, 2, 2), LogRecord::seal(&[2], &[])])
                 .unwrap();
         }
         // Tear three bytes off the segment by hand.
@@ -1085,7 +1086,7 @@ mod tests {
             // Tiny segments: every append rotates.
             let (mut wal, _) = DurableWal::open(store, FsyncPolicy::Always, 64).unwrap();
             for i in 0..10u64 {
-                wal.append_sealed(&[write_rec(i, i, i as i64), LogRecord::Commit { txn: i }])
+                wal.append_sealed(&[write_rec(i, i, i as i64), LogRecord::seal(&[i], &[])])
                     .unwrap();
             }
         }
@@ -1102,7 +1103,7 @@ mod tests {
         {
             let store = Box::new(FsStore::open(&dir).unwrap());
             let (mut wal, _) = DurableWal::open(store, FsyncPolicy::Always, 1 << 20).unwrap();
-            wal.append_sealed(&[write_rec(1, 1, 1), LogRecord::Commit { txn: 1 }])
+            wal.append_sealed(&[write_rec(1, 1, 1), LogRecord::seal(&[1], &[])])
                 .unwrap();
             let stats = wal
                 .checkpoint(&[
@@ -1111,7 +1112,7 @@ mod tests {
                 ])
                 .unwrap();
             assert_eq!(stats.segments_removed, 1);
-            wal.append_sealed(&[write_rec(2, 2, 2), LogRecord::Commit { txn: 2 }])
+            wal.append_sealed(&[write_rec(2, 2, 2), LogRecord::seal(&[2], &[])])
                 .unwrap();
         }
         let store = Box::new(FsStore::open(&dir).unwrap());
@@ -1135,7 +1136,7 @@ mod tests {
             let (mut wal, _) = DurableWal::open(store, FsyncPolicy::Always, 1 << 20).unwrap();
             let id = wal.next_txn_id();
             assert_eq!(id, 1);
-            wal.append_sealed(&[write_rec(id, 1, 1), LogRecord::Commit { txn: id }])
+            wal.append_sealed(&[write_rec(id, 1, 1), LogRecord::seal(&[id], &[])])
                 .unwrap();
         }
         let store = Box::new(FsStore::open(&dir).unwrap());

@@ -1,19 +1,14 @@
-//! Fault injection for the durable WAL: an in-memory [`WalStore`] that
-//! models the volatile/durable split of a real disk.
+//! The in-memory storage medium: a [`WalStore`] that models the
+//! volatile/durable split of a real disk and fires a [`FaultPlan`].
 //!
 //! Appended bytes land in a *volatile* buffer (the OS page cache);
 //! `sync` moves them to the *durable* image (the platter). [`crash`]
 //! discards everything volatile — exactly what power loss does — after
-//! which a reopen sees only what was synced. On top of that byte model
-//! the store injects the classic failure modes:
-//!
-//! * **torn write** — an append stops mid-record at a chosen byte and
-//!   errors out;
-//! * **partial fsync** — a `sync` durably retains only a prefix of the
-//!   pending bytes yet reports success (the "lying fsync");
-//! * **bit flip** — a durable byte is mutilated in place (media rot);
-//! * **transient `Interrupted`** — the next *n* operations fail with
-//!   `ErrorKind::Interrupted`, exercising the bounded retry path.
+//! which a reopen sees only what was synced. Every append and sync first
+//! asks the medium's one [`FaultPlan`] ([`plan`]) whether a fault fires;
+//! on top of that the medium itself offers the offline manglings a
+//! crash-matrix harness applies between runs: a **bit flip** in a
+//! durable byte (media rot) and a **cut** of the durable image.
 //!
 //! [`fork`] deep-copies the whole medium so a crash-matrix harness can
 //! re-crash the same history at every byte offset without re-running the
@@ -21,6 +16,7 @@
 //!
 //! [`crash`]: FailpointLog::crash
 //! [`fork`]: FailpointLog::fork
+//! [`plan`]: FailpointLog::plan
 
 use std::collections::BTreeMap;
 use std::io;
@@ -29,6 +25,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::durable::WalStore;
+use crate::inject::FaultPlan;
 
 #[derive(Debug, Default, Clone)]
 struct FileBuf {
@@ -48,91 +45,73 @@ impl FileBuf {
     }
 }
 
-#[derive(Debug, Default)]
-struct FailInner {
-    files: BTreeMap<String, FileBuf>,
-    /// Total bytes ever appended (across files) — torn-write marks are
-    /// expressed against this counter.
-    appended_total: u64,
-    torn_at: Option<u64>,
-    interrupts: u32,
-    sync_keep: Option<u64>,
-}
-
-/// An in-memory, crash-able [`WalStore`] with injectable failpoints.
+/// An in-memory, crash-able [`WalStore`] with one [`FaultPlan`].
 /// Clones share the same medium (hand one to [`crate::durable::DurableWal`],
 /// keep another to crash and inspect it); [`FailpointLog::fork`] makes an
 /// independent deep copy.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct FailpointLog {
-    inner: Arc<Mutex<FailInner>>,
+    files: Arc<Mutex<BTreeMap<String, FileBuf>>>,
+    plan: FaultPlan,
+}
+
+impl Default for FailpointLog {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl FailpointLog {
-    /// Fresh, empty medium with no failpoints armed.
+    /// Fresh, empty medium with no faults armed.
     pub fn new() -> Self {
-        Self::default()
+        FailpointLog {
+            files: Arc::default(),
+            plan: FaultPlan::new(0),
+        }
     }
 
-    /// Independent deep copy of the current medium state (failpoints are
-    /// not copied — forks start clean).
+    /// The medium's fault plan. Every clone shares the schedule: arm
+    /// faults on one (`log.plan().fail_fsyncs_from(1)`), keep another
+    /// to clear them and read the counters.
+    pub fn plan(&self) -> FaultPlan {
+        self.plan.clone()
+    }
+
+    /// Independent deep copy of the current medium state. Faults are not
+    /// copied — forks start clean — but the appended-byte count carries
+    /// over.
     pub fn fork(&self) -> FailpointLog {
-        let inner = self.inner.lock();
         FailpointLog {
-            inner: Arc::new(Mutex::new(FailInner {
-                files: inner.files.clone(),
-                appended_total: inner.appended_total,
-                torn_at: None,
-                interrupts: 0,
-                sync_keep: None,
-            })),
+            files: Arc::new(Mutex::new(self.files.lock().clone())),
+            plan: FaultPlan::new(self.plan.appended_bytes()),
         }
     }
 
     /// Power loss: every unsynced byte vanishes.
     pub fn crash(&self) {
-        let mut inner = self.inner.lock();
-        for f in inner.files.values_mut() {
+        for f in self.files.lock().values_mut() {
             f.volatile.clear();
         }
         // Files created but never synced into existence survive as empty
         // entries — harmless: recovery treats an empty segment as clean.
     }
 
-    /// Arm a torn write: the append that would carry the global appended
-    /// byte counter past `mark` stops exactly there and fails.
-    pub fn arm_torn_write(&self, mark: u64) {
-        self.inner.lock().torn_at = Some(mark);
-    }
-
-    /// Arm `n` transient `ErrorKind::Interrupted` failures on subsequent
-    /// append/sync calls.
-    pub fn arm_interrupts(&self, n: u32) {
-        self.inner.lock().interrupts = n;
-    }
-
-    /// Arm a lying fsync: the next `sync` durably retains only the first
-    /// `keep` pending volatile bytes (the rest stays volatile — lost only
-    /// if a crash follows) yet reports success.
-    pub fn arm_partial_sync(&self, keep: u64) {
-        self.inner.lock().sync_keep = Some(keep);
-    }
-
     /// Flip bit `bit` (0–7) of durable byte `at` in `name` — media rot.
     pub fn flip_durable_bit(&self, name: &str, at: usize, bit: u8) {
-        let mut inner = self.inner.lock();
-        if let Some(f) = inner.files.get_mut(name) {
-            if at < f.durable.len() {
-                f.durable[at] ^= 1 << (bit & 7);
-            }
+        if let Some(byte) = self
+            .files
+            .lock()
+            .get_mut(name)
+            .and_then(|f| f.durable.get_mut(at))
+        {
+            *byte ^= 1 << (bit & 7);
         }
     }
 
     /// Cut the durable image of `name` to `len` bytes (and drop anything
     /// volatile) — simulates a crash that persisted only a prefix.
     pub fn cut_durable(&self, name: &str, len: u64) {
-        let mut inner = self.inner.lock();
-        if let Some(f) = inner.files.get_mut(name) {
+        if let Some(f) = self.files.lock().get_mut(name) {
             f.durable.truncate(len as usize);
             f.volatile.clear();
         }
@@ -140,32 +119,24 @@ impl FailpointLog {
 
     /// Durable bytes of `name` (what a crash would preserve).
     pub fn durable_len(&self, name: &str) -> u64 {
-        self.inner
+        self.files
             .lock()
-            .files
             .get(name)
-            .map(|f| f.durable.len() as u64)
-            .unwrap_or(0)
+            .map_or(0, |f| f.durable.len() as u64)
     }
 
     /// Total bytes of `name` including unsynced volatile tail.
     pub fn total_len(&self, name: &str) -> u64 {
-        self.inner
-            .lock()
-            .files
-            .get(name)
-            .map(FileBuf::len)
-            .unwrap_or(0)
+        self.files.lock().get(name).map_or(0, FileBuf::len)
     }
 
     /// File names present, sorted.
     pub fn file_names(&self) -> Vec<String> {
-        self.inner.lock().files.keys().cloned().collect()
+        self.files.lock().keys().cloned().collect()
     }
 
-    /// Global appended-byte counter (for positioning torn-write marks).
-    pub fn appended_total(&self) -> u64 {
-        self.inner.lock().appended_total
+    fn missing(name: &str) -> io::Error {
+        io::Error::new(io::ErrorKind::NotFound, name.to_owned())
     }
 }
 
@@ -175,81 +146,43 @@ impl WalStore for FailpointLog {
     }
 
     fn read(&self, name: &str) -> io::Result<Vec<u8>> {
-        self.inner
-            .lock()
-            .files
+        let files = self.files.lock();
+        files
             .get(name)
             .map(FileBuf::combined)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, name.to_owned()))
+            .ok_or_else(|| Self::missing(name))
     }
 
     fn create(&mut self, name: &str) -> io::Result<()> {
-        self.inner.lock().files.entry(name.to_owned()).or_default();
+        self.files.lock().entry(name.to_owned()).or_default();
         Ok(())
     }
 
     fn append(&mut self, name: &str, data: &[u8]) -> io::Result<()> {
-        let mut inner = self.inner.lock();
-        if inner.interrupts > 0 {
-            inner.interrupts -= 1;
-            return Err(io::Error::new(io::ErrorKind::Interrupted, "injected EINTR"));
-        }
-        let start = inner.appended_total;
-        if let Some(mark) = inner.torn_at {
-            if start < mark && start + data.len() as u64 > mark {
-                let keep = (mark - start) as usize;
-                inner.appended_total = mark;
-                inner.torn_at = None;
-                inner
-                    .files
-                    .entry(name.to_owned())
-                    .or_default()
-                    .volatile
-                    .extend_from_slice(&data[..keep]);
-                return Err(io::Error::other("injected torn write"));
-            }
-        }
-        inner.appended_total += data.len() as u64;
-        inner
-            .files
+        let (keep, outcome) = self.plan.on_append(name, data.len());
+        self.files
+            .lock()
             .entry(name.to_owned())
             .or_default()
             .volatile
-            .extend_from_slice(data);
-        Ok(())
+            .extend_from_slice(&data[..keep]);
+        outcome
     }
 
     fn sync(&mut self, name: &str) -> io::Result<()> {
-        let mut inner = self.inner.lock();
-        if inner.interrupts > 0 {
-            inner.interrupts -= 1;
-            return Err(io::Error::new(io::ErrorKind::Interrupted, "injected EINTR"));
-        }
-        let keep = inner.sync_keep.take();
-        let f = inner.files.entry(name.to_owned()).or_default();
-        match keep {
-            Some(k) => {
-                // Lying fsync: only a prefix becomes durable; the
-                // remainder stays in the volatile (cache) image, so a
-                // later crash is what actually loses it.
-                let k = (k as usize).min(f.volatile.len());
-                let moved: Vec<u8> = f.volatile.drain(..k).collect();
-                f.durable.extend_from_slice(&moved);
-            }
-            None => {
-                let moved = std::mem::take(&mut f.volatile);
-                f.durable.extend_from_slice(&moved);
-            }
-        }
+        let keep = self.plan.on_sync(name)?;
+        let mut files = self.files.lock();
+        let FileBuf { durable, volatile } = files.entry(name.to_owned()).or_default();
+        // A lying fsync moves only a prefix; the remainder stays in the
+        // volatile (cache) image, so a later crash is what loses it.
+        let keep = keep.map_or(volatile.len(), |k| (k as usize).min(volatile.len()));
+        durable.extend(volatile.drain(..keep));
         Ok(())
     }
 
     fn truncate(&mut self, name: &str, len: u64) -> io::Result<()> {
-        let mut inner = self.inner.lock();
-        let f = inner
-            .files
-            .get_mut(name)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, name.to_owned()))?;
+        let mut files = self.files.lock();
+        let f = files.get_mut(name).ok_or_else(|| Self::missing(name))?;
         let len = len as usize;
         if len <= f.durable.len() {
             f.durable.truncate(len);
@@ -261,31 +194,23 @@ impl WalStore for FailpointLog {
     }
 
     fn remove(&mut self, name: &str) -> io::Result<()> {
-        self.inner
-            .lock()
-            .files
-            .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, name.to_owned()))
+        let removed = self.files.lock().remove(name);
+        removed.map(|_| ()).ok_or_else(|| Self::missing(name))
     }
 
     fn rename(&mut self, from: &str, to: &str) -> io::Result<()> {
-        let mut inner = self.inner.lock();
-        let f = inner
-            .files
-            .remove(from)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, from.to_owned()))?;
-        inner.files.insert(to.to_owned(), f);
+        let mut files = self.files.lock();
+        let f = files.remove(from).ok_or_else(|| Self::missing(from))?;
+        files.insert(to.to_owned(), f);
         Ok(())
     }
 
     fn size(&self, name: &str) -> io::Result<u64> {
-        self.inner
-            .lock()
-            .files
+        let files = self.files.lock();
+        files
             .get(name)
             .map(FileBuf::len)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, name.to_owned()))
+            .ok_or_else(|| Self::missing(name))
     }
 }
 
@@ -313,10 +238,10 @@ mod tests {
         let log = FailpointLog::new();
         {
             let (mut wal, _) = open(&log, FsyncPolicy::OnCheckpoint);
-            wal.append_sealed(&[w(1, 1, 1), LogRecord::Commit { txn: 1 }])
+            wal.append_sealed(&[w(1, 1, 1), LogRecord::seal(&[1], &[])])
                 .unwrap();
             wal.sync().unwrap();
-            wal.append_sealed(&[w(2, 2, 2), LogRecord::Commit { txn: 2 }])
+            wal.append_sealed(&[w(2, 2, 2), LogRecord::seal(&[2], &[])])
                 .unwrap();
             // No sync for txn 2 — and no Drop sync either: crash first.
             log.crash();
@@ -330,12 +255,12 @@ mod tests {
     fn torn_write_leaves_recoverable_prefix() {
         let log = FailpointLog::new();
         let (mut wal, _) = open(&log, FsyncPolicy::Always);
-        wal.append_sealed(&[w(1, 1, 1), LogRecord::Commit { txn: 1 }])
+        wal.append_sealed(&[w(1, 1, 1), LogRecord::seal(&[1], &[])])
             .unwrap();
-        let mark = log.appended_total() + 5; // mid-frame of the next batch
-        log.arm_torn_write(mark);
+        // Tear the next batch five bytes in, mid-frame.
+        log.plan().torn_write_at(log.plan().appended_bytes() + 5);
         let err = wal
-            .append_sealed(&[w(2, 2, 2), LogRecord::Commit { txn: 2 }])
+            .append_sealed(&[w(2, 2, 2), LogRecord::seal(&[2], &[])])
             .unwrap_err();
         assert!(matches!(err, crate::TxnError::Io { .. }));
         // Process restart without power loss: the torn partial frame is
@@ -350,12 +275,12 @@ mod tests {
     fn partial_fsync_then_crash_loses_suffix_only() {
         let log = FailpointLog::new();
         let (mut wal, _) = open(&log, FsyncPolicy::OnCheckpoint);
-        wal.append_sealed(&[w(1, 1, 1), LogRecord::Commit { txn: 1 }])
+        wal.append_sealed(&[w(1, 1, 1), LogRecord::seal(&[1], &[])])
             .unwrap();
         let keep = log.total_len("wal-00000001.seg"); // first batch only
-        wal.append_sealed(&[w(2, 2, 2), LogRecord::Commit { txn: 2 }])
+        wal.append_sealed(&[w(2, 2, 2), LogRecord::seal(&[2], &[])])
             .unwrap();
-        log.arm_partial_sync(keep);
+        log.plan().lying_fsync(keep);
         wal.sync().unwrap(); // lies: txn 2's bytes stay volatile
         log.crash();
         std::mem::forget(wal);
@@ -368,9 +293,9 @@ mod tests {
         let log = FailpointLog::new();
         {
             let (mut wal, _) = open(&log, FsyncPolicy::Always);
-            wal.append_sealed(&[w(1, 1, 1), LogRecord::Commit { txn: 1 }])
+            wal.append_sealed(&[w(1, 1, 1), LogRecord::seal(&[1], &[])])
                 .unwrap();
-            wal.append_sealed(&[w(2, 2, 2), LogRecord::Commit { txn: 2 }])
+            wal.append_sealed(&[w(2, 2, 2), LogRecord::seal(&[2], &[])])
                 .unwrap();
         }
         let seg = "wal-00000001.seg";
@@ -388,8 +313,8 @@ mod tests {
         let log = FailpointLog::new();
         let (mut wal, _) = open(&log, FsyncPolicy::Always);
         let before = scdb_obs::metrics().counter("txn.wal.retries").get();
-        log.arm_interrupts(3);
-        wal.append_sealed(&[w(1, 1, 1), LogRecord::Commit { txn: 1 }])
+        log.plan().interrupt_next(3);
+        wal.append_sealed(&[w(1, 1, 1), LogRecord::seal(&[1], &[])])
             .unwrap();
         let after = scdb_obs::metrics().counter("txn.wal.retries").get();
         assert!(after >= before + 3, "retries recorded: {before} -> {after}");
@@ -404,10 +329,7 @@ mod tests {
             let (mut wal, _) = open(&log, FsyncPolicy::Always);
             let txns: Vec<u64> = (0..4).map(|_| wal.next_txn_id()).collect();
             let mut batch: Vec<LogRecord> = txns.iter().map(|&t| w(t, t, t as i64)).collect();
-            batch.push(LogRecord::CommitGroup {
-                txns,
-                shards: Vec::new(),
-            });
+            batch.push(LogRecord::seal(&txns, &[]));
             wal.append_group(&batch, 4).unwrap();
             // The single policy fsync covered the whole batch: power loss
             // immediately after the flush loses nothing.
@@ -417,30 +339,23 @@ mod tests {
         let (_wal, rec) = open(&log, FsyncPolicy::Always);
         assert_eq!(rec.records.len(), 5, "rows + group seal all survived");
         // A cut inside the group seal frame voids the seal: the rows
-        // remain on the medium but no longer commit — the commit-gated
-        // replayer above discards all of them, never a partial batch.
+        // remain on the medium but no seal commits them, so a
+        // commit-gated replay discards all of them, never a partial batch.
         let fork = log.fork();
         let seg = "wal-00000001.seg";
         fork.cut_durable(seg, fork.durable_len(seg) - 2);
         let (_wal, rec) = open(&fork, FsyncPolicy::Always);
         assert_eq!(rec.records.len(), 4, "group seal was cut");
-        let mut replay = crate::wal::Wal::new();
-        for r in rec.records {
-            replay.append(r);
-        }
-        let (tm, report) = crate::wal::recover(&replay);
-        assert_eq!(report.transactions_replayed, 0, "unsealed batch discarded");
-        assert_eq!(tm.read_latest(1), None);
     }
 
     #[test]
     fn fork_is_independent() {
         let log = FailpointLog::new();
         let (mut wal, _) = open(&log, FsyncPolicy::Always);
-        wal.append_sealed(&[w(1, 1, 1), LogRecord::Commit { txn: 1 }])
+        wal.append_sealed(&[w(1, 1, 1), LogRecord::seal(&[1], &[])])
             .unwrap();
         let fork = log.fork();
-        wal.append_sealed(&[w(2, 2, 2), LogRecord::Commit { txn: 2 }])
+        wal.append_sealed(&[w(2, 2, 2), LogRecord::seal(&[2], &[])])
             .unwrap();
         let (_w1, rec_fork) = open(&fork, FsyncPolicy::Always);
         let (_w2, rec_live) = open(&log, FsyncPolicy::Always);

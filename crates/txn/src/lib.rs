@@ -11,10 +11,13 @@
 //!
 //! * [`mvcc`] — a classical multi-version store with snapshot-isolation
 //!   transactions (first-committer-wins write conflicts);
-//! * [`wal`] — write-ahead logging and crash recovery (redo of committed
-//!   transactions, checkpointing), because "these fundamental changes to
-//!   the concurrency model will inevitably have implication\[s\] for …
-//!   logging and recovery protocols";
+//! * [`wal`] and [`durable`] — one write-ahead log: the record codec with
+//!   its single seal, and the segmented, checkpointed log that frames it
+//!   onto a medium (redo of sealed transactions on reopen), because
+//!   "these fundamental changes to the concurrency model will inevitably
+//!   have implication\[s\] for … logging and recovery protocols";
+//! * [`fault`] and [`inject`] — one in-memory medium carrying one fault
+//!   schedule, for crash and fault-resilience tests;
 //! * [`enrich`] — the extension: *enrichment writes* originate from the
 //!   curation pipeline, not from user transactions. Under
 //!   [`enrich::IsolationMode::Snapshot`] they stay invisible to running
@@ -43,6 +46,6 @@ pub use durable::{
 pub use enrich::{EnrichedDb, IsolationMode, ReadStats};
 pub use error::{IoClass, TxnError};
 pub use fault::FailpointLog;
-pub use inject::{FaultHandle, FaultInjector, FaultPlan};
+pub use inject::FaultPlan;
 pub use mvcc::{Transaction, TxnManager, TxnStatus, VersionOrigin};
-pub use wal::{recover_from_bytes, LogRecord, RecoveryReport, Wal};
+pub use wal::LogRecord;

@@ -1,29 +1,22 @@
-//! Write-ahead logging and recovery.
+//! The log record vocabulary and its codec.
 //!
-//! A minimal but complete redo log: every transactional write is appended
-//! before commit; a commit record seals the transaction; recovery replays
-//! only sealed transactions (uncommitted tails are discarded, torn/corrupt
-//! suffixes are cut at the last valid record and the truncated byte count
-//! is reported, not swallowed). The log serializes to bytes so durability
-//! can be layered on any medium; [`crate::durable::DurableWal`] layers the
-//! segmented on-disk format (per-record CRC32 framing) on top of the
-//! per-record codec exposed here.
+//! Every mutation the database makes durable is one [`LogRecord`]; a
+//! transaction's records are appended together with a seal
+//! ([`LogRecord::seal`]) that commits them, and recovery applies only
+//! sealed transactions. [`crate::durable::DurableWal`] frames each
+//! encoded record (`[len][crc32][payload]`) onto a segmented medium; the
+//! core crate's `Db::open` replays what it reads back, commit-gated.
 //!
-//! Besides the classical kv records (`Write`/`Commit`/`Abort`), the log
-//! carries the curation pipeline's own mutations: `SourceReg` (source
-//! registration), `IngestRow` (one raw record entering the instance
-//! layer), `DiscoverLinks` (an instance-level link discovery sweep) and
-//! `Enrich` (an auto-committed curation write). The core crate replays
-//! these through the same ingest pipeline on [`Db::open`]; this crate's
-//! [`recover`] only interprets the kv subset.
-//!
-//! [`Db::open`]: https://docs.rs/scdb-core
+//! Besides the kv write (`Write`), the log carries the curation
+//! pipeline's own mutations: `SourceReg` (source registration),
+//! `IngestRow` (one raw record entering the instance layer),
+//! `DiscoverLinks` (an instance-level link discovery sweep), `Enrich`
+//! (an auto-committed curation write) and the index DDL records.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use scdb_types::Value;
 
 use crate::error::TxnError;
-use crate::mvcc::{TxnManager, VersionOrigin};
 
 /// A single log record.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,31 +30,18 @@ pub enum LogRecord {
         /// New value (`None` is a tombstone).
         value: Option<Value>,
     },
-    /// Transaction `txn` committed.
-    Commit {
-        /// Committing transaction.
-        txn: u64,
-    },
-    /// Transaction `txn` aborted.
-    Abort {
-        /// Aborting transaction.
-        txn: u64,
-    },
-    /// A group-commit seal: every transaction in `txns` committed
-    /// atomically with this record. Used by the core crate's batching
-    /// ingest committer so one fsync seals many rows; recovery treats it
-    /// as a `Commit` for each listed transaction, in list order. A torn
-    /// or missing group seal discards *all* of the batch's rows — the
-    /// log never exposes a partial batch.
+    /// The seal, and the only commit record: every transaction in
+    /// `txns` committed atomically with this record, in list (= apply)
+    /// order. A torn or missing seal discards *all* of its transactions
+    /// — the log never exposes a partial batch. Build it with
+    /// [`LogRecord::seal`].
     ///
     /// A *cross-shard* batch carries a non-empty `shards` vector: one
     /// `(shard, first_txn)` entry per participating write shard, in
     /// ascending shard order. The identical vector is sealed into every
     /// participant's log, and recovery commits the group only when every
     /// participant's log contains its matching seal — a torn seal on any
-    /// shard discards the whole batch on all of them. Single-shard
-    /// batches leave `shards` empty, which encodes byte-identically to
-    /// the historical tag-9 framing.
+    /// shard discards the whole batch on all of them.
     CommitGroup {
         /// Sealed transactions, in log (= apply) order.
         txns: Vec<u64>,
@@ -69,9 +49,6 @@ pub enum LogRecord {
         /// participating shard, ascending; empty for single-shard seals.
         shards: Vec<(u32, u64)>,
     },
-    /// A checkpoint: all records before this offset are reflected in the
-    /// checkpointed state.
-    Checkpoint,
     /// A source registration in the instance layer.
     SourceReg {
         /// Source name.
@@ -106,7 +83,8 @@ pub enum LogRecord {
     /// definition takes effect at this log position and the index
     /// contents rebuild deterministically from the rows visible at that
     /// point (contents are never logged). Checkpoints also carry the
-    /// definitions, since compaction drops pre-checkpoint records.
+    /// definitions, since checkpoint pruning drops pre-checkpoint
+    /// segments.
     IndexCreate {
         /// Index name (unique across the database).
         name: String,
@@ -124,15 +102,35 @@ pub enum LogRecord {
     },
 }
 
+impl LogRecord {
+    /// The seal that closes one append: commits `txns`, and — when more
+    /// than one write shard takes part — carries the `(shard,
+    /// first_txn)` participant vector that makes the batch atomic across
+    /// their logs. A vector naming a single shard is dropped, since such
+    /// a seal commit-gates within its own log.
+    pub fn seal(txns: &[u64], shards: &[(u32, u64)]) -> LogRecord {
+        LogRecord::CommitGroup {
+            txns: txns.to_vec(),
+            shards: if shards.len() > 1 {
+                shards.to_vec()
+            } else {
+                Vec::new()
+            },
+        }
+    }
+}
+
 const TAG_WRITE: u8 = 1;
-const TAG_COMMIT: u8 = 2;
-const TAG_ABORT: u8 = 3;
-const TAG_CHECKPOINT: u8 = 4;
+/// A seal of exactly one transaction and no participant vector: the
+/// 9-byte framing every lone row, kv commit and link sweep seals with.
+const TAG_SEAL_ONE: u8 = 2;
 const TAG_SOURCE_REG: u8 = 5;
 const TAG_INGEST_ROW: u8 = 6;
 const TAG_DISCOVER_LINKS: u8 = 7;
 const TAG_ENRICH: u8 = 8;
-const TAG_COMMIT_GROUP: u8 = 9;
+/// Any other seal: a txn count and list, then — only when non-empty — a
+/// participant count and `(shard, first_txn)` pairs.
+const TAG_SEAL: u8 = 9;
 const TAG_INDEX_CREATE: u8 = 10;
 const TAG_INDEX_DROP: u8 = 11;
 
@@ -156,8 +154,7 @@ pub fn put_value(buf: &mut BytesMut, v: &Option<Value>) {
         }
         Some(Value::Str(s)) => {
             buf.put_u8(5);
-            buf.put_u32(s.len() as u32);
-            buf.put_slice(s.as_bytes());
+            put_str(buf, s);
         }
         Some(Value::Timestamp(t)) => {
             buf.put_u8(6);
@@ -167,10 +164,8 @@ pub fn put_value(buf: &mut BytesMut, v: &Option<Value>) {
             // Bytes/Doc serialize via their textual rendering — the WAL is
             // for the scalar fast path; the core crate stores documents in
             // the instance layer, not through the WAL.
-            let s = other.render();
             buf.put_u8(5);
-            buf.put_u32(s.len() as u32);
-            buf.put_slice(s.as_bytes());
+            put_str(buf, &other.render());
         }
     }
 }
@@ -182,45 +177,21 @@ pub fn get_value(buf: &mut Bytes, at: usize) -> Result<Option<Value>, TxnError> 
     if buf.remaining() < 1 {
         return Err(corrupt);
     }
+    let need = |buf: &Bytes, n: usize| {
+        if buf.remaining() < n {
+            Err(TxnError::CorruptLog { offset: at })
+        } else {
+            Ok(())
+        }
+    };
     match buf.get_u8() {
         0 => Ok(None),
         1 => Ok(Some(Value::Null)),
-        2 => {
-            if buf.remaining() < 1 {
-                return Err(corrupt);
-            }
-            Ok(Some(Value::Bool(buf.get_u8() != 0)))
-        }
-        3 => {
-            if buf.remaining() < 8 {
-                return Err(corrupt);
-            }
-            Ok(Some(Value::Int(buf.get_i64())))
-        }
-        4 => {
-            if buf.remaining() < 8 {
-                return Err(corrupt);
-            }
-            Ok(Some(Value::Float(buf.get_f64())))
-        }
-        5 => {
-            if buf.remaining() < 4 {
-                return Err(corrupt);
-            }
-            let len = buf.get_u32() as usize;
-            if buf.remaining() < len {
-                return Err(corrupt);
-            }
-            let bytes = buf.copy_to_bytes(len);
-            let s = std::str::from_utf8(&bytes).map_err(|_| corrupt.clone())?;
-            Ok(Some(Value::str(s)))
-        }
-        6 => {
-            if buf.remaining() < 8 {
-                return Err(corrupt);
-            }
-            Ok(Some(Value::Timestamp(buf.get_i64())))
-        }
+        2 => need(buf, 1).map(|()| Some(Value::Bool(buf.get_u8() != 0))),
+        3 => need(buf, 8).map(|()| Some(Value::Int(buf.get_i64()))),
+        4 => need(buf, 8).map(|()| Some(Value::Float(buf.get_f64()))),
+        5 => with_str(buf, at, |s| Some(Value::str(s))),
+        6 => need(buf, 8).map(|()| Some(Value::Timestamp(buf.get_i64()))),
         _ => Err(corrupt),
     }
 }
@@ -230,7 +201,8 @@ fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-fn get_str(buf: &mut Bytes, at: usize) -> Result<String, TxnError> {
+/// Decode a length-prefixed UTF-8 string and hand it to `f` borrowed.
+fn with_str<T>(buf: &mut Bytes, at: usize, f: impl FnOnce(&str) -> T) -> Result<T, TxnError> {
     let corrupt = TxnError::CorruptLog { offset: at };
     if buf.remaining() < 4 {
         return Err(corrupt);
@@ -240,9 +212,11 @@ fn get_str(buf: &mut Bytes, at: usize) -> Result<String, TxnError> {
         return Err(corrupt);
     }
     let bytes = buf.copy_to_bytes(len);
-    std::str::from_utf8(&bytes)
-        .map(str::to_owned)
-        .map_err(|_| corrupt)
+    std::str::from_utf8(&bytes).map(f).map_err(|_| corrupt)
+}
+
+fn get_str(buf: &mut Bytes, at: usize) -> Result<String, TxnError> {
+    with_str(buf, at, str::to_owned)
 }
 
 fn put_opt_str(buf: &mut BytesMut, s: &Option<String>) {
@@ -267,7 +241,8 @@ fn get_opt_str(buf: &mut Bytes, at: usize) -> Result<Option<String>, TxnError> {
 }
 
 /// Serialize one record into `buf` (no framing — the durable layer adds
-/// length + CRC32 around each record).
+/// length + CRC32 around each record). The encoder alone picks a seal's
+/// framing: the shortest one that holds it.
 pub fn encode_record(buf: &mut BytesMut, record: &LogRecord) {
     match record {
         LogRecord::Write { txn, key, value } => {
@@ -276,32 +251,26 @@ pub fn encode_record(buf: &mut BytesMut, record: &LogRecord) {
             buf.put_u64(*key);
             put_value(buf, value);
         }
-        LogRecord::Commit { txn } => {
-            buf.put_u8(TAG_COMMIT);
-            buf.put_u64(*txn);
-        }
-        LogRecord::Abort { txn } => {
-            buf.put_u8(TAG_ABORT);
-            buf.put_u64(*txn);
-        }
-        LogRecord::CommitGroup { txns, shards } => {
-            buf.put_u8(TAG_COMMIT_GROUP);
-            buf.put_u32(txns.len() as u32);
-            for txn in txns {
+        LogRecord::CommitGroup { txns, shards } => match (txns.as_slice(), shards.is_empty()) {
+            ([txn], true) => {
+                buf.put_u8(TAG_SEAL_ONE);
                 buf.put_u64(*txn);
             }
-            // Optional cross-shard suffix: absent (byte-identical to the
-            // historical framing) for single-shard seals, otherwise a
-            // count followed by (shard, first_txn) pairs.
-            if !shards.is_empty() {
-                buf.put_u32(shards.len() as u32);
-                for (shard, first_txn) in shards {
-                    buf.put_u32(*shard);
-                    buf.put_u64(*first_txn);
+            _ => {
+                buf.put_u8(TAG_SEAL);
+                buf.put_u32(txns.len() as u32);
+                for txn in txns {
+                    buf.put_u64(*txn);
+                }
+                if !shards.is_empty() {
+                    buf.put_u32(shards.len() as u32);
+                    for (shard, first_txn) in shards {
+                        buf.put_u32(*shard);
+                        buf.put_u64(*first_txn);
+                    }
                 }
             }
-        }
-        LogRecord::Checkpoint => buf.put_u8(TAG_CHECKPOINT),
+        },
         LogRecord::SourceReg {
             name,
             identity_attr,
@@ -354,6 +323,20 @@ pub fn encode_record(buf: &mut BytesMut, record: &LogRecord) {
     }
 }
 
+/// Read a `u32` count prefix for elements of at least `min_len` bytes
+/// each: errors unless the rest of `data` can hold that many, so no
+/// allocation is ever sized by an unchecked prefix.
+fn get_count(data: &mut Bytes, min_len: usize, at: usize) -> Result<usize, TxnError> {
+    if data.remaining() < 4 {
+        return Err(TxnError::CorruptLog { offset: at });
+    }
+    let n = data.get_u32() as usize;
+    if data.remaining() / min_len < n {
+        return Err(TxnError::CorruptLog { offset: at });
+    }
+    Ok(n)
+}
+
 /// Decode one record from `data` (the cursor advances past it). `at` is
 /// the logical offset used in corruption errors.
 pub fn decode_record(data: &mut Bytes, at: usize) -> Result<LogRecord, TxnError> {
@@ -362,61 +345,37 @@ pub fn decode_record(data: &mut Bytes, at: usize) -> Result<LogRecord, TxnError>
         return Err(corrupt);
     }
     let tag = data.get_u8();
+    let fixed = match tag {
+        TAG_WRITE => 16,
+        TAG_SEAL_ONE | TAG_INGEST_ROW | TAG_DISCOVER_LINKS | TAG_ENRICH => 8,
+        _ => 0,
+    };
+    if data.remaining() < fixed {
+        return Err(corrupt);
+    }
     match tag {
         TAG_WRITE => {
-            if data.remaining() < 16 {
-                return Err(corrupt);
-            }
             let txn = data.get_u64();
             let key = data.get_u64();
             let value = get_value(data, at)?;
             Ok(LogRecord::Write { txn, key, value })
         }
-        TAG_COMMIT => {
-            if data.remaining() < 8 {
-                return Err(corrupt);
-            }
-            Ok(LogRecord::Commit {
-                txn: data.get_u64(),
-            })
-        }
-        TAG_ABORT => {
-            if data.remaining() < 8 {
-                return Err(corrupt);
-            }
-            Ok(LogRecord::Abort {
-                txn: data.get_u64(),
-            })
-        }
-        TAG_COMMIT_GROUP => {
-            if data.remaining() < 4 {
-                return Err(corrupt);
-            }
-            let n = data.get_u32() as usize;
-            if data.remaining() < n.checked_mul(8).ok_or_else(|| corrupt.clone())? {
-                return Err(corrupt);
-            }
-            let mut txns = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                txns.push(data.get_u64());
-            }
-            // Cross-shard suffix, present only for multi-shard seals.
-            let mut shards = Vec::new();
-            if data.remaining() >= 4 {
-                let m = data.get_u32() as usize;
-                if data.remaining() < m.checked_mul(12).ok_or_else(|| corrupt.clone())? {
-                    return Err(corrupt);
-                }
-                shards.reserve(m.min(4096));
-                for _ in 0..m {
-                    let shard = data.get_u32();
-                    let first_txn = data.get_u64();
-                    shards.push((shard, first_txn));
-                }
-            }
+        TAG_SEAL_ONE => Ok(LogRecord::CommitGroup {
+            txns: vec![data.get_u64()],
+            shards: Vec::new(),
+        }),
+        TAG_SEAL => {
+            let n = get_count(data, 8, at)?;
+            let txns = (0..n).map(|_| data.get_u64()).collect();
+            // The participant suffix is present only for cross-shard seals.
+            let shards = if data.has_remaining() {
+                let m = get_count(data, 12, at)?;
+                (0..m).map(|_| (data.get_u32(), data.get_u64())).collect()
+            } else {
+                Vec::new()
+            };
             Ok(LogRecord::CommitGroup { txns, shards })
         }
-        TAG_CHECKPOINT => Ok(LogRecord::Checkpoint),
         TAG_SOURCE_REG => {
             let name = get_str(data, at)?;
             let identity_attr = get_opt_str(data, at)?;
@@ -426,16 +385,11 @@ pub fn decode_record(data: &mut Bytes, at: usize) -> Result<LogRecord, TxnError>
             })
         }
         TAG_INGEST_ROW => {
-            if data.remaining() < 8 {
-                return Err(corrupt);
-            }
             let txn = data.get_u64();
             let source = get_str(data, at)?;
-            if data.remaining() < 4 {
-                return Err(corrupt);
-            }
-            let n = data.get_u32() as usize;
-            let mut attrs = Vec::with_capacity(n.min(1024));
+            // An attribute is at least a length prefix and a value tag.
+            let n = get_count(data, 5, at)?;
+            let mut attrs = Vec::with_capacity(n);
             for _ in 0..n {
                 let name = get_str(data, at)?;
                 let value = get_value(data, at)?.ok_or_else(|| corrupt.clone())?;
@@ -449,18 +403,10 @@ pub fn decode_record(data: &mut Bytes, at: usize) -> Result<LogRecord, TxnError>
                 text,
             })
         }
-        TAG_DISCOVER_LINKS => {
-            if data.remaining() < 8 {
-                return Err(corrupt);
-            }
-            Ok(LogRecord::DiscoverLinks {
-                txn: data.get_u64(),
-            })
-        }
+        TAG_DISCOVER_LINKS => Ok(LogRecord::DiscoverLinks {
+            txn: data.get_u64(),
+        }),
         TAG_ENRICH => {
-            if data.remaining() < 8 {
-                return Err(corrupt);
-            }
             let key = data.get_u64();
             let value = get_value(data, at)?;
             Ok(LogRecord::Enrich { key, value })
@@ -480,283 +426,67 @@ pub fn decode_record(data: &mut Bytes, at: usize) -> Result<LogRecord, TxnError>
                 kind,
             })
         }
-        TAG_INDEX_DROP => {
-            let name = get_str(data, at)?;
-            Ok(LogRecord::IndexDrop { name })
-        }
+        TAG_INDEX_DROP => Ok(LogRecord::IndexDrop {
+            name: get_str(data, at)?,
+        }),
         _ => Err(corrupt),
     }
-}
-
-/// An append-only in-memory write-ahead log.
-#[derive(Debug, Default)]
-pub struct Wal {
-    records: Vec<LogRecord>,
-}
-
-impl Wal {
-    /// Empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a record.
-    pub fn append(&mut self, record: LogRecord) {
-        scdb_obs::metrics().inc("txn.wal.records");
-        self.records.push(record);
-    }
-
-    /// All records.
-    pub fn records(&self) -> &[LogRecord] {
-        &self.records
-    }
-
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Log compaction around the last checkpoint.
-    ///
-    /// Transactions *sealed* (committed or aborted) before the checkpoint
-    /// are fully reflected in the checkpointed state, so their records —
-    /// and the checkpoint marker itself — are dropped. Records belonging
-    /// to transactions still open at the checkpoint are **retained**:
-    /// dropping them would lose the transaction's writes if it commits
-    /// after the checkpoint (the bug this used to have). Returns the
-    /// number of records dropped.
-    pub fn compact(&mut self) -> usize {
-        let Some(pos) = self
-            .records
-            .iter()
-            .rposition(|r| matches!(r, LogRecord::Checkpoint))
-        else {
-            return 0;
-        };
-        use std::collections::HashSet;
-        let mut sealed: HashSet<u64> = HashSet::new();
-        for r in &self.records[..pos] {
-            match r {
-                LogRecord::Commit { txn } | LogRecord::Abort { txn } => {
-                    sealed.insert(*txn);
-                }
-                LogRecord::CommitGroup { txns, .. } => {
-                    sealed.extend(txns.iter().copied());
-                }
-                _ => {}
-            }
-        }
-        let before = self.records.len();
-        let tail = self.records.split_off(pos + 1);
-        let head = std::mem::take(&mut self.records);
-        let mut kept: Vec<LogRecord> = head
-            .into_iter()
-            .take(pos) // drop the checkpoint marker itself
-            .filter(|r| match r {
-                LogRecord::Write { txn, .. }
-                | LogRecord::IngestRow { txn, .. }
-                | LogRecord::DiscoverLinks { txn } => !sealed.contains(txn),
-                _ => false,
-            })
-            .collect();
-        kept.extend(tail);
-        self.records = kept;
-        before - self.records.len()
-    }
-
-    /// Serialize to bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        for r in &self.records {
-            encode_record(&mut buf, r);
-        }
-        scdb_obs::metrics().add("txn.wal.bytes", buf.len() as u64);
-        buf.freeze()
-    }
-
-    /// Decode from bytes, stopping cleanly at a torn suffix: records up to
-    /// the first malformed byte are kept, the rest is discarded (standard
-    /// crash-recovery semantics for a torn tail). Use
-    /// [`Wal::decode_reporting`] to also learn how many bytes were cut.
-    pub fn decode(data: Bytes) -> Wal {
-        Wal::decode_reporting(data).0
-    }
-
-    /// Decode from bytes, returning the log plus the number of bytes
-    /// discarded at the torn/corrupt suffix. A non-zero count is surfaced
-    /// as an `scdb-obs` warning and the `txn.wal.truncated_bytes` counter
-    /// rather than silently dropped.
-    pub fn decode_reporting(mut data: Bytes) -> (Wal, usize) {
-        let total = data.len();
-        let mut records = Vec::new();
-        let mut truncated = 0usize;
-        while data.has_remaining() {
-            let at = total - data.remaining();
-            match decode_record(&mut data, at) {
-                Ok(r) => records.push(r),
-                Err(_) => {
-                    truncated = total - at;
-                    break; // torn tail
-                }
-            }
-        }
-        if truncated > 0 {
-            scdb_obs::metrics().add("txn.wal.truncated_bytes", truncated as u64);
-            scdb_obs::warn(format!(
-                "wal: discarded {truncated} byte(s) of torn/corrupt log suffix \
-                 after {} clean record(s)",
-                records.len()
-            ));
-        }
-        (Wal { records }, truncated)
-    }
-}
-
-/// Outcome of recovery.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Committed transactions replayed.
-    pub transactions_replayed: usize,
-    /// Writes installed.
-    pub writes_installed: usize,
-    /// Transactions discarded (no commit record).
-    pub transactions_discarded: usize,
-    /// Bytes discarded at the torn/corrupt log suffix (0 when recovering
-    /// from an in-memory log that was never serialized).
-    pub bytes_truncated: usize,
-}
-
-/// Redo recovery: replay committed transactions' writes, in log order,
-/// into a fresh [`TxnManager`]. Only the kv subset (`Write`) installs
-/// state here; curation records (`IngestRow` et al.) are replayed by the
-/// core crate's `Db::open` and merely participate in commit accounting.
-pub fn recover(wal: &Wal) -> (TxnManager, RecoveryReport) {
-    recover_with_truncation(wal, 0)
-}
-
-/// [`recover`] over a serialized log, threading the torn-suffix byte
-/// count from decoding into the report.
-pub fn recover_from_bytes(data: Bytes) -> (TxnManager, RecoveryReport) {
-    let (wal, truncated) = Wal::decode_reporting(data);
-    recover_with_truncation(&wal, truncated)
-}
-
-fn recover_with_truncation(wal: &Wal, bytes_truncated: usize) -> (TxnManager, RecoveryReport) {
-    use std::collections::{HashMap, HashSet};
-    let mut committed: HashSet<u64> = HashSet::new();
-    let mut seen: HashSet<u64> = HashSet::new();
-    for r in wal.records() {
-        if let LogRecord::Commit { txn } = r {
-            committed.insert(*txn);
-        }
-        match r {
-            LogRecord::Write { txn, .. }
-            | LogRecord::Commit { txn }
-            | LogRecord::Abort { txn }
-            | LogRecord::IngestRow { txn, .. }
-            | LogRecord::DiscoverLinks { txn } => {
-                seen.insert(*txn);
-            }
-            LogRecord::CommitGroup { txns, .. } => {
-                committed.extend(txns.iter().copied());
-                seen.extend(txns.iter().copied());
-            }
-            LogRecord::Checkpoint
-            | LogRecord::SourceReg { .. }
-            | LogRecord::Enrich { .. }
-            | LogRecord::IndexCreate { .. }
-            | LogRecord::IndexDrop { .. } => {}
-        }
-    }
-    let tm = TxnManager::new();
-    let mut writes_installed = 0;
-    // Group writes per transaction preserving order, then install per
-    // commit order (log order approximates it).
-    let mut buffered: HashMap<u64, Vec<(u64, Option<Value>)>> = HashMap::new();
-    for r in wal.records() {
-        match r {
-            LogRecord::Write { txn, key, value } => {
-                buffered
-                    .entry(*txn)
-                    .or_default()
-                    .push((*key, value.clone()));
-            }
-            LogRecord::Commit { txn } => {
-                if let Some(ws) = buffered.remove(txn) {
-                    for (key, value) in ws {
-                        tm.install_raw(key, value, VersionOrigin::Explicit);
-                        writes_installed += 1;
-                    }
-                }
-            }
-            LogRecord::CommitGroup { txns, .. } => {
-                for txn in txns {
-                    if let Some(ws) = buffered.remove(txn) {
-                        for (key, value) in ws {
-                            tm.install_raw(key, value, VersionOrigin::Explicit);
-                            writes_installed += 1;
-                        }
-                    }
-                }
-            }
-            LogRecord::Enrich { key, value } => {
-                tm.install_raw(*key, value.clone(), VersionOrigin::Enrichment);
-                writes_installed += 1;
-            }
-            _ => {}
-        }
-    }
-    let report = RecoveryReport {
-        transactions_replayed: committed.len(),
-        writes_installed,
-        transactions_discarded: seen.len().saturating_sub(committed.len()),
-        bytes_truncated,
-    };
-    (tm, report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::{DurableWal, FsyncPolicy, WalStore};
+    use crate::fault::FailpointLog;
+    use crate::mvcc::TxnManager;
 
-    fn sample() -> Wal {
-        let mut wal = Wal::new();
-        wal.append(LogRecord::Write {
-            txn: 1,
-            key: 10,
-            value: Some(Value::Int(1)),
-        });
-        wal.append(LogRecord::Write {
-            txn: 2,
-            key: 20,
-            value: Some(Value::str("uncommitted")),
-        });
-        wal.append(LogRecord::Commit { txn: 1 });
-        wal.append(LogRecord::Write {
-            txn: 3,
-            key: 30,
-            value: None,
-        });
-        wal.append(LogRecord::Abort { txn: 3 });
-        wal
+    fn encode(record: &LogRecord) -> Bytes {
+        let mut buf = BytesMut::new();
+        encode_record(&mut buf, record);
+        buf.freeze()
+    }
+
+    fn assert_roundtrip(records: &[LogRecord]) {
+        for r in records {
+            let mut bytes = encode(r);
+            assert_eq!(&decode_record(&mut bytes, 0).unwrap(), r);
+            assert!(bytes.is_empty(), "{r:?} decodes to its last byte");
+        }
+    }
+
+    fn open(log: &FailpointLog) -> (DurableWal, crate::durable::WalRecovery) {
+        DurableWal::open(Box::new(log.clone()), FsyncPolicy::Always, 1 << 20).unwrap()
+    }
+
+    fn sample() -> Vec<LogRecord> {
+        vec![
+            LogRecord::Write {
+                txn: 1,
+                key: 10,
+                value: Some(Value::Int(1)),
+            },
+            LogRecord::Write {
+                txn: 2,
+                key: 20,
+                value: Some(Value::str("uncommitted")),
+            },
+            LogRecord::seal(&[1], &[]),
+            LogRecord::Write {
+                txn: 3,
+                key: 30,
+                value: None,
+            },
+        ]
     }
 
     #[test]
     fn encode_decode_roundtrip() {
-        let wal = sample();
-        let decoded = Wal::decode(wal.encode());
-        assert_eq!(decoded.records(), wal.records());
+        assert_roundtrip(&sample());
     }
 
     #[test]
     fn roundtrip_all_value_kinds() {
-        let mut wal = Wal::new();
-        for v in [
+        let writes: Vec<LogRecord> = [
             None,
             Some(Value::Null),
             Some(Value::Bool(true)),
@@ -764,248 +494,147 @@ mod tests {
             Some(Value::Float(2.5)),
             Some(Value::str("héllo")),
             Some(Value::Timestamp(99)),
-        ] {
-            wal.append(LogRecord::Write {
-                txn: 1,
-                key: 0,
-                value: v,
-            });
-        }
-        let decoded = Wal::decode(wal.encode());
-        assert_eq!(decoded.records(), wal.records());
+        ]
+        .into_iter()
+        .map(|value| LogRecord::Write {
+            txn: 1,
+            key: 0,
+            value,
+        })
+        .collect();
+        assert_roundtrip(&writes);
     }
 
     #[test]
     fn roundtrip_curation_records() {
-        let mut wal = Wal::new();
-        wal.append(LogRecord::SourceReg {
-            name: "drugbank".into(),
-            identity_attr: Some("drug".into()),
-        });
-        wal.append(LogRecord::SourceReg {
-            name: "free".into(),
-            identity_attr: None,
-        });
-        wal.append(LogRecord::IngestRow {
-            txn: (1 << 63) | 7,
-            source: "drugbank".into(),
-            attrs: vec![
-                ("drug".into(), Value::str("Warfarin")),
-                ("dose".into(), Value::Float(5.1)),
-                ("ok".into(), Value::Bool(true)),
-            ],
-            text: Some("an anticoagulant".into()),
-        });
-        wal.append(LogRecord::DiscoverLinks { txn: (1 << 63) | 8 });
-        wal.append(LogRecord::Enrich {
-            key: 42,
-            value: Some(Value::Int(9)),
-        });
-        wal.append(LogRecord::Enrich {
-            key: 42,
-            value: None,
-        });
-        let decoded = Wal::decode(wal.encode());
-        assert_eq!(decoded.records(), wal.records());
+        assert_roundtrip(&[
+            LogRecord::SourceReg {
+                name: "drugbank".into(),
+                identity_attr: Some("drug".into()),
+            },
+            LogRecord::SourceReg {
+                name: "free".into(),
+                identity_attr: None,
+            },
+            LogRecord::IngestRow {
+                txn: (1 << 63) | 7,
+                source: "drugbank".into(),
+                attrs: vec![
+                    ("drug".into(), Value::str("Warfarin")),
+                    ("dose".into(), Value::Float(5.1)),
+                    ("ok".into(), Value::Bool(true)),
+                ],
+                text: Some("an anticoagulant".into()),
+            },
+            LogRecord::DiscoverLinks { txn: (1 << 63) | 8 },
+            LogRecord::Enrich {
+                key: 42,
+                value: Some(Value::Int(9)),
+            },
+            LogRecord::Enrich {
+                key: 42,
+                value: None,
+            },
+        ]);
     }
 
     #[test]
     fn roundtrip_index_records() {
-        let mut wal = Wal::new();
-        wal.append(LogRecord::IndexCreate {
-            name: "ix_drug".into(),
-            source: "drugbank".into(),
-            attr: "drug".into(),
-            kind: 0,
-        });
-        wal.append(LogRecord::IndexCreate {
-            name: "ix_dose".into(),
-            source: "drugbank".into(),
-            attr: "dose".into(),
-            kind: 1,
-        });
-        wal.append(LogRecord::IndexDrop {
-            name: "ix_drug".into(),
-        });
-        let decoded = Wal::decode(wal.encode());
-        assert_eq!(decoded.records(), wal.records());
-        // Auto-sealed: recovery must not treat them as open-transaction
-        // work nor report torn bytes.
-        let (_, report) = recover_from_bytes(wal.encode());
-        assert_eq!(report.bytes_truncated, 0);
-        assert_eq!(report.transactions_discarded, 0);
+        assert_roundtrip(&[
+            LogRecord::IndexCreate {
+                name: "ix_drug".into(),
+                source: "drugbank".into(),
+                attr: "drug".into(),
+                kind: 0,
+            },
+            LogRecord::IndexCreate {
+                name: "ix_dose".into(),
+                source: "drugbank".into(),
+                attr: "dose".into(),
+                kind: 1,
+            },
+            LogRecord::IndexDrop {
+                name: "ix_drug".into(),
+            },
+        ]);
     }
 
     #[test]
     fn commit_group_roundtrip_and_recovery() {
-        let mut wal = Wal::new();
-        for txn in [4u64, 5, 6] {
-            wal.append(LogRecord::Write {
-                txn,
-                key: txn * 10,
-                value: Some(Value::Int(txn as i64)),
-            });
-        }
-        // txn 7 is in the log but not in the group seal: discarded.
-        wal.append(LogRecord::Write {
-            txn: 7,
-            key: 70,
-            value: Some(Value::Int(7)),
-        });
-        wal.append(LogRecord::CommitGroup {
-            txns: vec![4, 5, 6],
-            shards: Vec::new(),
-        });
-        let decoded = Wal::decode(wal.encode());
-        assert_eq!(decoded.records(), wal.records());
-        let (tm, report) = recover(&wal);
-        assert_eq!(report.transactions_replayed, 3);
-        assert_eq!(report.transactions_discarded, 1);
-        for txn in [4u64, 5, 6] {
-            assert_eq!(tm.read_latest(txn * 10), Some(Value::Int(txn as i64)));
-        }
-        assert_eq!(tm.read_latest(70), None, "outside the group seal");
-        // An empty group is legal on the wire (a fully-invalid batch).
-        let mut empty = Wal::new();
-        empty.append(LogRecord::CommitGroup {
-            txns: vec![],
-            shards: Vec::new(),
-        });
-        assert_eq!(Wal::decode(empty.encode()).records(), empty.records());
-    }
-
-    #[test]
-    fn compaction_treats_group_seal_like_commit() {
-        let mut wal = Wal::new();
-        wal.append(LogRecord::Write {
-            txn: 1,
-            key: 10,
-            value: Some(Value::Int(1)),
-        });
-        wal.append(LogRecord::Write {
-            txn: 2,
-            key: 20,
-            value: Some(Value::Int(2)),
-        });
-        wal.append(LogRecord::CommitGroup {
-            txns: vec![1, 2],
-            shards: Vec::new(),
-        });
-        wal.append(LogRecord::Write {
-            txn: 3,
-            key: 30,
-            value: Some(Value::Int(3)),
-        });
-        wal.append(LogRecord::Checkpoint);
-        wal.append(LogRecord::CommitGroup {
-            txns: vec![3],
-            shards: Vec::new(),
-        });
-        wal.compact();
-        // Group-sealed txns 1 and 2 are folded into the checkpoint; txn 3
-        // was open at the checkpoint, so its write and later seal survive.
-        let (tm, report) = recover(&wal);
-        assert_eq!(report.transactions_replayed, 1);
-        assert_eq!(tm.read_latest(30), Some(Value::Int(3)));
-        assert_eq!(tm.read_latest(10), None, "compacted into checkpoint");
+        let seals = [
+            LogRecord::seal(&[], &[]),
+            LogRecord::seal(&[4], &[]),
+            LogRecord::seal(&[4, 5, 6], &[(0, 4)]),
+            LogRecord::seal(&[7], &[(0, 3), (2, 7)]),
+        ];
+        // A one-shard participant vector is dropped: it gates nothing.
+        assert_eq!(seals[2], LogRecord::seal(&[4, 5, 6], &[]));
+        assert_eq!(encode(&seals[1]).len(), 9, "lone seal: tag + txn");
+        assert_eq!(encode(&seals[3]).as_slice()[0], TAG_SEAL);
+        assert_roundtrip(&seals);
+        // Whatever the framing, the seals come back from the medium as
+        // built.
+        let log = FailpointLog::new();
+        open(&log).0.append_sealed(&seals).unwrap();
+        assert_eq!(open(&log).1.records, seals);
     }
 
     #[test]
     fn torn_tail_truncated() {
-        let wal = sample();
-        let bytes = wal.encode();
-        // Cut mid-record.
-        let torn = bytes.slice(0..bytes.len() - 3);
-        let (decoded, truncated) = Wal::decode_reporting(torn);
-        assert!(decoded.len() < wal.len());
-        assert!(decoded.len() >= 3, "prefix preserved");
-        assert!(truncated > 0, "cut bytes are reported, not swallowed");
-    }
-
-    #[test]
-    fn recovery_replays_only_committed() {
-        let wal = sample();
-        let (tm, report) = recover(&wal);
-        assert_eq!(report.transactions_replayed, 1);
-        assert_eq!(report.writes_installed, 1);
-        assert_eq!(report.transactions_discarded, 2);
-        assert_eq!(report.bytes_truncated, 0);
-        assert_eq!(tm.read_latest(10), Some(Value::Int(1)));
-        assert_eq!(tm.read_latest(20), None, "uncommitted write dropped");
-        assert_eq!(tm.read_latest(30), None, "aborted write dropped");
+        for r in sample() {
+            let bytes = encode(&r);
+            for cut in 0..bytes.len() {
+                let mut torn = bytes.slice(0..cut);
+                assert!(decode_record(&mut torn, 0).is_err(), "{r:?} cut at {cut}");
+            }
+        }
     }
 
     #[test]
     fn crash_recover_end_to_end() {
-        // Run real transactions, logging as we go.
+        // Real transactions logged as they commit; the second one crashes
+        // before its seal. The log hands back every clean record — the
+        // unsealed tail included — and leaves commit gating to its
+        // reader.
         let tm = TxnManager::new();
-        let mut wal = Wal::new();
+        let log = FailpointLog::new();
+        let (mut wal, _) = open(&log);
         let mut t = tm.begin();
         t.write(1, Value::Int(100)).unwrap();
-        wal.append(LogRecord::Write {
+        let write = LogRecord::Write {
             txn: t.id(),
             key: 1,
             value: Some(Value::Int(100)),
-        });
+        };
+        wal.append_sealed(&[write.clone(), LogRecord::seal(&[t.id()], &[])])
+            .unwrap();
         tm.commit(&mut t).unwrap();
-        wal.append(LogRecord::Commit { txn: t.id() });
-
-        let mut t2 = tm.begin();
-        t2.write(2, Value::Int(200)).unwrap();
-        wal.append(LogRecord::Write {
+        let t2 = tm.begin();
+        let doomed = LogRecord::Write {
             txn: t2.id(),
             key: 2,
             value: Some(Value::Int(200)),
-        });
-        // Crash before commit record.
-        let bytes = wal.encode();
-        let (recovered, report) = recover_from_bytes(bytes);
-        assert_eq!(recovered.read_latest(1), Some(Value::Int(100)));
-        assert_eq!(recovered.read_latest(2), None);
-        assert_eq!(report.transactions_discarded, 1);
-    }
-
-    #[test]
-    fn compaction_drops_sealed_keeps_unsealed() {
-        let mut wal = sample();
-        wal.append(LogRecord::Checkpoint);
-        wal.append(LogRecord::Commit { txn: 9 });
-        let dropped = wal.compact();
-        // txn 1 (committed) and txn 3 (aborted) are sealed before the
-        // checkpoint: their three records plus the commit/abort seals and
-        // the checkpoint marker go. txn 2 is still open: its write stays.
-        assert_eq!(dropped, 5);
-        assert_eq!(wal.len(), 2);
-        assert!(matches!(wal.records()[0], LogRecord::Write { txn: 2, .. }));
-        assert!(matches!(wal.records()[1], LogRecord::Commit { txn: 9 }));
-        assert_eq!(wal.compact(), 0, "no checkpoint left");
-    }
-
-    #[test]
-    fn compaction_never_loses_txn_that_commits_after_checkpoint() {
-        // The regression the old drain-everything compaction had: a write
-        // lands, a checkpoint runs while the txn is open, the txn commits,
-        // then we compact again — the write must still replay.
-        let mut wal = Wal::new();
-        wal.append(LogRecord::Write {
-            txn: 5,
-            key: 50,
-            value: Some(Value::Int(500)),
-        });
-        wal.append(LogRecord::Checkpoint);
-        wal.append(LogRecord::Commit { txn: 5 });
-        wal.compact();
-        let (tm, report) = recover(&wal);
-        assert_eq!(report.transactions_replayed, 1);
-        assert_eq!(tm.read_latest(50), Some(Value::Int(500)));
+        };
+        wal.append_sealed(std::slice::from_ref(&doomed)).unwrap();
+        log.crash();
+        std::mem::forget(wal);
+        let (mut wal, rec) = open(&log);
+        assert_eq!(
+            rec.records,
+            vec![write, LogRecord::seal(&[t.id()], &[]), doomed]
+        );
+        assert!(wal.next_txn_id() > t2.id(), "ids resume past the tail");
     }
 
     #[test]
     fn garbage_bytes_yield_empty_log_with_reported_truncation() {
-        let (decoded, truncated) = Wal::decode_reporting(Bytes::from_static(&[0xFF, 0x00, 0x01]));
-        assert!(decoded.is_empty());
-        assert_eq!(truncated, 3, "corrupt suffix byte count is threaded out");
-        let (_, report) = recover_from_bytes(Bytes::from_static(&[0xFF, 0x00, 0x01]));
-        assert_eq!(report.bytes_truncated, 3);
+        // A frame whose checksum holds but whose payload is no record.
+        let log = FailpointLog::new();
+        let garbage = crate::frame::frame_bytes(&[0xFF, 0x00, 0x01]);
+        log.clone().append("wal-00000001.seg", &garbage).unwrap();
+        let (_wal, rec) = open(&log);
+        assert!(rec.records.is_empty());
+        assert_eq!(rec.report.bytes_truncated, garbage.len() as u64);
+        assert!(rec.report.corrupt_tail, "undecodable payload is corruption");
     }
 }

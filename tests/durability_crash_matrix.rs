@@ -233,7 +233,7 @@ fn lying_fsync_then_power_loss_loses_only_the_unsynced_suffix() {
     // The next commit's fsync lies: it reports success but persists none
     // of the pending bytes. The write is then lost to the power cut —
     // the recovered state must still be the clean committed prefix.
-    live.arm_partial_sync(0);
+    live.plan().lying_fsync(0);
     db.kv_enrich(99, Value::Int(-1)).unwrap();
     live.crash();
     drop(db);
@@ -249,7 +249,7 @@ fn transient_interrupts_are_retried_transparently() {
     let reference = Db::builder().build();
     for (i, op) in ops.iter().enumerate() {
         if i % 4 == 0 {
-            live.arm_interrupts(2); // below the bounded-retry limit
+            live.plan().interrupt_next(2); // below the bounded-retry limit
         }
         apply(&db, op).unwrap_or_else(|e| panic!("op {i} not retried: {e}"));
         apply(&reference, op).unwrap();
@@ -499,7 +499,6 @@ fn crash_mid_index_create_discards_or_keeps_the_whole_definition() {
 
 #[test]
 fn enospc_mid_checkpoint_recovers_pre_checkpoint_snapshot_plus_wal() {
-    use scdb_txn::FaultPlan;
     // The medium fills up partway through writing checkpoint #2's
     // staging snapshot. Nothing is lost: a crashed fork must recover
     // from checkpoint #1's snapshot plus the complete WAL suffix —
@@ -513,11 +512,9 @@ fn enospc_mid_checkpoint_recovers_pre_checkpoint_snapshot_plus_wal() {
         17,
     );
     let live = FailpointLog::new();
-    let plan = FaultPlan::new();
-    let handle = plan.handle();
+    let plan = live.plan();
     let db = Db::builder()
         .durability_config(DurabilityConfig::store(Box::new(live.clone())))
-        .fault_injection(plan.clone())
         .open()
         .expect("open injected store");
     let reference = Db::builder().build();
@@ -533,9 +530,7 @@ fn enospc_mid_checkpoint_recovers_pre_checkpoint_snapshot_plus_wal() {
 
     // ENOSPC 32 bytes into the next append: checkpoint #2's snapshot
     // write lands a partial `.tmp` prefix and dies.
-    let _ = plan
-        .clone()
-        .enospc_after_bytes(handle.appended_bytes() + 32);
+    let _ = plan.clone().enospc_after_bytes(plan.appended_bytes() + 32);
     db.checkpoint()
         .expect_err("checkpoint #2 hits the full medium");
     assert!(

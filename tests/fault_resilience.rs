@@ -1,6 +1,6 @@
 //! Storage-fault resilience (ISSUE 8 tentpole acceptance).
 //!
-//! A [`FaultPlan`] fires deterministic storage faults against a *live*
+//! A `FaultPlan` fires deterministic storage faults against a *live*
 //! durable [`Db`] and the tests observe how the engine behaves while
 //! the fault is happening: a persistent fsync failure trips degraded
 //! read-only mode (reads keep serving, writes fail fast, no ticket
@@ -12,8 +12,7 @@
 
 use std::time::{Duration, Instant};
 
-use scdb_core::{CoreError, Db, DbMode, DurabilityConfig, FaultPlan, IngestConfig};
-use scdb_txn::FailpointLog;
+use scdb_core::{CoreError, Db, DbMode, DurabilityConfig, FailpointLog, IngestConfig};
 use scdb_types::{Record, Value};
 
 fn row(db: &Db, i: i64) -> Record {
@@ -38,11 +37,9 @@ fn wait_until(what: &str, timeout: Duration, mut done: impl FnMut() -> bool) {
 #[test]
 fn persistent_fsync_failure_degrades_then_recovers_without_reopen() {
     let log = FailpointLog::new();
-    let plan = FaultPlan::new();
-    let handle = plan.handle();
+    let plan = log.plan();
     let db = Db::builder()
         .durability_config(DurabilityConfig::store(Box::new(log.clone())))
-        .fault_injection(plan.clone())
         .open()
         .expect("open durable db");
     db.register_source("trials", Some("name"));
@@ -94,7 +91,7 @@ fn persistent_fsync_failure_degrades_then_recovers_without_reopen() {
 
     // Clear the fault: the recovery probe re-arms durability without a
     // reopen (exponential backoff starts at 50 ms).
-    handle.clear();
+    plan.clear();
     wait_until(
         "recovery probe to re-arm the node",
         Duration::from_secs(10),
@@ -132,11 +129,9 @@ fn persistent_fsync_failure_degrades_then_recovers_without_reopen() {
 #[test]
 fn try_recover_is_a_manual_probe() {
     let log = FailpointLog::new();
-    let plan = FaultPlan::new();
-    let handle = plan.handle();
+    let plan = log.plan();
     let db = Db::builder()
         .durability_config(DurabilityConfig::store(Box::new(log.clone())))
-        .fault_injection(plan.clone())
         .open()
         .unwrap();
     db.register_source("s", None);
@@ -145,7 +140,7 @@ fn try_recover_is_a_manual_probe() {
     assert!(db.mode().is_degraded());
     // While the fault persists, a manual probe stays degraded.
     assert!(db.try_recover().is_degraded());
-    handle.clear();
+    plan.clear();
     // Once it clears, the manual probe recovers immediately — no need
     // to wait out the background backoff.
     assert!(matches!(db.try_recover(), DbMode::Normal));
@@ -157,11 +152,10 @@ fn committer_panic_mid_batch_resolves_every_ticket_and_restarts() {
     let panics_before = scdb_obs::metrics().counter("core.thread.panics").get();
     let restarts_before = scdb_obs::metrics().counter("core.thread.restarts").get();
     let log = FailpointLog::new();
-    let plan = FaultPlan::new();
+    let plan = log.plan();
     let db = Db::builder()
         .durability_config(DurabilityConfig::store(Box::new(log.clone())))
         .ingest_config(IngestConfig::queued(64))
-        .fault_injection(plan.clone())
         .open()
         .expect("open queued durable db");
     db.register_source("trials", Some("name"));
@@ -215,11 +209,10 @@ fn committer_panic_mid_batch_resolves_every_ticket_and_restarts() {
 #[test]
 fn degraded_mode_fails_queued_tickets_fast() {
     let log = FailpointLog::new();
-    let plan = FaultPlan::new();
+    let plan = log.plan();
     let db = Db::builder()
         .durability_config(DurabilityConfig::store(Box::new(log.clone())))
         .ingest_config(IngestConfig::queued(32))
-        .fault_injection(plan.clone())
         .open()
         .unwrap();
     db.register_source("s", Some("name"));
@@ -259,11 +252,9 @@ fn degraded_mode_fails_queued_tickets_fast() {
 #[test]
 fn failed_checkpoint_leaves_no_staging_file() {
     let log = FailpointLog::new();
-    let plan = FaultPlan::new();
-    let handle = plan.handle();
+    let plan = log.plan();
     let db = Db::builder()
         .durability_config(DurabilityConfig::store(Box::new(log.clone())))
-        .fault_injection(plan.clone())
         .open()
         .unwrap();
     db.register_source("trials", Some("name"));
@@ -277,9 +268,7 @@ fn failed_checkpoint_leaves_no_staging_file() {
 
     // The medium fills 16 bytes into the *next* append — the snapshot
     // staging write — so the checkpoint dies with a partial `.tmp`.
-    let _ = plan
-        .clone()
-        .enospc_after_bytes(handle.appended_bytes() + 16);
+    let _ = plan.clone().enospc_after_bytes(plan.appended_bytes() + 16);
     let err = db.checkpoint().unwrap_err();
     assert!(matches!(err, CoreError::Txn(_)), "checkpoint failed: {err}");
     assert!(
@@ -290,7 +279,7 @@ fn failed_checkpoint_leaves_no_staging_file() {
 
     // The ENOSPC write tripped degraded mode; clear and recover, then a
     // retried checkpoint succeeds and the node keeps curating.
-    handle.clear();
+    plan.clear();
     wait_until("recovery after ENOSPC", Duration::from_secs(10), || {
         !db.try_recover().is_degraded()
     });

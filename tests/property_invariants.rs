@@ -9,8 +9,7 @@ use proptest::prelude::*;
 use scdb_storage::cluster::{ClusterStrategy, ClusteredLayout, CoAccessTracker};
 use scdb_storage::column::{ColumnSegment, Encoding};
 use scdb_storage::page::PageConfig;
-use scdb_txn::wal::recover;
-use scdb_txn::{LogRecord, Wal};
+use scdb_txn::{DurableWal, FailpointLog, FsyncPolicy, LogRecord};
 use scdb_types::Value;
 use scdb_uncertain::{t_conorm, t_norm, Evidence, TNorm};
 
@@ -68,29 +67,40 @@ proptest! {
         prop_assert_eq!(seg.decode(), values);
     }
 
-    /// WAL decode(encode(w)) is the identity, and any truncation of the
-    /// byte stream yields a prefix of the records (crash safety).
+    /// The durable log hands back exactly what was appended, and a cut of
+    /// its durable image at any byte reopens to a prefix of the appended
+    /// records (crash safety).
     #[test]
     fn wal_roundtrip_and_truncation(
         writes in proptest::collection::vec((any::<u64>(), any::<u64>(), arb_scalar()), 0..20),
         cut in any::<u16>(),
     ) {
-        let mut wal = Wal::new();
-        for (txn, key, v) in &writes {
-            wal.append(LogRecord::Write { txn: *txn, key: *key, value: Some(v.clone()) });
-            wal.append(LogRecord::Commit { txn: *txn });
+        let log = FailpointLog::new();
+        let reopen = || {
+            DurableWal::open(Box::new(log.clone()), FsyncPolicy::Always, 1 << 20)
+                .unwrap()
+                .1
+                .records
+        };
+        let mut appended = Vec::new();
+        {
+            let (mut wal, _) =
+                DurableWal::open(Box::new(log.clone()), FsyncPolicy::Always, 1 << 20).unwrap();
+            for (txn, key, v) in &writes {
+                let sealed = [
+                    LogRecord::Write { txn: *txn, key: *key, value: Some(v.clone()) },
+                    LogRecord::seal(&[*txn], &[]),
+                ];
+                wal.append_sealed(&sealed).unwrap();
+                appended.extend(sealed);
+            }
         }
-        let bytes = wal.encode();
-        let decoded = Wal::decode(bytes.clone());
-        prop_assert_eq!(decoded.records(), wal.records());
-        // Truncation: decoded records are a prefix.
-        let cut = (cut as usize) % (bytes.len() + 1);
-        let torn = Wal::decode(bytes.slice(0..cut));
-        prop_assert!(torn.len() <= wal.len());
-        prop_assert_eq!(torn.records(), &wal.records()[..torn.len()]);
-        // Recovery never replays more transactions than committed.
-        let (_tm, report) = recover(&torn);
-        prop_assert!(report.transactions_replayed <= writes.len());
+        prop_assert_eq!(reopen(), appended.clone());
+        let seg = "wal-00000001.seg";
+        log.cut_durable(seg, u64::from(cut) % (log.durable_len(seg) + 1));
+        let torn = reopen();
+        prop_assert!(torn.len() <= appended.len());
+        prop_assert_eq!(&torn[..], &appended[..torn.len()]);
     }
 
     /// Cluster layouts are permutations for every strategy and any

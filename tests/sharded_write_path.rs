@@ -360,7 +360,6 @@ fn decoded_segments(log: &FailpointLog) -> Vec<(String, Vec<String>)> {
                 .map(|r| match r {
                     LogRecord::SourceReg { .. } => "SourceReg".to_string(),
                     LogRecord::IngestRow { .. } => "IngestRow".to_string(),
-                    LogRecord::Commit { .. } => "Commit".to_string(),
                     LogRecord::CommitGroup { txns, shards } => {
                         let participants: Vec<u32> = shards.iter().map(|(s, _)| *s).collect();
                         format!("CommitGroup({} txns, shards {participants:?})", txns.len())
@@ -369,6 +368,22 @@ fn decoded_segments(log: &FailpointLog) -> Vec<(String, Vec<String>)> {
                 })
                 .collect();
             (name, labels)
+        })
+        .collect()
+}
+
+/// `(file name, byte length, FNV-1a hash)` of every segment on `log`,
+/// in file-name order: pins the bytes, not just the decoded records.
+fn segment_digests(log: &FailpointLog) -> Vec<(String, usize, u64)> {
+    log.file_names()
+        .into_iter()
+        .filter(|name| name.ends_with(".seg"))
+        .map(|name| {
+            let data = WalStore::read(log, &name).expect("read segment");
+            let hash = data.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            });
+            (name, data.len(), hash)
         })
         .collect()
 }
@@ -406,13 +421,14 @@ fn labels(items: &[&str]) -> Vec<String> {
     items.iter().map(|s| s.to_string()).collect()
 }
 
-/// The on-disk framing the commit path must not move (ISSUE 16): which
-/// record kinds a commit writes, in what order, into which file. One
-/// row seals with `Commit`; a same-shard batch with a `CommitGroup`
-/// whose participant vector is empty; a cross-shard batch with the
-/// identical non-empty vector in every participant's log. An unsharded
-/// database writes the unsuffixed `wal-*.seg`; shard `k` of a sharded
-/// one writes `wal-s<k>-*.seg`.
+/// The on-disk framing the commit path must not move: which record
+/// kinds a commit writes, in what order, into which file — and, pinned
+/// by length and FNV-1a hash, the exact bytes. One row seals with a
+/// one-txn seal (the encoder's 9-byte framing); a same-shard batch with
+/// a seal whose participant vector is empty; a cross-shard batch with
+/// the identical non-empty vector in every participant's log. An
+/// unsharded database writes the unsuffixed `wal-*.seg`; shard `k` of a
+/// sharded one writes `wal-s<k>-*.seg`.
 #[test]
 fn commit_framing_is_pinned_for_one_and_two_shards() {
     // 1 shard: every key is home, one unsuffixed log, no shard vectors.
@@ -430,7 +446,7 @@ fn commit_framing_is_pinned_for_one_and_two_shards() {
             labels(&[
                 "SourceReg",
                 "IngestRow",
-                "Commit",
+                "CommitGroup(1 txns, shards [])",
                 "IngestRow",
                 "IngestRow",
                 "IngestRow",
@@ -440,6 +456,10 @@ fn commit_framing_is_pinned_for_one_and_two_shards() {
                 "CommitGroup(2 txns, shards [])",
             ])
         )]
+    );
+    assert_eq!(
+        segment_digests(&log),
+        vec![("wal-00000001.seg".to_string(), 532, 0x1c76_8052_5c13_67f6)]
     );
 
     // 2 shards: the same schedule splits its last batch over both logs.
@@ -455,7 +475,7 @@ fn commit_framing_is_pinned_for_one_and_two_shards() {
                 labels(&[
                     "SourceReg",
                     "IngestRow",
-                    "Commit",
+                    "CommitGroup(1 txns, shards [])",
                     "IngestRow",
                     "IngestRow",
                     "IngestRow",
@@ -485,6 +505,21 @@ fn commit_framing_is_pinned_for_one_and_two_shards() {
         vectors.push(shards.clone());
     }
     assert_eq!(vectors[0], vectors[1], "one vector, sealed twice");
+    assert_eq!(
+        segment_digests(&log),
+        vec![
+            (
+                "wal-s0-00000001.seg".to_string(),
+                482,
+                0x7ca3_f426_97ce_0130
+            ),
+            (
+                "wal-s1-00000001.seg".to_string(),
+                147,
+                0xe435_7cd1_53bb_66fe
+            ),
+        ]
+    );
 }
 
 /// First differential arm of ROADMAP item E: a shard is a whole

@@ -1,10 +1,9 @@
 //! FS.11 integration: concurrent user transactions vs continuous
-//! enrichment, under both isolation regimes, plus WAL crash recovery of a
-//! curated store, log compaction under concurrent ingest, and the kv /
-//! isolation surface of the `Db` facade.
+//! enrichment, under both isolation regimes, plus crash recovery of
+//! durably committed kv writes and the kv / isolation surface of the
+//! `Db` facade.
 
-use scdb_txn::wal::recover;
-use scdb_txn::{EnrichedDb, IsolationMode, LogRecord, TxnManager, Wal};
+use scdb_txn::{EnrichedDb, IsolationMode};
 use scdb_types::Value;
 
 #[test]
@@ -75,129 +74,38 @@ fn concurrent_writers_and_curation_threads() {
     assert!(db.read(&mut t, 1005).is_some());
 }
 
+/// Fifty durable kv commits, then power loss tears the last one's seal:
+/// the reopened store holds exactly the first 49 and reports the torn
+/// transaction as discarded.
 #[test]
 fn wal_roundtrip_of_curated_writes() {
-    let tm = TxnManager::new();
-    let mut wal = Wal::new();
-    for i in 0..50u64 {
-        let mut t = tm.begin();
-        t.write(i, Value::Int(i as i64 * 2)).unwrap();
-        wal.append(LogRecord::Write {
-            txn: t.id(),
-            key: i,
-            value: Some(Value::Int(i as i64 * 2)),
-        });
-        tm.commit(&mut t).unwrap();
-        wal.append(LogRecord::Commit { txn: t.id() });
-    }
-    // One in-flight transaction lost in the crash.
-    let mut doomed = tm.begin();
-    doomed.write(999, Value::str("lost")).unwrap();
-    wal.append(LogRecord::Write {
-        txn: doomed.id(),
-        key: 999,
-        value: Some(Value::str("lost")),
-    });
+    use scdb_core::{Db, DurabilityConfig, FailpointLog};
 
-    let bytes = wal.encode();
-    let (recovered, report) = recover(&Wal::decode(bytes));
-    assert_eq!(report.transactions_replayed, 50);
-    assert_eq!(report.transactions_discarded, 1);
-    for i in 0..50u64 {
-        assert_eq!(recovered.read_latest(i), Some(Value::Int(i as i64 * 2)));
-    }
-    assert_eq!(recovered.read_latest(999), None);
-}
-
-/// Compaction vs checkpoint under concurrent ingest: writer threads
-/// append `Write` … `Commit` batches while a compactor repeatedly drops
-/// a checkpoint marker, captures the checkpointed state, and compacts.
-/// A transaction that is unsealed at a checkpoint must survive
-/// compaction and commit later — no committed write may be lost between
-/// the cumulative checkpoint state and the remaining log.
-#[test]
-fn compaction_never_drops_unsealed_txns_under_concurrent_ingest() {
-    use std::collections::HashMap;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, Mutex};
-
-    let wal = Arc::new(Mutex::new(Wal::new()));
-    let committed: Arc<Mutex<Vec<(u64, i64)>>> = Arc::new(Mutex::new(Vec::new()));
-    let stop = Arc::new(AtomicBool::new(false));
-
-    let mut writers = Vec::new();
-    for w in 0..3u64 {
-        let wal = Arc::clone(&wal);
-        let committed = Arc::clone(&committed);
-        writers.push(std::thread::spawn(move || {
-            for i in 0..150u64 {
-                // Unique txn id and key per write: "latest value" is
-                // unambiguous regardless of thread interleaving.
-                let txn = w * 10_000 + i + 1;
-                let key = w * 10_000 + i;
-                let value = (w * 1_000 + i) as i64;
-                wal.lock().unwrap().append(LogRecord::Write {
-                    txn,
-                    key,
-                    value: Some(Value::Int(value)),
-                });
-                // Invite a checkpoint between the write and its seal.
-                std::thread::yield_now();
-                wal.lock().unwrap().append(LogRecord::Commit { txn });
-                committed.lock().unwrap().push((key, value));
-            }
-        }));
-    }
-
-    let compactor = {
-        let wal = Arc::clone(&wal);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut base: HashMap<u64, Option<Value>> = HashMap::new();
-            let mut dropped = 0usize;
-            let mut checkpoints = 0usize;
-            while !stop.load(Ordering::Relaxed) {
-                {
-                    let mut wal = wal.lock().unwrap();
-                    wal.append(LogRecord::Checkpoint);
-                    // The checkpointed state is cumulative: everything
-                    // sealed so far, merged over earlier checkpoints.
-                    let (tm, _) = recover(&wal);
-                    for (k, v, _) in tm.latest_entries() {
-                        base.insert(k, v);
-                    }
-                    dropped += wal.compact();
-                    checkpoints += 1;
-                }
-                std::thread::sleep(std::time::Duration::from_micros(200));
-            }
-            (base, dropped, checkpoints)
-        })
+    let open = |log: &FailpointLog| {
+        Db::builder()
+            .durability_config(DurabilityConfig::store(Box::new(log.clone())))
+            .open()
+            .unwrap()
     };
-
-    for t in writers {
-        t.join().unwrap();
+    let log = FailpointLog::new();
+    let db = open(&log);
+    for i in 0..50u64 {
+        let mut t = db.kv_begin();
+        t.write(i, Value::Int(i as i64 * 2)).unwrap();
+        db.kv_commit(&mut t).unwrap();
     }
-    stop.store(true, Ordering::Relaxed);
-    let (mut base, dropped, checkpoints) = compactor.join().unwrap();
+    drop(db);
+    let seg = "wal-00000001.seg";
+    log.cut_durable(seg, log.durable_len(seg) - 2);
 
-    // Fold the surviving log suffix over the checkpointed state.
-    let (tail, _) = recover(&wal.lock().unwrap());
-    for (k, v, _) in tail.latest_entries() {
-        base.insert(k, v);
+    let db = open(&log);
+    assert_eq!(db.recovery_report().unwrap().txns_discarded, 1);
+    assert_eq!(db.kv_store().txn_manager().latest_entries().len(), 49);
+    let mut t = db.kv_begin();
+    for i in 0..49u64 {
+        assert_eq!(db.kv_read(&mut t, i), Some(Value::Int(i as i64 * 2)));
     }
-
-    let committed = committed.lock().unwrap();
-    assert_eq!(committed.len(), 450, "every commit was recorded");
-    for (key, value) in committed.iter() {
-        assert_eq!(
-            base.get(key),
-            Some(&Some(Value::Int(*value))),
-            "committed write to key {key} lost across compaction"
-        );
-    }
-    assert!(checkpoints > 0, "compactor actually ran");
-    assert!(dropped > 0, "compaction actually dropped sealed records");
+    assert_eq!(db.kv_read(&mut t, 49), None, "torn seal commits nothing");
 }
 
 /// The `Db` facade surfaces the enrichment store's isolation modes: under
