@@ -17,7 +17,9 @@
 //! Each (ops × checkpoint) configuration emits one machine-readable
 //! `BENCH JSON {...}` line (ops, checkpoint flag, log bytes on disk,
 //! open wall ms, records replayed, snapshot rows, txns discarded)
-//! alongside the human table.
+//! alongside the human table. `--smoke` runs one size and *asserts* by
+//! counts alone (stable on a 1-core box): the checkpointed open replays
+//! no record, runs no ER comparison, and reinstalls every live row.
 
 use scdb_bench::{apply_curation_op, banner, time_ms, Table};
 use scdb_core::{Db, DurabilityConfig, FsyncPolicy};
@@ -25,12 +27,19 @@ use scdb_datagen::crash::{crash_schedule, ScheduleConfig};
 
 const SIZES: &[usize] = &[250, 500, 1000, 2000];
 
+/// Schedule length of the `--smoke` gate.
+const SMOKE_OPS: usize = 500;
+
 struct RunResult {
     log_bytes: u64,
     open_ms: f64,
     records_replayed: usize,
     snapshot_rows: usize,
     txns_discarded: usize,
+    /// Records the database held when it was closed.
+    live_rows: u64,
+    /// `er.comparisons` counted during the reopen.
+    open_comparisons: u64,
 }
 
 fn dir_bytes(dir: &std::path::Path) -> u64 {
@@ -63,7 +72,7 @@ fn run(ops: usize, checkpoint: bool) -> RunResult {
         },
         0xEEC,
     );
-    {
+    let live_rows = {
         // EveryN batches fsyncs so building the log is not the bottleneck;
         // the clean Drop syncs the tail.
         let db = Db::builder()
@@ -76,8 +85,11 @@ fn run(ops: usize, checkpoint: bool) -> RunResult {
         if checkpoint {
             db.checkpoint().expect("checkpoint");
         }
-    }
+        db.stats().records
+    };
     let log_bytes = dir_bytes(&dir);
+    let comparisons = scdb_obs::metrics().counter("er.comparisons");
+    let comparisons_before = comparisons.get();
     let (db, open_ms) = time_ms(|| Db::open(&dir).expect("recover"));
     let report = db.recovery_report().expect("durable open has a report");
     let result = RunResult {
@@ -86,10 +98,58 @@ fn run(ops: usize, checkpoint: bool) -> RunResult {
         records_replayed: report.records_replayed,
         snapshot_rows: report.snapshot_rows,
         txns_discarded: report.txns_discarded,
+        live_rows,
+        open_comparisons: comparisons.get() - comparisons_before,
     };
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
     result
+}
+
+/// Count-only gate: a checkpointed open replays nothing, compares
+/// nothing, and reinstalls every live row. The raw-replay control proves
+/// the comparison counter is live, so the zero is not vacuous.
+fn smoke() -> i32 {
+    let raw = run(SMOKE_OPS, false);
+    let ckpt = run(SMOKE_OPS, true);
+    let mut failures = Vec::new();
+    if raw.records_replayed == 0 || raw.open_comparisons == 0 {
+        failures.push(format!(
+            "raw replay replayed {} records with {} comparisons (want both > 0)",
+            raw.records_replayed, raw.open_comparisons
+        ));
+    }
+    if ckpt.records_replayed != 0 {
+        failures.push(format!(
+            "checkpointed open replayed {} records (want 0)",
+            ckpt.records_replayed
+        ));
+    }
+    if ckpt.open_comparisons != 0 {
+        failures.push(format!(
+            "checkpointed open ran {} ER comparisons (want 0)",
+            ckpt.open_comparisons
+        ));
+    }
+    if ckpt.live_rows == 0 || ckpt.snapshot_rows as u64 != ckpt.live_rows {
+        failures.push(format!(
+            "snapshot reinstalled {} rows, the database held {}",
+            ckpt.snapshot_rows, ckpt.live_rows
+        ));
+    }
+    for f in &failures {
+        println!("SMOKE FAIL: {f}");
+    }
+    if failures.is_empty() {
+        println!(
+            "smoke: checkpointed open reinstalled {} of {} rows, replayed 0 records, \
+             0 comparisons (raw replay: {} records, {} comparisons) OK",
+            ckpt.snapshot_rows, ckpt.live_rows, raw.records_replayed, raw.open_comparisons
+        );
+        0
+    } else {
+        1
+    }
 }
 
 fn main() {
@@ -99,6 +159,9 @@ fn main() {
         "raw replay re-curates every committed record (linear); a checkpoint \
          snapshot makes recovery flat regardless of history length",
     );
+    if std::env::args().any(|a| a == "--smoke") {
+        std::process::exit(smoke());
+    }
     let mut table = Table::new(&[
         "ops",
         "checkpoint",

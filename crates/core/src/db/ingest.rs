@@ -10,7 +10,6 @@ use std::time::Instant;
 use parking_lot::RwLockWriteGuard;
 use scdb_er::normalize::normalize;
 use scdb_obs::{metrics, FieldValue as F};
-use scdb_storage::stats::AttrStatistics;
 use scdb_storage::{IndexSet, RowStore};
 use scdb_txn::{DurableWal, LogRecord, TxnError};
 use scdb_types::{
@@ -787,20 +786,7 @@ fn curate_one(
         state
             .indexes
             .note_append(symbols, &record, record_id.offset);
-        for (name, value) in &attrs {
-            // Two cheap lookups beat cloning the name on every row: the
-            // clone happens only the first time an attribute is seen.
-            if !state.stats.contains_key(name) {
-                state
-                    .stats
-                    .insert(name.clone(), AttrStatistics::new(16, 4096));
-            }
-            state
-                .stats
-                .get_mut(name)
-                .expect("just ensured present")
-                .observe(value);
-        }
+        state.observe_stats(symbols, &record);
     }
     // 2. Relation layer: entity resolution.
     let event = rel.resolver.add(record_id, record, symbols);

@@ -179,6 +179,25 @@ struct SourceState {
     indexes: IndexSet,
 }
 
+impl SourceState {
+    /// Fold `record`'s values into the per-attribute statistics — the
+    /// one stats path for live curation and snapshot install. An
+    /// attribute's name is copied only the first time it is seen.
+    fn observe_stats(&mut self, symbols: &SymbolTable, record: &Record) {
+        for (attr, value) in record.iter() {
+            let name = symbols.resolve(attr);
+            match self.stats.get_mut(name) {
+                Some(stats) => stats.observe(value),
+                None => {
+                    let mut stats = AttrStatistics::new(16, 4096);
+                    stats.observe(value);
+                    self.stats.insert(name.to_string(), stats);
+                }
+            }
+        }
+    }
+}
+
 /// One shard's instance layer: row stores and the text index.
 struct InstanceShard {
     sources: Vec<(String, SourceState)>,

@@ -9,7 +9,6 @@ use std::time::Instant;
 
 use scdb_obs::{metrics, FieldValue as F};
 use scdb_placement::ShardMap;
-use scdb_storage::stats::AttrStatistics;
 use scdb_storage::{IndexDef, IndexKind};
 use scdb_txn::{
     CheckpointStats, EnrichedDb, LogRecord, VersionOrigin, WalRecovery, WalRecoveryReport,
@@ -431,6 +430,7 @@ impl Db {
     /// Install snapshot frames into one (empty) shard slice. Returns the
     /// number of rows reinstalled.
     fn install_snapshot(&self, shard: u32, frames: Vec<bytes::Bytes>) -> Result<usize, CoreError> {
+        let started = Instant::now();
         let records: Vec<SnapshotRecord> = frames
             .into_iter()
             .map(SnapshotRecord::decode)
@@ -443,6 +443,7 @@ impl Db {
                 ))
             }
         }
+        let decoded = Instant::now();
         let slice = &self.inner.shards[shard as usize];
         let mut symbols = self.inner.symbols.write();
         let mut instance = slice.instance.write();
@@ -471,14 +472,7 @@ impl Db {
                             .map(|(name, value)| (symbols.intern(&name), value)),
                     );
                     let state = inst.source_state_mut(&source)?;
-                    for (a, v) in record.iter() {
-                        let name = symbols.resolve(a).to_string();
-                        state
-                            .stats
-                            .entry(name)
-                            .or_insert_with(|| AttrStatistics::new(16, 4096))
-                            .observe(v);
-                    }
+                    state.observe_stats(&symbols, &record);
                     let rid = state.store.append(record.clone());
                     if let Some(t) = &text {
                         inst.text.index(rid, t);
@@ -603,7 +597,20 @@ impl Db {
         // Adopt the final clustering wholesale: no similarity
         // comparisons, no re-merging — this is what makes checkpointed
         // recovery flat in log size (experiment E-REC).
+        let installed = Instant::now();
         rel.resolver.adopt_batch(adopt);
+        let nanos = |from: Instant, to: Instant| F::U64(to.duration_since(from).as_nanos() as u64);
+        scdb_obs::event(
+            "core",
+            "recovery.snapshot",
+            &[
+                ("shard", F::U64(u64::from(shard))),
+                ("rows", F::U64(rows as u64)),
+                ("decode_ns", nanos(started, decoded)),
+                ("install_ns", nanos(decoded, installed)),
+                ("adopt_ns", nanos(installed, Instant::now())),
+            ],
+        );
         Ok(rows)
     }
 }

@@ -473,9 +473,9 @@ impl IncrementalResolver {
                 .observe(&record);
             let handle = self.records.len() as u64;
             // Register with the blocker so future live ingests still see
-            // this record as a candidate; the returned candidates are
-            // ignored — the assignment is already known.
-            let _ = self.blocker.insert(handle, &record);
+            // this record as a candidate. The assignment is already
+            // known, so no candidates are gathered.
+            self.blocker.register(handle, &record);
             self.records.push((id, record));
             self.identities.push(Identity::Unfilled);
             self.parent.push(handle);

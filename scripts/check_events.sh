@@ -26,6 +26,7 @@ KNOWN_KINDS = {
     "core": {
         "ingest",
         "ingest.stages",
+        "recovery.snapshot",
         "recovery.complete",
         "checkpoint.serialize",
         "checkpoint.complete",

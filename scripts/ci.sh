@@ -53,6 +53,12 @@ echo "== storage-fault resilience smoke (release)"
 # supervisor contract for a committer panic mid-batch.
 cargo run -q --offline --release -p scdb-bench --bin e_faults -- --smoke
 
+echo "== checkpointed recovery smoke (release)"
+# Asserts by counts that a checkpointed open re-pays no curation: zero
+# records replayed, zero ER comparisons, and snapshot_rows equal to the
+# live row count (a raw-replay control proves the counter is live).
+cargo run -q --offline --release -p scdb-bench --bin e_recovery -- --smoke
+
 echo "== system catalog smoke (release)"
 # Asserts the fully-observed loop (metrics + events + monitoring-cadence
 # sys.* polling) stays within 5% (+ fixed slack) of the unobserved loop,

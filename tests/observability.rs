@@ -238,6 +238,7 @@ fn flight_recorder_captures_ingest_checkpoint_recovery() {
         ("core", "checkpoint.complete"),
         ("txn", "recovery.snapshot"),
         ("txn", "recovery.scan"),
+        ("core", "recovery.snapshot"),
         ("core", "recovery.complete"),
     ] {
         assert!(
@@ -253,6 +254,22 @@ fn flight_recorder_captures_ingest_checkpoint_recovery() {
     let snap = first_seq(&trace, "txn", "recovery.snapshot");
     assert!(ingest < ckpt, "ingest after checkpoint?");
     assert!(ckpt < snap, "checkpoint after snapshot recovery?");
+
+    // The snapshot install attributes its time per shard: decode, row
+    // install and resolver adoption.
+    let install = trace
+        .iter()
+        .find(|e| {
+            e.subsystem.as_str() == "core"
+                && e.kind.as_str() == "recovery.snapshot"
+                && e.seq > snap
+                && e.field_u64("rows") == Some(50)
+        })
+        .expect("core/recovery.snapshot for the 50-row checkpoint");
+    assert_eq!(install.field_u64("shard"), Some(0));
+    for field in ["decode_ns", "install_ns", "adopt_ns"] {
+        assert!(install.field_u64(field).is_some(), "missing {field}");
+    }
 
     // The recovery report reconstructed from the event stream matches
     // the one the Db handle computed from live state.
