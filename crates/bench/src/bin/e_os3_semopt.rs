@@ -5,6 +5,12 @@
 //! and with each semantic rewrite individually disabled (the ablation
 //! DESIGN.md calls out). The cost metric is atom evaluations + rows
 //! scanned — deterministic, machine-independent.
+//!
+//! `--smoke` checks every cell of the table against [`PINNED`]: the rows
+//! returned, rows scanned, atom evaluations and rewrites applied for all
+//! five queries under all five configs. The counts move only when
+//! short-circuit order, unsat pruning or the count-based selectivity
+//! estimates move, so the gate needs no clock.
 
 use scdb_bench::{banner, Table};
 use scdb_core::Db;
@@ -40,6 +46,51 @@ fn build_db() -> Db {
     }
     db
 }
+
+/// `(rows, scanned, atom_evals, rewrites applied)` per query (outer, in
+/// suite order) and config (inner, in config order).
+const PINNED: [[(usize, u64, u64, usize); 5]; 5] = [
+    // redundant subsumption
+    [
+        (43, 2000, 2054, 1),
+        (43, 2000, 2108, 0),
+        (43, 2000, 2054, 1),
+        (43, 2000, 2097, 1),
+        (43, 2000, 2054, 1),
+    ],
+    // unsat disjointness
+    [
+        (0, 0, 0, 1),
+        (0, 2000, 2201, 0),
+        (0, 2000, 2000, 1),
+        (0, 0, 0, 1),
+        (0, 0, 0, 1),
+    ],
+    // contradictory range
+    [
+        (0, 0, 0, 1),
+        (0, 2000, 2725, 0),
+        (0, 2000, 2500, 1),
+        (0, 0, 0, 1),
+        (0, 0, 0, 1),
+    ],
+    // mergeable ranges
+    [
+        (725, 2000, 2975, 1),
+        (725, 2000, 5675, 0),
+        (725, 2000, 4925, 1),
+        (725, 2000, 2975, 1),
+        (725, 2000, 2975, 1),
+    ],
+    // selectivity reorder
+    [
+        (1, 2000, 2001, 1),
+        (1, 2000, 4000, 0),
+        (1, 2000, 2001, 1),
+        (1, 2000, 2001, 1),
+        (1, 2000, 4000, 0),
+    ],
+];
 
 fn main() {
     banner(
@@ -99,6 +150,8 @@ fn main() {
         ),
     ];
 
+    let smoke = std::env::args().any(|a| a == "--smoke");
+    let mut failures = Vec::new();
     let mut t = Table::new(&[
         "query",
         "config",
@@ -107,17 +160,26 @@ fn main() {
         "atom_evals",
         "rewrites applied",
     ]);
-    for (qname, sql) in suite {
-        for (cname, ocfg) in &configs {
+    for ((qname, sql), pinned) in suite.into_iter().zip(PINNED) {
+        for ((cname, ocfg), want) in configs.iter().zip(pinned) {
             db.set_optimizer_config(*ocfg);
             let out = db.query(sql).expect(sql);
+            let got = (
+                out.rows.len(),
+                out.stats.rows_scanned,
+                out.stats.atom_evals,
+                out.plan.rewrites.len(),
+            );
+            if got != want {
+                failures.push(format!("{qname} / {cname}: got {got:?}, pinned {want:?}"));
+            }
             t.row(&[
                 qname.to_string(),
                 cname.to_string(),
-                out.rows.len().to_string(),
-                out.stats.rows_scanned.to_string(),
-                out.stats.atom_evals.to_string(),
-                out.plan.rewrites.len().to_string(),
+                got.0.to_string(),
+                got.1.to_string(),
+                got.2.to_string(),
+                got.3.to_string(),
             ]);
         }
         println!();
@@ -125,6 +187,15 @@ fn main() {
     println!("{}", t.render());
     println!("shape check: unsat queries scan 0 rows only when detect_unsat is on; collapse and");
     println!("range-merge cut atom_evals vs naive; reorder puts the selective equality first.");
+    if smoke {
+        for f in &failures {
+            println!("SMOKE FAIL: {f}");
+        }
+        if !failures.is_empty() {
+            std::process::exit(1);
+        }
+        println!("smoke: all 25 (query, config) counts match the pinned table OK");
+    }
 }
 
 /// Names for synthetic drugs that are far apart in edit space (hash

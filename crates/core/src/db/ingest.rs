@@ -8,7 +8,7 @@ use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 use parking_lot::RwLockWriteGuard;
-use scdb_er::normalize::normalize;
+use scdb_er::normalize::{normalize, normalize_into};
 use scdb_obs::{metrics, FieldValue as F};
 use scdb_storage::{IndexSet, RowStore};
 use scdb_txn::{DurableWal, LogRecord, TxnError};
@@ -822,35 +822,37 @@ fn curate_one(
     }
     // Identity registration.
     let identity_value = match &identity_attr {
-        Some(attr) => attrs
-            .iter()
-            .find(|(n, _)| n == attr)
-            .map(|(_, v)| v.clone()),
-        None => attrs
-            .iter()
-            .find(|(_, v)| v.kind() == ValueKind::Str)
-            .map(|(_, v)| v.clone()),
-    };
+        Some(attr) => attrs.iter().find(|(n, _)| n == attr),
+        None => attrs.iter().find(|(_, v)| v.kind() == ValueKind::Str),
+    }
+    .map(|(_, v)| v);
+    // Every string value is normalized into this one buffer; a key is
+    // copied out only when a map takes it.
+    let mut key = String::new();
     if let Some(v) = identity_value {
-        let key = normalize(&v.render());
+        normalize_into(&v.render(), &mut key);
         if !key.is_empty() {
-            rel.entity_by_name.entry(key.clone()).or_insert(entity);
-            rel.identity_of_entity.entry(entity).or_insert(key);
+            if !rel.entity_by_name.contains_key(key.as_str()) {
+                rel.entity_by_name.insert(key.clone(), entity);
+            }
+            rel.identity_of_entity
+                .entry(entity)
+                .or_insert_with(|| key.clone());
         }
     }
     // 3. Link discovery: non-identity values referencing other
     // entities become edges labelled by the attribute.
     let mut links = 0usize;
-    let identity_key = rel.identity_of_entity.get(&entity).cloned();
+    let identity_key = rel.identity_of_entity.get(&entity);
     for (attr_sym, (_, value)) in syms.iter().zip(&attrs) {
         if value.kind() != ValueKind::Str {
             continue;
         }
-        let key = normalize(&value.render());
-        if key.is_empty() || Some(&key) == identity_key.as_ref() {
+        normalize_into(&value.render(), &mut key);
+        if key.is_empty() || identity_key.is_some_and(|id| *id == key) {
             continue;
         }
-        if let Some(&target) = rel.entity_by_name.get(&key) {
+        if let Some(&target) = rel.entity_by_name.get(key.as_str()) {
             if target != entity {
                 let prov = Provenance::inferred(source_id, Confidence::CERTAIN, tick);
                 if rel.graph.add_edge(entity, target, *attr_sym, prov)? {

@@ -10,19 +10,54 @@ use scdb_storage::text::tokenize;
 /// Normalize a raw string: lowercase, strip punctuation, collapse
 /// whitespace, drop bracketed qualifiers.
 pub fn normalize(s: &str) -> String {
-    // Remove parenthesized/bracketed qualifiers first: "Advil (brand)" →
-    // "Advil".
-    let mut cleaned = String::with_capacity(s.len());
-    let mut depth = 0i32;
-    for ch in s.chars() {
+    let mut out = String::with_capacity(s.len());
+    normalize_into(s, &mut out);
+    out
+}
+
+/// [`normalize`] into `out`, which is cleared first: one pass over `s`
+/// and no allocation beyond `out`'s growth, so a caller normalizing many
+/// values reuses one buffer.
+///
+/// The result is `tokenize(cleaned).join(" ")`, where `cleaned` is `s`
+/// without its bracketed qualifiers ("Advil (brand)" → "advil"). A
+/// bracket neither ends nor starts a token (`"a(b)c"` → `"ac"`); any
+/// other char that is not alphanumeric ends one; tokens are joined by a
+/// single space. Each alphanumeric char is lowercased once, and its whole
+/// expansion stays in the token even where it is not alphanumeric (`İ` →
+/// `i` + U+0307), as [`tokenize`] keeps it.
+pub fn normalize_into(s: &str, out: &mut String) {
+    out.clear();
+    let mut depth = 0u32;
+    // A token ended since the last char pushed.
+    let mut gap = false;
+    let mut rest = s;
+    while let Some(ch) = rest.chars().next() {
+        let mut len = ch.len_utf8();
         match ch {
             '(' | '[' | '{' => depth += 1,
-            ')' | ']' | '}' => depth = (depth - 1).max(0),
-            _ if depth == 0 => cleaned.push(ch),
-            _ => {}
+            ')' | ']' | '}' => depth = depth.saturating_sub(1),
+            _ if depth > 0 => {}
+            _ if ch.is_alphanumeric() => {
+                if gap && !out.is_empty() {
+                    out.push(' ');
+                }
+                gap = false;
+                if ch.is_ascii() {
+                    // ASCII fast path: copy the whole run of ASCII
+                    // alphanumerics and lowercase it in place.
+                    len = rest.bytes().take_while(u8::is_ascii_alphanumeric).count();
+                    let at = out.len();
+                    out.push_str(&rest[..len]);
+                    out[at..].make_ascii_lowercase();
+                } else {
+                    out.extend(ch.to_lowercase());
+                }
+            }
+            _ => gap = true,
         }
+        rest = &rest[len..];
     }
-    tokenize(&cleaned).join(" ")
 }
 
 /// Token list after normalization.
@@ -137,6 +172,58 @@ mod tests {
         assert_eq!(normalize("a ( b"), "a");
     }
 
+    /// The multi-pass `normalize` that [`normalize_into`] replaced:
+    /// strip bracketed text, tokenize, join. Kept as the reference.
+    fn multi_pass_normalize(s: &str) -> String {
+        let mut cleaned = String::with_capacity(s.len());
+        let mut depth = 0i32;
+        for ch in s.chars() {
+            match ch {
+                '(' | '[' | '{' => depth += 1,
+                ')' | ']' | '}' => depth = (depth - 1).max(0),
+                _ if depth == 0 => cleaned.push(ch),
+                _ => {}
+            }
+        }
+        tokenize(&cleaned).join(" ")
+    }
+
+    /// [`normalize_into`] over a buffer holding stale text.
+    fn single_pass(s: &str) -> String {
+        let mut out = String::from("stale text");
+        normalize_into(s, &mut out);
+        out
+    }
+
+    #[test]
+    fn single_pass_equals_multi_pass_on_edge_cases() {
+        for s in [
+            "a(b)c",
+            "a (b) c",
+            "a(b (c) d)e f",
+            "x)y",
+            "x ) ( y",
+            "((a)",
+            "a ( b",
+            "]a[b",
+            "İstanbul",
+            "STRASSE ß",
+            "e\u{301}",
+            "\u{301}x",
+            "İ\u{307}İ",
+            "ÉTÉ-2",
+            "007 bond",
+            "  ",
+            "\t\n ",
+            "",
+            "-.-",
+            "Ibuprofen (Advil)",
+        ] {
+            assert_eq!(single_pass(s), multi_pass_normalize(s), "{s:?}");
+            assert_eq!(normalize(s), multi_pass_normalize(s), "{s:?}");
+        }
+    }
+
     #[test]
     fn token_set_sorted_dedup() {
         assert_eq!(token_set("beta alpha beta"), vec!["alpha", "beta"]);
@@ -179,6 +266,12 @@ mod tests {
         #[test]
         fn streamed_tokens_equal_token_set_of_joined_text(parts in vec(text(), 0..5)) {
             prop_assert_eq!(streamed(&parts), token_set(&parts.join(" ")));
+        }
+
+        /// One pass into a reused buffer equals strip → tokenize → join.
+        #[test]
+        fn single_pass_equals_multi_pass(s in text()) {
+            prop_assert_eq!(single_pass(&s), multi_pass_normalize(&s));
         }
     }
 

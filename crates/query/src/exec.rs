@@ -7,9 +7,19 @@
 //! evaluate to membership degrees and pass at the `alpha` cut; semantic
 //! atoms consult the saturated ABox; model atoms call a trained FS.4
 //! model over caller-provided features.
+//!
+//! Each scan compiles the plan's atoms once, before its first row:
+//! attribute names become symbols, literals values, concepts and roles
+//! the saturation's sorted posting lists, models their trained weights.
+//! A row then pays a symbol lookup per atom, and a semantic atom one
+//! normalization into a reused buffer, a name probe and a binary search.
+//! A name the environment cannot resolve compiles to an atom that fails,
+//! so its error is raised by the first row that evaluates it, exactly as
+//! when every row resolved its names.
 
 use std::collections::HashMap;
 
+use scdb_er::normalize::normalize_into;
 use scdb_semantic::{Ontology, Saturation, TrainedModel};
 use scdb_storage::index::{IndexPredicate, IndexSet};
 use scdb_storage::RowStore;
@@ -174,15 +184,6 @@ pub struct SemanticEnv<'a> {
     pub entity_by_name: &'a HashMap<String, EntityId>,
 }
 
-impl SemanticEnv<'_> {
-    /// Resolve an attribute value to the entity it names.
-    fn entity_of(&self, surface: &str) -> Option<EntityId> {
-        self.entity_by_name
-            .get(&scdb_er::normalize::normalize(surface))
-            .copied()
-    }
-}
-
 /// Feature extractor for model atoms. `Send + Sync` so model atoms can be
 /// evaluated from parallel scan workers.
 pub type FeatureFn<'a> = Box<dyn Fn(&Record) -> Vec<f64> + Send + Sync + 'a>;
@@ -332,15 +333,8 @@ impl Executor {
             Some(s) => return Err(QueryError::UnknownSource(s.to_string())),
             None => return Err(QueryError::UnknownSource("<missing scan>".into())),
         }
-        let atoms = plan.filter_atoms();
-        let project: Option<&[String]> = plan.nodes.iter().find_map(|n| match n {
-            PlanNode::Project { attrs } => Some(attrs.as_slice()),
-            _ => None,
-        });
-        let limit = plan.nodes.iter().find_map(|n| match n {
-            PlanNode::Limit { n } => Some(*n),
-            _ => None,
-        });
+        let scan = CompiledScan::compile(plan, source, env);
+        let limit = scan.limit;
 
         // Index-scan access path: fetch candidates through the index,
         // then run the ordinary filter (all atoms re-checked) over just
@@ -355,15 +349,8 @@ impl Executor {
                 if let Some(candidates) = source.index_candidates(attr, &pred) {
                     let t0 = std::time::Instant::now();
                     let n_candidates = candidates.len() as u64;
-                    let (mut out, w) = scan_chunk_filtered(
-                        Box::new(candidates.into_iter()),
-                        atoms,
-                        project,
-                        limit,
-                        source,
-                        env,
-                        t0,
-                    )?;
+                    let (mut out, w) =
+                        scan_chunk_filtered(Box::new(candidates.into_iter()), &scan, t0)?;
                     if let Some(l) = limit {
                         out.truncate(l);
                     }
@@ -402,11 +389,10 @@ impl Executor {
             .min(source.len().div_ceil(self.parallel_threshold.max(1)))
             .max(1);
         let (mut out, mut stats, breakdown) = if workers > 1 {
-            self.scan_parallel(workers, atoms, project, limit, source, env)?
+            scan_parallel(workers, &scan, source)?
         } else {
             let t0 = std::time::Instant::now();
-            let (rows, w) =
-                scan_chunk_filtered(source.scan(), atoms, project, limit, source, env, t0)?;
+            let (rows, w) = scan_chunk_filtered(source.scan(), &scan, t0)?;
             let stats = ExecStats {
                 rows_scanned: w.rows_scanned,
                 atom_evals: w.atom_evals,
@@ -447,75 +433,6 @@ impl Executor {
                 ],
             );
         }
-        Ok((out, stats, breakdown))
-    }
-
-    /// Fan the scan out over `workers` std threads. Chunk 0 runs on the
-    /// calling thread; results merge in chunk order, so row order matches
-    /// the sequential scan. On error the lowest-chunk failure wins and is
-    /// wrapped in [`QueryError::Worker`] to record which worker died.
-    fn scan_parallel(
-        &self,
-        workers: usize,
-        atoms: &[Atom],
-        project: Option<&[String]>,
-        limit: Option<usize>,
-        source: &(dyn RowSource + Sync),
-        env: &EvalEnv<'_>,
-    ) -> Result<(Vec<Record>, ExecStats, ScanBreakdown), QueryError> {
-        type ChunkResult = Result<(Vec<Record>, WorkerScan), QueryError>;
-        let mut results: Vec<Option<ChunkResult>> = Vec::new();
-        results.resize_with(workers, || None);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers - 1);
-            for chunk in 1..workers {
-                handles.push(scope.spawn(move || {
-                    let t0 = std::time::Instant::now();
-                    scan_chunk_filtered(
-                        source.scan_chunk(chunk, workers),
-                        atoms,
-                        project,
-                        limit,
-                        source,
-                        env,
-                        t0,
-                    )
-                }));
-            }
-            let t0 = std::time::Instant::now();
-            results[0] = Some(scan_chunk_filtered(
-                source.scan_chunk(0, workers),
-                atoms,
-                project,
-                limit,
-                source,
-                env,
-                t0,
-            ));
-            for (i, h) in handles.into_iter().enumerate() {
-                // A worker that panicked (it should not: eval errors are
-                // Results) surfaces as an executor-level worker error.
-                results[i + 1] = Some(h.join().unwrap_or_else(|_| {
-                    Err(QueryError::Worker {
-                        worker: i + 1,
-                        cause: Box::new(QueryError::UnknownSource("scan worker panicked".into())),
-                    })
-                }));
-            }
-        });
-        let mut out = Vec::new();
-        let mut stats = ExecStats::default();
-        let mut breakdown = ScanBreakdown::default();
-        for (i, slot) in results.into_iter().enumerate() {
-            let (rows, w) = slot
-                .expect("every chunk filled")
-                .map_err(|e| e.for_worker(i))?;
-            stats.rows_scanned += w.rows_scanned;
-            stats.atom_evals += w.atom_evals;
-            out.extend(rows);
-            breakdown.per_worker.push(w);
-        }
-        stats.rows_out = out.len() as u64;
         Ok((out, stats, breakdown))
     }
 
@@ -613,17 +530,234 @@ impl Executor {
     }
 }
 
+/// A plan's filter, projection and limit, compiled once per scan and
+/// shared by every worker of it.
+struct CompiledScan<'e> {
+    /// The filter atoms in plan order.
+    atoms: Vec<CompiledAtom<'e>>,
+    /// Projected attributes the source knows; `None` keeps every one.
+    project: Option<Vec<Symbol>>,
+    limit: Option<usize>,
+}
+
+impl<'e> CompiledScan<'e> {
+    fn compile(plan: &'e LogicalPlan, source: &dyn RowSource, env: &'e EvalEnv<'_>) -> Self {
+        let project = plan.nodes.iter().find_map(|n| match n {
+            PlanNode::Project { attrs } => {
+                Some(attrs.iter().filter_map(|a| source.attr(a)).collect())
+            }
+            _ => None,
+        });
+        let limit = plan.nodes.iter().find_map(|n| match n {
+            PlanNode::Limit { n } => Some(*n),
+            _ => None,
+        });
+        CompiledScan {
+            atoms: plan
+                .filter_atoms()
+                .iter()
+                .map(|atom| CompiledAtom::compile(atom, source, env))
+                .collect(),
+            project,
+            limit,
+        }
+    }
+}
+
+/// One filter atom with its names resolved.
+enum CompiledAtom<'e> {
+    /// The source has no such attribute: no row passes.
+    Never,
+    Compare {
+        attr: Symbol,
+        op: CompareOp,
+        rhs: Value,
+    },
+    CloseTo {
+        attr: Symbol,
+        pred: FuzzyPredicate,
+        alpha: f64,
+    },
+    /// IS and HAS SOME: the entity the row's value names is in
+    /// `entities`, a sorted posting list of the saturation.
+    Names {
+        attr: Symbol,
+        entities: &'e [EntityId],
+        entity_by_name: &'e HashMap<String, EntityId>,
+    },
+    Model {
+        model: &'e str,
+        trained: &'e TrainedModel,
+        features: &'e (dyn Fn(&Record) -> Vec<f64> + Send + Sync + 'e),
+        threshold: f64,
+    },
+    /// A name the environment cannot resolve: fails when evaluated.
+    Fail(QueryError),
+}
+
+impl<'e> CompiledAtom<'e> {
+    fn compile(atom: &'e Atom, source: &dyn RowSource, env: &'e EvalEnv<'_>) -> Self {
+        // The semantic environment is checked before the attribute, so an
+        // unknown concept or role fails even on an unknown attribute.
+        let names = |attr: &str, entities: Option<&'e [EntityId]>, unknown: &str| {
+            let (Some(sem), Some(entities)) = (&env.semantic, entities) else {
+                return CompiledAtom::Fail(QueryError::UnknownConcept(unknown.to_string()));
+            };
+            match source.attr(attr) {
+                Some(attr) => CompiledAtom::Names {
+                    attr,
+                    entities,
+                    entity_by_name: sem.entity_by_name,
+                },
+                None => CompiledAtom::Never,
+            }
+        };
+        match atom {
+            Atom::Compare { attr, op, value } => match source.attr(attr) {
+                Some(attr) => CompiledAtom::Compare {
+                    attr,
+                    op: *op,
+                    rhs: value.to_value(),
+                },
+                None => CompiledAtom::Never,
+            },
+            Atom::CloseTo {
+                attr,
+                center,
+                width,
+            } => match source.attr(attr) {
+                Some(attr) => CompiledAtom::CloseTo {
+                    attr,
+                    pred: FuzzyPredicate::CloseTo {
+                        center: *center,
+                        width: *width,
+                    },
+                    alpha: env.alpha,
+                },
+                None => CompiledAtom::Never,
+            },
+            Atom::IsConcept { attr, concept } => {
+                let members = env.semantic.as_ref().and_then(|sem| {
+                    let c = sem.ontology.find_concept(concept).ok()?;
+                    Some(sem.saturation.members(c))
+                });
+                names(attr, members, concept)
+            }
+            Atom::HasSome { attr, role } => {
+                let subjects = env.semantic.as_ref().and_then(|sem| {
+                    let r = sem.ontology.find_role(role).ok()?;
+                    Some(sem.saturation.role_subjects(r))
+                });
+                names(attr, subjects, role)
+            }
+            Atom::ModelAtom { model, threshold } => match env.models.get(model) {
+                Some((trained, features)) => CompiledAtom::Model {
+                    model,
+                    trained,
+                    features: features.as_ref(),
+                    threshold: *threshold,
+                },
+                None => CompiledAtom::Fail(QueryError::UnknownModel(model.clone())),
+            },
+        }
+    }
+
+    /// Does `record` pass? `name` is the caller's buffer for the
+    /// normalized entity name.
+    fn eval(&self, record: &Record, name: &mut String) -> Result<bool, QueryError> {
+        Ok(match self {
+            CompiledAtom::Never => false,
+            CompiledAtom::Compare { attr, op, rhs } => {
+                record.get(*attr).is_some_and(|v| compare(v, *op, rhs))
+            }
+            CompiledAtom::CloseTo { attr, pred, alpha } => record
+                .get(*attr)
+                .and_then(Value::as_float)
+                .is_some_and(|x| pred.membership(x) >= *alpha),
+            CompiledAtom::Names {
+                attr,
+                entities,
+                entity_by_name,
+            } => {
+                let Some(v) = record.get(*attr) else {
+                    return Ok(false);
+                };
+                normalize_into(&v.render(), name);
+                entity_by_name
+                    .get(name.as_str())
+                    .is_some_and(|e| entities.binary_search(e).is_ok())
+            }
+            CompiledAtom::Model {
+                model,
+                trained,
+                features,
+                threshold,
+            } => {
+                let p = trained
+                    .predict(&features(record))
+                    .map_err(|_| QueryError::UnknownModel(model.to_string()))?;
+                p >= *threshold
+            }
+            CompiledAtom::Fail(e) => return Err(e.clone()),
+        })
+    }
+}
+
+/// Fan the scan out over `workers` std threads. Chunk 0 runs on the
+/// calling thread; results merge in chunk order, so row order matches
+/// the sequential scan. On error the lowest-chunk failure wins and is
+/// wrapped in [`QueryError::Worker`] to record which worker died.
+fn scan_parallel(
+    workers: usize,
+    scan: &CompiledScan<'_>,
+    source: &(dyn RowSource + Sync),
+) -> Result<(Vec<Record>, ExecStats, ScanBreakdown), QueryError> {
+    type ChunkResult = Result<(Vec<Record>, WorkerScan), QueryError>;
+    let mut results: Vec<Option<ChunkResult>> = Vec::new();
+    results.resize_with(workers, || None);
+    std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(workers - 1);
+        for chunk in 1..workers {
+            handles.push(scope.spawn(move || {
+                let t0 = std::time::Instant::now();
+                scan_chunk_filtered(source.scan_chunk(chunk, workers), scan, t0)
+            }));
+        }
+        let t0 = std::time::Instant::now();
+        results[0] = Some(scan_chunk_filtered(source.scan_chunk(0, workers), scan, t0));
+        for (i, h) in handles.into_iter().enumerate() {
+            // A worker that panicked (it should not: eval errors are
+            // Results) surfaces as an executor-level worker error.
+            results[i + 1] = Some(h.join().unwrap_or_else(|_| {
+                Err(QueryError::Worker {
+                    worker: i + 1,
+                    cause: Box::new(QueryError::UnknownSource("scan worker panicked".into())),
+                })
+            }));
+        }
+    });
+    let mut out = Vec::new();
+    let mut stats = ExecStats::default();
+    let mut breakdown = ScanBreakdown::default();
+    for (i, slot) in results.into_iter().enumerate() {
+        let (rows, w) = slot
+            .expect("every chunk filled")
+            .map_err(|e| e.for_worker(i))?;
+        stats.rows_scanned += w.rows_scanned;
+        stats.atom_evals += w.atom_evals;
+        out.extend(rows);
+        breakdown.per_worker.push(w);
+    }
+    stats.rows_out = out.len() as u64;
+    Ok((out, stats, breakdown))
+}
+
 /// Filter + project one chunk of rows. The shared inner loop of the
-/// sequential and parallel paths — identical short-circuit and limit
-/// semantics in both.
-#[allow(clippy::too_many_arguments)]
+/// sequential, parallel and index paths — identical short-circuit and
+/// limit semantics in all three.
 fn scan_chunk_filtered<'r>(
     rows: Box<dyn Iterator<Item = &'r Record> + 'r>,
-    atoms: &[Atom],
-    project: Option<&[String]>,
-    limit: Option<usize>,
-    source: &dyn RowSource,
-    env: &EvalEnv<'_>,
+    scan: &CompiledScan<'_>,
     started: std::time::Instant,
 ) -> Result<(Vec<Record>, WorkerScan), QueryError> {
     let mut w = WorkerScan {
@@ -633,17 +767,18 @@ fn scan_chunk_filtered<'r>(
         duration: std::time::Duration::ZERO,
     };
     let mut out = Vec::new();
+    let mut name = String::new();
     for record in rows {
-        if let Some(l) = limit {
+        if let Some(l) = scan.limit {
             if out.len() >= l {
                 break;
             }
         }
         w.rows_scanned += 1;
         let mut pass = true;
-        for atom in atoms {
+        for atom in &scan.atoms {
             w.atom_evals += 1;
-            if !eval_atom(atom, record, source, env)? {
+            if !atom.eval(record, &mut name)? {
                 pass = false;
                 break;
             }
@@ -651,15 +786,13 @@ fn scan_chunk_filtered<'r>(
         if !pass {
             continue;
         }
-        let projected = match project {
+        let projected = match &scan.project {
             None => record.clone(),
             Some(attrs) => {
                 let mut r = Record::new();
-                for a in attrs {
-                    if let Some(sym) = source.attr(a) {
-                        if let Some(v) = record.get(sym) {
-                            r.set(sym, v.clone());
-                        }
+                for &sym in attrs {
+                    if let Some(v) = record.get(sym) {
+                        r.set(sym, v.clone());
                     }
                 }
                 r
@@ -714,97 +847,6 @@ fn compare(v: &Value, op: CompareOp, rhs: &Value) -> bool {
         CompareOp::Le => ord != std::cmp::Ordering::Greater,
         CompareOp::Gt => ord == std::cmp::Ordering::Greater,
         CompareOp::Ge => ord != std::cmp::Ordering::Less,
-    }
-}
-
-fn eval_atom(
-    atom: &Atom,
-    record: &Record,
-    source: &dyn RowSource,
-    env: &EvalEnv<'_>,
-) -> Result<bool, QueryError> {
-    match atom {
-        Atom::Compare { attr, op, value } => {
-            let Some(sym) = source.attr(attr) else {
-                return Ok(false);
-            };
-            let Some(v) = record.get(sym) else {
-                return Ok(false);
-            };
-            Ok(compare(v, *op, &value.to_value()))
-        }
-        Atom::CloseTo {
-            attr,
-            center,
-            width,
-        } => {
-            let Some(sym) = source.attr(attr) else {
-                return Ok(false);
-            };
-            let Some(x) = record.get(sym).and_then(|v| v.as_float()) else {
-                return Ok(false);
-            };
-            let pred = FuzzyPredicate::CloseTo {
-                center: *center,
-                width: *width,
-            };
-            Ok(pred.membership(x) >= env.alpha)
-        }
-        Atom::IsConcept { attr, concept } => {
-            let Some(sem) = &env.semantic else {
-                return Err(QueryError::UnknownConcept(concept.clone()));
-            };
-            let cid = sem
-                .ontology
-                .find_concept(concept)
-                .map_err(|_| QueryError::UnknownConcept(concept.clone()))?;
-            let Some(sym) = source.attr(attr) else {
-                return Ok(false);
-            };
-            let Some(name) = record.get(sym).map(|v| v.render().into_owned()) else {
-                return Ok(false);
-            };
-            let Some(entity) = sem.entity_of(&name) else {
-                return Ok(false);
-            };
-            Ok(sem.saturation.has_type(entity, cid))
-        }
-        Atom::HasSome { attr, role } => {
-            let Some(sem) = &env.semantic else {
-                return Err(QueryError::UnknownConcept(role.clone()));
-            };
-            let rid = sem
-                .ontology
-                .find_role(role)
-                .map_err(|_| QueryError::UnknownConcept(role.clone()))?;
-            let Some(sym) = source.attr(attr) else {
-                return Ok(false);
-            };
-            let Some(name) = record.get(sym).map(|v| v.render().into_owned()) else {
-                return Ok(false);
-            };
-            let Some(entity) = sem.entity_of(&name) else {
-                return Ok(false);
-            };
-            // A named filler or an inferred existential both satisfy ∃R.
-            let named = !sem.saturation.fillers(rid, entity).is_empty();
-            let inferred = sem
-                .saturation
-                .existentials()
-                .iter()
-                .any(|e| e.entity == entity && e.role == rid);
-            Ok(named || inferred)
-        }
-        Atom::ModelAtom { model, threshold } => {
-            let Some((trained, features)) = env.models.get(model) else {
-                return Err(QueryError::UnknownModel(model.clone()));
-            };
-            let x = features(record);
-            let p = trained
-                .predict(&x)
-                .map_err(|_| QueryError::UnknownModel(model.clone()))?;
-            Ok(p >= *threshold)
-        }
     }
 }
 
@@ -997,6 +1039,90 @@ mod tests {
             Executor::sequential().execute(&plan, &src, &EvalEnv::default()),
             Err(QueryError::UnknownConcept(_))
         ));
+    }
+
+    /// An atom naming what the environment cannot resolve — an unknown
+    /// concept, role or model, or a semantic atom with no `SemanticEnv` —
+    /// raises its error on the first row that evaluates it, and only
+    /// then: an empty source, or the atom behind a comparison no row
+    /// passes, answers `Ok`.
+    #[test]
+    fn unresolvable_names_fail_at_their_first_evaluation() {
+        let (syms, src) = trials();
+        let empty = VecSource::new("trials", Vec::new(), &syms);
+        let mut ontology = Ontology::new();
+        ontology.subclass_exists("Drug", "has_target", "Gene");
+        let sat = scdb_semantic::Reasoner::new().saturate(&ontology);
+        let names = HashMap::new();
+        let semantic = || EvalEnv {
+            semantic: Some(SemanticEnv {
+                ontology: &ontology,
+                saturation: &sat,
+                entity_by_name: &names,
+            }),
+            ..Default::default()
+        };
+        let concept = |c: &str| QueryError::UnknownConcept(c.into());
+        let cases = [
+            ("drug IS 'Nope'", semantic(), concept("Nope")),
+            ("nonexistent IS 'Nope'", semantic(), concept("Nope")),
+            ("drug HAS SOME nope", semantic(), concept("nope")),
+            (
+                "LINKED BY nope >= 0.5",
+                semantic(),
+                QueryError::UnknownModel("nope".into()),
+            ),
+            ("drug IS 'Drug'", EvalEnv::default(), concept("Drug")),
+            (
+                "drug HAS SOME has_target",
+                EvalEnv::default(),
+                concept("has_target"),
+            ),
+            (
+                "nonexistent HAS SOME has_target",
+                EvalEnv::default(),
+                concept("has_target"),
+            ),
+        ];
+        let par = Executor {
+            workers: 4,
+            parallel_threshold: 1,
+        };
+        let exec = |ex: Executor, sql: &str, src: &VecSource, env: &EvalEnv<'_>| {
+            let plan = LogicalPlan::from_query(&parse(sql).unwrap());
+            ex.execute(&plan, src, env)
+        };
+        for (atom, env, want) in &cases {
+            let alone = format!("SELECT * FROM trials WHERE {atom}");
+            let behind_false = format!("SELECT * FROM trials WHERE drug = 'Nobody' AND {atom}");
+            let behind_third = format!("SELECT * FROM trials WHERE drug = 'Ibuprofen' AND {atom}");
+            for ex in [Executor::sequential(), par] {
+                let (rows, stats) = exec(ex, &alone, &empty, env).expect(atom);
+                assert!(rows.is_empty());
+                assert_eq!(stats, ExecStats::default(), "{atom}");
+                let (rows, stats) = exec(ex, &behind_false, &src, env).expect(atom);
+                assert!(rows.is_empty());
+                assert_eq!(stats.atom_evals, 4, "only the comparison ran: {atom}");
+            }
+            assert_eq!(
+                exec(Executor::sequential(), &alone, &src, env).unwrap_err(),
+                *want
+            );
+            assert_eq!(
+                exec(Executor::sequential(), &behind_third, &src, env).unwrap_err(),
+                *want
+            );
+            // One row per worker: the worker whose row first evaluates
+            // the atom is the one that fails.
+            assert_eq!(
+                exec(par, &alone, &src, env).unwrap_err(),
+                want.clone().for_worker(0)
+            );
+            assert_eq!(
+                exec(par, &behind_third, &src, env).unwrap_err(),
+                want.clone().for_worker(2)
+            );
+        }
     }
 
     #[test]

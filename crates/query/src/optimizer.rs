@@ -565,9 +565,9 @@ pub fn estimate_selectivity(
             match semantic {
                 Some(ctx) => match (ctx.saturation, ctx.ontology.find_concept(concept)) {
                     (Some(sat), Ok(c)) => {
-                        let members = sat.members_of(c).len() as f64;
+                        let members = sat.members(c).len() as f64;
                         let total = (0..ctx.taxonomy.concept_count())
-                            .map(|i| sat.members_of(scdb_types::ConceptId(i as u32)).len())
+                            .map(|i| sat.members(scdb_types::ConceptId(i as u32)).len())
                             .max()
                             .unwrap_or(0)
                             .max(1) as f64;

@@ -65,6 +65,56 @@ pub struct Saturation {
     derived_count: u64,
     /// Saturation rounds until fixpoint.
     rounds: u32,
+    /// Lookup lists built once the fixpoint is reached.
+    postings: Postings,
+}
+
+/// Sorted entity lists materialized at the end of
+/// [`Reasoner::saturate`], so that membership and "has some filler" are a
+/// binary search instead of a walk over every typed entity or every
+/// role pair.
+#[derive(Debug, Default)]
+struct Postings {
+    /// Concept index → the concept's members, ascending.
+    members: Vec<Vec<EntityId>>,
+    /// Role index → the entities with a named filler (told or derived
+    /// pair) or an existential witness for the role, ascending.
+    subjects: Vec<Vec<EntityId>>,
+}
+
+impl Postings {
+    fn build(sat: &Saturation) -> Postings {
+        fn push(lists: &mut Vec<Vec<EntityId>>, i: usize, e: EntityId) {
+            if lists.len() <= i {
+                lists.resize_with(i + 1, Vec::new);
+            }
+            lists[i].push(e);
+        }
+        let mut members = Vec::new();
+        for (e, concepts) in &sat.types {
+            for c in concepts.keys() {
+                push(&mut members, c.index(), *e);
+            }
+        }
+        let mut subjects = Vec::new();
+        for (r, pairs) in &sat.roles {
+            for (from, _) in pairs.keys() {
+                push(&mut subjects, r.index(), *from);
+            }
+        }
+        for w in &sat.existentials {
+            push(&mut subjects, w.role.index(), w.entity);
+        }
+        for list in members.iter_mut().chain(&mut subjects) {
+            list.sort_unstable();
+            list.dedup();
+        }
+        Postings { members, subjects }
+    }
+}
+
+fn posting(lists: &[Vec<EntityId>], i: usize) -> &[EntityId] {
+    lists.get(i).map_or(&[], Vec::as_slice)
 }
 
 impl Saturation {
@@ -75,7 +125,19 @@ impl Saturation {
 
     /// True when `entity : concept` is entailed.
     pub fn has_type(&self, entity: EntityId, concept: ConceptId) -> bool {
-        self.type_confidence(entity, concept).is_some()
+        self.members(concept).binary_search(&entity).is_ok()
+    }
+
+    /// The entities entailed to be members of `concept`, ascending —
+    /// [`Saturation::members_of`] without the confidences, precomputed.
+    pub fn members(&self, concept: ConceptId) -> &[EntityId] {
+        posting(&self.postings.members, concept.index())
+    }
+
+    /// The entities with *some* `role` filler, ascending: a named one
+    /// (told or derived pair) or an existential witness.
+    pub fn role_subjects(&self, role: RoleId) -> &[EntityId] {
+        posting(&self.postings.subjects, role.index())
     }
 
     /// All concepts of an entity.
@@ -141,16 +203,17 @@ impl Saturation {
     /// True when `entity` is entailed to have *some* `role` filler of type
     /// `filler` — either a named one or an existential witness.
     pub fn has_some(&self, entity: EntityId, role: RoleId, filler: ConceptId) -> bool {
-        if self
-            .fillers(role, entity)
-            .iter()
-            .any(|t| self.has_type(*t, filler))
-        {
-            return true;
+        if self.role_subjects(role).binary_search(&entity).is_err() {
+            return false;
         }
+        // Witnesses are sorted by (entity, role, filler) at the fixpoint.
         self.existentials
-            .iter()
-            .any(|e| e.entity == entity && e.role == role && e.filler == filler)
+            .binary_search_by_key(&(entity, role, filler), |e| (e.entity, e.role, e.filler))
+            .is_ok()
+            || self
+                .fillers(role, entity)
+                .iter()
+                .any(|t| self.has_type(*t, filler))
     }
 
     /// Disjointness violations found.
@@ -319,7 +382,8 @@ impl Reasoner {
                     }
                     Axiom::Disjoint(a, b) => {
                         for (e, _) in sat.members_of(*a) {
-                            if sat.has_type(e, *b) {
+                            // The postings do not exist before the fixpoint.
+                            if sat.type_confidence(e, *b).is_some() {
                                 let inc = Inconsistency {
                                     entity: e,
                                     a: *a,
@@ -369,6 +433,7 @@ impl Reasoner {
         }
         sat.existentials
             .sort_by_key(|e| (e.entity, e.role, e.filler));
+        sat.postings = Postings::build(&sat);
         sat
     }
 }
@@ -376,6 +441,8 @@ impl Reasoner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn fig2_ontology() -> (Ontology, EntityId, EntityId, EntityId) {
         let mut o = Ontology::new();
@@ -533,6 +600,101 @@ mod tests {
         assert!(sat.rounds() < 100);
         // Self-loops are skipped by the rule (a != c guard).
         assert!(sat.role_confidence(r, EntityId(0), EntityId(0)).is_none());
+    }
+
+    /// Random TBox/RBox/ABox over 6 concepts, 3 roles and 8 entities:
+    /// subclass edges, `C ⊑ ∃R.D`, `∃R.C ⊑ D`, one transitive role,
+    /// type and role assertions.
+    fn random_ontology(
+        subclass: &[(u32, u32)],
+        exists: &[(u32, u32, u32)],
+        typed: &[(u64, u32)],
+        pairs: &[(u64, u32, u64)],
+    ) -> Ontology {
+        let mut o = Ontology::new();
+        let c: Vec<ConceptId> = (0..6).map(|i| o.concept(&format!("C{i}"))).collect();
+        let r: Vec<RoleId> = (0..3).map(|i| o.role(&format!("R{i}"))).collect();
+        o.add_axiom(Axiom::Transitive(r[2]));
+        for &(sub, sup) in subclass {
+            o.add_axiom(Axiom::Subclass(
+                c[sub as usize],
+                Concept::Named(c[sup as usize]),
+            ));
+        }
+        for &(sub, role, filler) in exists {
+            let (sub, role, filler) = (c[sub as usize], r[role as usize], c[filler as usize]);
+            o.add_axiom(Axiom::Subclass(sub, Concept::Exists(role, filler)));
+            o.add_axiom(Axiom::ExistsSubclass(role, filler, sub));
+        }
+        for &(e, concept) in typed {
+            o.assert_type(EntityId(e), c[concept as usize], Confidence::CERTAIN);
+        }
+        for &(from, role, to) in pairs {
+            o.assert_role(
+                EntityId(from),
+                r[role as usize],
+                EntityId(to),
+                Confidence::new(0.5),
+            );
+        }
+        o
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The postings answer exactly what the fact maps do: members
+        /// are `members_of`, a role's subjects are the entities with a
+        /// filler or a witness, and `has_type` / `has_some` agree with
+        /// their definitions over the maps.
+        #[test]
+        fn postings_equal_the_fact_maps(
+            subclass in vec((0u32..6, 0u32..6), 0..8),
+            exists in vec((0u32..6, 0u32..3, 0u32..6), 0..3),
+            typed in vec((0u64..8, 0u32..6), 0..10),
+            pairs in vec((0u64..8, 0u32..3, 0u64..8), 0..10),
+        ) {
+            let o = random_ontology(&subclass, &exists, &typed, &pairs);
+            let sat = Reasoner::new().saturate(&o);
+            for c in (0..8).map(ConceptId) {
+                let members: Vec<EntityId> = sat.members_of(c).into_iter().map(|(e, _)| e).collect();
+                prop_assert_eq!(sat.members(c), &members[..]);
+                for e in (0..9).map(EntityId) {
+                    prop_assert_eq!(sat.has_type(e, c), sat.type_confidence(e, c).is_some());
+                }
+            }
+            for r in (0..4).map(RoleId) {
+                let subjects: Vec<EntityId> = (0..9)
+                    .map(EntityId)
+                    .filter(|&e| {
+                        !sat.fillers(r, e).is_empty()
+                            || sat.existentials().iter().any(|w| w.entity == e && w.role == r)
+                    })
+                    .collect();
+                prop_assert_eq!(sat.role_subjects(r), &subjects[..]);
+                for e in (0..9).map(EntityId) {
+                    for c in (0..6).map(ConceptId) {
+                        let named = sat
+                            .fillers(r, e)
+                            .iter()
+                            .any(|t| sat.type_confidence(*t, c).is_some());
+                        let witness = sat
+                            .existentials()
+                            .iter()
+                            .any(|w| w.entity == e && w.role == r && w.filler == c);
+                        prop_assert_eq!(sat.has_some(e, r, c), named || witness);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn postings_of_an_empty_saturation_are_empty() {
+        let sat = Saturation::default();
+        assert!(sat.members(ConceptId(3)).is_empty());
+        assert!(sat.role_subjects(RoleId(1)).is_empty());
+        assert!(!sat.has_type(EntityId(0), ConceptId(0)));
     }
 
     #[test]

@@ -140,13 +140,13 @@ impl Taxonomy {
     /// specific) concepts carry more information — the measure FS.2 names.
     pub fn information_content(&self, c: ConceptId, sat: &Saturation) -> f64 {
         let total: usize = (0..self.concept_count)
-            .map(|i| sat.members_of(ConceptId(i as u32)).len())
+            .map(|i| sat.members(ConceptId(i as u32)).len())
             .max()
             .unwrap_or(0);
         if total == 0 {
             return 0.0;
         }
-        let members = sat.members_of(c).len();
+        let members = sat.members(c).len();
         if members == 0 {
             return (total as f64 + 1.0).log2(); // maximal: unseen concept
         }

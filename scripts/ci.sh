@@ -38,6 +38,13 @@ echo "== secondary index smoke (release)"
 # touches >= 100x fewer rows — count checks, stable on 1-core boxes.
 cargo run -q --offline --release -p scdb-bench --bin e_index -- --smoke
 
+echo "== semantic optimization smoke (release)"
+# Pins E-T1-OS3's rows / scanned / atom_evals / rewrite counts for all
+# five queries under all five optimizer configs: guards short-circuit
+# order, unsat pruning and the count-based IS selectivity without a
+# clock.
+cargo run -q --offline --release -p scdb-bench --bin e_os3_semopt -- --smoke
+
 echo "== telemetry pipeline smoke (release)"
 # Asserts the enabled-sampler overhead stays within 5% (+ fixed slack)
 # of the telemetry-off loop, that samples/watches actually fired, and

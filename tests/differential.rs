@@ -10,12 +10,27 @@
 //! snapshot does not carry the resolver's cross-source alignment cache,
 //! so the gated arms realign before every cross-source comparison; the
 //! arm at the default interval is ignored until the snapshot carries it.
+//!
+//! Compiled semantic atoms ≡ a brute-force oracle: every `IS` and
+//! `HAS SOME` query over a `scaled` source returns exactly the rows that
+//! the multi-pass normalizer and the saturation's fact accessors select,
+//! at one scan worker and at four (with equal [`ExecStats`]), and an
+//! index-driven scan returns the rows of a forced full scan.
+
+use std::collections::HashMap;
 
 use scdb_core::{Db, DurabilityConfig, IngestReport};
 use scdb_datagen::life_science::{scaled, ScaledConfig};
 use scdb_er::ResolverConfig;
+use scdb_query::exec::{EvalEnv, SemanticEnv};
+use scdb_query::{
+    Atom, CompareOp, ExecStats, Executor, Literal, LogicalPlan, PlanNode, StoreSource,
+};
+use scdb_semantic::{Ontology, Reasoner, Saturation};
+use scdb_storage::text::tokenize;
+use scdb_storage::{IndexDef, IndexKind, IndexSet, RowStore};
 use scdb_txn::FailpointLog;
-use scdb_types::{Record, SymbolTable, Value};
+use scdb_types::{Confidence, EntityId, Record, SourceId, Symbol, SymbolTable, Value};
 
 /// One generated row, symbol-free so it can be interned into any `Db`.
 struct Row {
@@ -173,4 +188,331 @@ fn reopened_equals_never_closed_at_the_default_realign_interval() {
     for shards in [1, 2] {
         reopened_equals_never_closed(shards, ResolverConfig::default());
     }
+}
+
+/// `normalize` as three passes — strip bracketed text, tokenize, join —
+/// the way it was written before it became one pass.
+fn multi_pass_normalize(s: &str) -> String {
+    let mut cleaned = String::new();
+    let mut depth = 0i32;
+    for ch in s.chars() {
+        match ch {
+            '(' | '[' | '{' => depth += 1,
+            ')' | ']' | '}' => depth = (depth - 1).max(0),
+            _ if depth == 0 => cleaned.push(ch),
+            _ => {}
+        }
+    }
+    tokenize(&cleaned).join(" ")
+}
+
+/// One `scaled` source in a row store, an entity per distinct value
+/// across all sources, and a saturated taxonomy with `Drug ⊑
+/// ∃has_target.Gene` over type and role assertions on a slice of rows.
+struct SemanticFixture {
+    symbols: SymbolTable,
+    store: RowStore,
+    indexes: IndexSet,
+    ontology: Ontology,
+    saturation: Saturation,
+    entity_by_name: HashMap<String, EntityId>,
+    /// The source's attributes: name, gene, disease.
+    attrs: [String; 3],
+}
+
+const SOURCE: &str = "drugs";
+const CONCEPTS: [&str; 6] = [
+    "Drug",
+    "ApprovedDrug",
+    "Chemical",
+    "Gene",
+    "Disease",
+    "Orphan",
+];
+const ROLES: [&str; 3] = ["has_target", "treats", "inhibits"];
+
+impl SemanticFixture {
+    fn new() -> Self {
+        let mut symbols = SymbolTable::new();
+        let generated = scaled(
+            &ScaledConfig {
+                n_drugs: 150,
+                n_genes: 30,
+                n_diseases: 20,
+                seed: 0x5E3A,
+                ..ScaledConfig::default()
+            },
+            &mut symbols,
+        );
+        let attrs: Vec<Symbol> = generated[0].records[0].record.attrs().collect();
+        let [name, gene, disease] = attrs[..] else {
+            panic!("a scaled source has three attributes");
+        };
+        let mut store = RowStore::new(SourceId(0));
+        for r in &generated[0].records {
+            store.append(r.record.clone());
+        }
+        // Names that reach every branch of normalization.
+        for surface in [
+            "İstanbul (x)",
+            "STRASSE ß",
+            "e\u{301}te",
+            "a(b)c",
+            "(only a qualifier)",
+            "",
+        ] {
+            store.append(Record::from_pairs([
+                (name, Value::str(surface)),
+                (gene, Value::str("GEN001")),
+            ]));
+        }
+        let mut entity_by_name = HashMap::new();
+        let values = generated
+            .iter()
+            .flat_map(|s| &s.records)
+            .flat_map(|r| r.record.iter().map(|(_, v)| v.clone()))
+            .chain(
+                store
+                    .scan()
+                    .flat_map(|(_, r)| r.iter().map(|(_, v)| v.clone())),
+            );
+        for v in values {
+            let key = multi_pass_normalize(&v.render());
+            if !key.is_empty() {
+                let next = EntityId(entity_by_name.len() as u64);
+                entity_by_name.entry(key).or_insert(next);
+            }
+        }
+        let entity = |v: &Value| {
+            entity_by_name
+                .get(&multi_pass_normalize(&v.render()))
+                .copied()
+        };
+
+        let mut ontology = Ontology::new();
+        ontology.subclass("ApprovedDrug", "Drug");
+        ontology.subclass("Drug", "Chemical");
+        ontology.subclass_exists("Drug", "has_target", "Gene");
+        let c: HashMap<&str, _> = CONCEPTS.iter().map(|n| (*n, ontology.concept(n))).collect();
+        let r: HashMap<&str, _> = ROLES.iter().map(|n| (*n, ontology.role(n))).collect();
+        let certain = Confidence::CERTAIN;
+        for (i, (_, row)) in store.scan().enumerate() {
+            let (Some(drug), Some(target)) = (
+                row.get(name).and_then(entity),
+                row.get(gene).and_then(entity),
+            ) else {
+                continue;
+            };
+            if i % 3 == 0 {
+                let concept = if i % 2 == 0 { "ApprovedDrug" } else { "Drug" };
+                ontology.assert_type(drug, c[concept], certain);
+            }
+            if i % 4 == 1 {
+                ontology.assert_type(target, c["Gene"], certain);
+            }
+            // Named fillers, also for drugs no assertion types.
+            if i % 5 == 2 {
+                ontology.assert_role(drug, r["has_target"], target, certain);
+            }
+            if let Some(cured) = row.get(disease).and_then(entity) {
+                if i % 7 == 0 {
+                    ontology.assert_role(drug, r["treats"], cured, certain);
+                    ontology.assert_type(cured, c["Disease"], certain);
+                }
+            }
+        }
+        let saturation = Reasoner::new().saturate(&ontology);
+        let mut indexes = IndexSet::new();
+        indexes.create(
+            IndexDef {
+                name: "ix_name".into(),
+                source: SOURCE.into(),
+                attr: symbols.resolve(name).to_string(),
+                kind: IndexKind::Hash,
+            },
+            &symbols,
+            &store,
+        );
+        let attrs = [name, gene, disease].map(|a| symbols.resolve(a).to_string());
+        SemanticFixture {
+            symbols,
+            store,
+            indexes,
+            ontology,
+            saturation,
+            entity_by_name,
+            attrs,
+        }
+    }
+
+    fn env(&self) -> EvalEnv<'_> {
+        EvalEnv {
+            semantic: Some(SemanticEnv {
+                ontology: &self.ontology,
+                saturation: &self.saturation,
+                entity_by_name: &self.entity_by_name,
+            }),
+            ..EvalEnv::default()
+        }
+    }
+
+    fn source(&self) -> StoreSource<'_> {
+        StoreSource::with_indexes(SOURCE, &self.store, &self.symbols, &self.indexes)
+    }
+
+    /// Does `record` pass `atom`, by the multi-pass normalizer and the
+    /// saturation's fact accessors rather than its posting lists?
+    fn oracle(&self, atom: &Atom, record: &Record) -> bool {
+        let value = |attr: &str| record.get(self.symbols.get(attr)?);
+        match atom {
+            Atom::Compare { attr, op, value: v } => {
+                assert_eq!(*op, CompareOp::Eq);
+                value(attr) == Some(&v.to_value())
+            }
+            Atom::IsConcept { attr, concept } => {
+                let c = self.ontology.find_concept(concept).unwrap();
+                self.entity(value(attr))
+                    .is_some_and(|e| self.saturation.types_of(e).any(|(t, _)| t == c))
+            }
+            Atom::HasSome { attr, role } => {
+                let r = self.ontology.find_role(role).unwrap();
+                self.entity(value(attr)).is_some_and(|e| {
+                    !self.saturation.fillers(r, e).is_empty()
+                        || self
+                            .saturation
+                            .existentials()
+                            .iter()
+                            .any(|w| w.entity == e && w.role == r)
+                })
+            }
+            other => panic!("no oracle for {other}"),
+        }
+    }
+
+    fn entity(&self, value: Option<&Value>) -> Option<EntityId> {
+        let key = multi_pass_normalize(&value?.render());
+        self.entity_by_name.get(&key).copied()
+    }
+
+    fn expected(&self, atoms: &[Atom]) -> Vec<Record> {
+        self.store
+            .scan()
+            .map(|(_, r)| r)
+            .filter(|r| atoms.iter().all(|a| self.oracle(a, r)))
+            .cloned()
+            .collect()
+    }
+
+    fn run(&self, executor: Executor, plan: &LogicalPlan) -> (Vec<Record>, ExecStats) {
+        executor
+            .execute(plan, &self.source(), &self.env())
+            .expect("every name resolves")
+    }
+}
+
+fn scan_plan(atoms: Vec<Atom>) -> LogicalPlan {
+    LogicalPlan {
+        nodes: vec![
+            PlanNode::Scan {
+                source: SOURCE.into(),
+            },
+            PlanNode::Filter { atoms },
+        ],
+        estimated_rows: None,
+        empty: false,
+        rewrites: Vec::new(),
+    }
+}
+
+const PARALLEL: Executor = Executor {
+    workers: 4,
+    parallel_threshold: 1,
+};
+
+#[test]
+fn compiled_semantic_atoms_equal_the_brute_force_oracle() {
+    let fx = SemanticFixture::new();
+    let mut queries: Vec<Vec<Atom>> = Vec::new();
+    for attr in &fx.attrs {
+        for concept in CONCEPTS {
+            queries.push(vec![Atom::IsConcept {
+                attr: attr.clone(),
+                concept: concept.into(),
+            }]);
+        }
+        for role in ROLES {
+            queries.push(vec![Atom::HasSome {
+                attr: attr.clone(),
+                role: role.into(),
+            }]);
+        }
+    }
+    // A conjunction, to cover short-circuiting between semantic atoms.
+    queries.push(vec![
+        Atom::HasSome {
+            attr: fx.attrs[0].clone(),
+            role: "has_target".into(),
+        },
+        Atom::IsConcept {
+            attr: fx.attrs[0].clone(),
+            concept: "ApprovedDrug".into(),
+        },
+    ]);
+    let mut answered = 0;
+    for atoms in queries {
+        let expected = fx.expected(&atoms);
+        let plan = scan_plan(atoms.clone());
+        let (seq, seq_stats) = fx.run(Executor::sequential(), &plan);
+        assert_eq!(seq, expected, "sequential: {atoms:?}");
+        let (par, par_stats) = fx.run(PARALLEL, &plan);
+        assert_eq!(par, expected, "4 workers: {atoms:?}");
+        assert_eq!(par_stats, seq_stats, "{atoms:?}");
+        assert_eq!(seq_stats.rows_scanned, fx.store.len() as u64);
+        answered += usize::from(!expected.is_empty());
+    }
+    // Not vacuous: every concept with members and every role with
+    // subjects answers rows on the name attribute at least.
+    assert!(answered >= 7, "{answered} queries answered rows");
+}
+
+#[test]
+fn index_driven_semantic_scan_equals_a_forced_full_scan() {
+    let fx = SemanticFixture::new();
+    let name = &fx.attrs[0];
+    let sym = fx.symbols.get(name).unwrap();
+    let mut matched = 0;
+    for (_, row) in fx.store.scan().step_by(4) {
+        let Some(Value::Str(surface)) = row.get(sym) else {
+            continue;
+        };
+        let eq = Atom::Compare {
+            attr: name.clone(),
+            op: CompareOp::Eq,
+            value: Literal::Str(surface.to_string()),
+        };
+        let atoms = vec![
+            eq.clone(),
+            Atom::IsConcept {
+                attr: name.clone(),
+                concept: "Drug".into(),
+            },
+        ];
+        let full = scan_plan(atoms.clone());
+        let mut indexed = full.clone();
+        indexed.nodes[0] = PlanNode::IndexScan {
+            source: SOURCE.into(),
+            index: "ix_name".into(),
+            atom: eq,
+        };
+        let (want, full_stats) = fx.run(Executor::sequential(), &full);
+        assert_eq!(want, fx.expected(&atoms), "{surface}");
+        let (got, index_stats) = fx.run(Executor::sequential(), &indexed);
+        assert_eq!(got, want, "{surface}");
+        assert!(
+            index_stats.rows_scanned < full_stats.rows_scanned,
+            "the index drove the scan for {surface}"
+        );
+        matched += usize::from(!got.is_empty());
+    }
+    assert!(matched > 0, "some probed name is a Drug");
 }
