@@ -4,16 +4,13 @@
 //! tree, a recursive-descent [`from_str`] parser (string escapes incl.
 //! `\uXXXX` surrogate pairs, scientific-notation numbers, a 128-level
 //! nesting limit like the real crate), and [`to_string`] /
-//! [`to_string_pretty`] over anything implementing the shimmed
-//! [`serde::Serialize`]. Object keys are stored in a `BTreeMap`, so
-//! serialization is deterministically key-ordered.
+//! [`to_string_pretty`] over a [`Value`]. Object keys are stored in a
+//! `BTreeMap`, so serialization is deterministically key-ordered.
 
 #![deny(unsafe_code)]
 
 use std::collections::BTreeMap;
 use std::fmt;
-
-use serde::{SerValue, Serialize};
 
 /// Object map type (`serde_json::Map` stand-in; key-ordered).
 pub type Map<K, V> = BTreeMap<K, V>;
@@ -255,52 +252,6 @@ impl fmt::Display for Value {
     }
 }
 
-impl Serialize for Value {
-    fn to_ser_value(&self) -> SerValue {
-        match self {
-            Value::Null => SerValue::Null,
-            Value::Bool(b) => SerValue::Bool(*b),
-            Value::Number(n) => match n.repr {
-                NumberRepr::I64(i) => SerValue::I64(i),
-                NumberRepr::U64(u) => SerValue::U64(u),
-                NumberRepr::F64(x) => SerValue::F64(x),
-            },
-            Value::String(s) => SerValue::Str(s.clone()),
-            Value::Array(items) => {
-                SerValue::Seq(items.iter().map(Serialize::to_ser_value).collect())
-            }
-            Value::Object(map) => SerValue::Map(
-                map.iter()
-                    .map(|(k, v)| (k.clone(), v.to_ser_value()))
-                    .collect(),
-            ),
-        }
-    }
-}
-
-fn ser_to_value(v: &SerValue) -> Value {
-    match v {
-        SerValue::Null => Value::Null,
-        SerValue::Bool(b) => Value::Bool(*b),
-        SerValue::I64(i) => Value::Number(Number::from(*i)),
-        SerValue::U64(u) => Value::Number(Number::from(*u)),
-        SerValue::F64(f) => Number::from_f64(*f).map_or(Value::Null, Value::Number),
-        SerValue::Str(s) => Value::String(s.clone()),
-        SerValue::Seq(items) => Value::Array(items.iter().map(ser_to_value).collect()),
-        SerValue::Map(entries) => Value::Object(
-            entries
-                .iter()
-                .map(|(k, v)| (k.clone(), ser_to_value(v)))
-                .collect(),
-        ),
-    }
-}
-
-/// Convert any [`Serialize`] value into a [`Value`] tree.
-pub fn to_value<T: Serialize>(value: &T) -> Value {
-    ser_to_value(&value.to_ser_value())
-}
-
 /// A parse or serialization error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Error {
@@ -332,16 +283,16 @@ pub fn from_str(text: &str) -> Result<Value, Error> {
 }
 
 /// Serialize compactly.
-pub fn to_string<T: Serialize>(value: &T) -> Result<String, Error> {
+pub fn to_string(value: &Value) -> Result<String, Error> {
     let mut out = String::new();
-    write_compact(&to_value(value), &mut out);
+    write_compact(value, &mut out);
     Ok(out)
 }
 
 /// Serialize with two-space indentation.
-pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String, Error> {
+pub fn to_string_pretty(value: &Value) -> Result<String, Error> {
     let mut out = String::new();
-    write_pretty(&to_value(value), &mut out, 0);
+    write_pretty(value, &mut out, 0);
     Ok(out)
 }
 
@@ -684,7 +635,7 @@ impl<'a> Parser<'a> {
 
 /// Build a [`Value`] inline (subset of the real `json!` macro: literals,
 /// arrays, objects with string-literal keys, and expression values that
-/// implement `Serialize`).
+/// convert with `Value::from`).
 #[macro_export]
 macro_rules! json {
     (null) => { $crate::Value::Null };
@@ -696,7 +647,7 @@ macro_rules! json {
         $( map.insert($key.to_string(), $crate::json!($val)); )*
         $crate::Value::Object(map)
     }};
-    ($other:expr) => { $crate::to_value(&$other) };
+    ($other:expr) => { $crate::Value::from($other) };
 }
 
 #[cfg(test)]

@@ -8,9 +8,10 @@
 //! 10k rows, keeps a writer ingesting continuously, and measures query
 //! throughput at 1/2/4/8 reader threads.
 //!
-//! Each configuration emits one machine-readable `BENCH JSON {...}` line
-//! (experiment, readers, preloaded rows, wall ms, queries completed,
-//! queries/s, speedup vs 1 reader) alongside the human table.
+//! Each configuration is one table row (readers, wall ms, queries
+//! completed, queries/s, speedup vs 1 reader). Readers beside a live
+//! writer are on the trajectory as the benchmark's `mixed.rw` workload
+//! (`BENCH_<pr>.json`, `perf/run.sh`).
 //!
 //! Read the speedup column against the host: on a multi-core machine the
 //! 4-reader row is expected at ≥ 2× the 1-reader row; on a single
@@ -139,12 +140,6 @@ fn main() {
             format!("{speedup:.2}x"),
             ingested.to_string(),
         ]);
-        println!(
-            "BENCH JSON {{\"experiment\":\"concurrent_read_scaling\",\"readers\":{readers},\
-             \"preloaded_rows\":{PRELOAD},\"wall_ms\":{wall_ms:.0},\"queries\":{queries},\
-             \"queries_per_s\":{qps:.1},\"speedup_vs_1\":{speedup:.3},\
-             \"rows_ingested_live\":{ingested}}}"
-        );
     }
     println!("\n{}", table.render());
     println!("shape check: queries/s grows with readers up to the core count (≥2x at 4 readers");

@@ -22,11 +22,12 @@
 //! the supervisor contract: every in-flight ticket resolves, the
 //! thread restarts, and the next ingest commits.
 //!
-//! One machine-readable `BENCH JSON {...}` line reports reads/writes
-//! during the window, fail-fast latency, recovery latency, injected
-//! fault count, and the supervisor counters. `--smoke` *asserts* the
-//! acceptance contract (zero failed reads, all writes Degraded, node
-//! back to Normal, transitions in the flight recorder and health
+//! The table reports reads/writes during the window, fail-fast latency,
+//! recovery latency, and the supervisor counters. No benchmark workload
+//! injects faults, so the latencies are not on the `BENCH_<pr>.json`
+//! trajectory; the `--smoke` contract is the record. `--smoke`
+//! *asserts* that contract (zero failed reads, all writes Degraded,
+//! node back to Normal, transitions in the flight recorder and health
 //! report).
 
 use std::time::{Duration, Instant};
@@ -50,7 +51,6 @@ fn record(db: &Db, i: usize) -> Record {
 }
 
 struct FaultRun {
-    seed_rows: usize,
     trip_ms: f64,
     reads_ok: usize,
     reads_failed: usize,
@@ -147,7 +147,6 @@ fn run_fault_cycle(seed_rows: usize, degraded_ops: usize) -> FaultRun {
         }
     }
     FaultRun {
-        seed_rows,
         trip_ms,
         reads_ok,
         reads_failed,
@@ -162,7 +161,6 @@ fn run_fault_cycle(seed_rows: usize, degraded_ops: usize) -> FaultRun {
 }
 
 struct SupervisorRun {
-    tickets: usize,
     failed_tickets: usize,
     hung_tickets: usize,
     restarted: bool,
@@ -191,7 +189,6 @@ fn run_supervisor_cycle() -> SupervisorRun {
                 .expect("submit")
         })
         .collect();
-    let n = tickets.len();
     let mut failed = 0usize;
     for t in tickets {
         // `wait` returning at all is the no-hang assertion; the harness
@@ -214,7 +211,6 @@ fn run_supervisor_cycle() -> SupervisorRun {
         .and_then(|t| t.wait())
         .is_ok();
     SupervisorRun {
-        tickets: n,
         failed_tickets: failed,
         hung_tickets: 0,
         restarted,
@@ -265,31 +261,6 @@ fn emit(fault: &FaultRun, sup: &SupervisorRun) {
         format!("{} + {}", sup.restarted, sup.post_restart_commit),
     ]);
     println!("\n{}", table.render());
-    println!(
-        "BENCH JSON {{\"experiment\":\"faults\",\"seed_rows\":{},\
-         \"trip_ms\":{:.2},\"reads_ok\":{},\"reads_failed\":{},\
-         \"writes_degraded\":{},\"writes_other\":{},\
-         \"write_fail_p99_us\":{:.1},\"recover_ms\":{:.1},\
-         \"recovered_without_reopen\":{},\"post_recovery_commits\":{},\
-         \"faults_injected\":{},\"supervisor_tickets\":{},\
-         \"supervisor_failed\":{},\"supervisor_restarted\":{},\
-         \"post_restart_commit\":{}}}",
-        fault.seed_rows,
-        fault.trip_ms,
-        fault.reads_ok,
-        fault.reads_failed,
-        fault.writes_degraded,
-        fault.writes_other,
-        fault.write_fail_p99_us,
-        fault.recover_ms,
-        fault.recovered_without_reopen,
-        fault.post_recovery_commits,
-        fault.injected,
-        sup.tickets,
-        sup.failed_tickets,
-        sup.restarted,
-        sup.post_restart_commit,
-    );
 }
 
 fn check(fault: &FaultRun, sup: &SupervisorRun) -> i32 {

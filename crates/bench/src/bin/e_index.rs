@@ -10,9 +10,10 @@
 //!   distinct tag value);
 //! * **range** — `dose >= lo AND dose < hi` covering ~1% of rows.
 //!
-//! Each (size, query, access) cell emits one machine-readable
-//! `BENCH JSON {...}` line with wall ms, rows scanned, rows out, and
-//! the access path the optimizer actually chose. `--smoke` runs the
+//! Each (size, query, access) cell is one table row with wall ms, rows
+//! scanned, rows out, and the access path the optimizer actually chose.
+//! The timing record is the benchmark's `query.point` and `query.scan`
+//! workloads (`BENCH_<pr>.json`, `perf/run.sh`). `--smoke` runs the
 //! 10k point query only and *asserts* the index win by row counts —
 //! the index path must return identical rows while touching only the
 //! matching candidates instead of every row — so it is stable on a
@@ -111,12 +112,6 @@ fn emit(table: &mut Table, rows: usize, query: &str, phase: &str, r: &RunResult)
         r.rows_scanned.to_string(),
         r.rows_out.to_string(),
     ]);
-    println!(
-        "BENCH JSON {{\"experiment\":\"index\",\"rows\":{rows},\"query\":\"{query}\",\
-         \"phase\":\"{phase}\",\"access\":\"{}\",\"ms\":{:.4},\
-         \"rows_scanned\":{},\"rows_out\":{}}}",
-        r.access, r.ms, r.rows_scanned, r.rows_out
-    );
 }
 
 fn new_table() -> Table {

@@ -16,9 +16,11 @@
 //!   chunk of tickets and then awaiting them, so the committer sees
 //!   full batches.
 //!
-//! Each configuration emits one machine-readable `BENCH JSON {...}`
-//! line (mode, policy, batch, rows, wall ms, rows/sec, fsyncs, fsyncs
-//! per row from the `txn.wal.fsyncs` counter delta). `--smoke` runs a
+//! Each configuration is one table row (mode, policy, batch, rows, wall
+//! ms, rows/sec, fsyncs, fsyncs per row from the `txn.wal.fsyncs`
+//! counter delta). The timing record is the benchmark's `ingest.bulk`,
+//! `ingest.sharded` and `mixed.rw` workloads (`BENCH_<pr>.json`,
+//! `perf/run.sh`). `--smoke` runs a
 //! small deterministic subset and *asserts* the fsync amortization
 //! (≥ 8× fewer fsyncs per row at batch 64 under `Always`) — a count
 //! check, not a wall-clock check, so it is stable on a 1-core CI box.
@@ -299,18 +301,6 @@ fn emit_sharded(table: &mut Table, shards: u32, writers: usize, r: &ShardedResul
         format!("{:.1}", r.lock_wait_p99_ns as f64 / 1000.0),
         r.lock_waits.to_string(),
     ]);
-    println!(
-        "BENCH JSON {{\"experiment\":\"ingest_throughput\",\"mode\":\"sharded\",\
-         \"policy\":\"always\",\"shards\":{shards},\"writers\":{writers},\
-         \"rows\":{},\"ms\":{:.2},\"rows_per_sec\":{:.1},\"fsyncs\":{},\
-         \"lock_wait_p99_ns\":{},\"lock_waits\":{}}}",
-        r.rows,
-        r.ms,
-        r.rows_per_sec(),
-        r.fsyncs,
-        r.lock_wait_p99_ns,
-        r.lock_waits
-    );
 }
 
 fn emit(table: &mut Table, mode: Mode, policy: FsyncPolicy, batch: usize, r: &RunResult) {
@@ -324,18 +314,6 @@ fn emit(table: &mut Table, mode: Mode, policy: FsyncPolicy, batch: usize, r: &Ru
         r.fsyncs.to_string(),
         format!("{:.4}", r.fsyncs_per_row()),
     ]);
-    println!(
-        "BENCH JSON {{\"experiment\":\"ingest_throughput\",\"mode\":\"{}\",\
-         \"policy\":\"{}\",\"batch\":{batch},\"rows\":{},\"ms\":{:.2},\
-         \"rows_per_sec\":{:.1},\"fsyncs\":{},\"fsyncs_per_row\":{:.5}}}",
-        mode.name(),
-        policy_name(policy),
-        r.rows,
-        r.ms,
-        r.rows_per_sec(),
-        r.fsyncs,
-        r.fsyncs_per_row()
-    );
 }
 
 fn smoke() -> i32 {

@@ -21,13 +21,15 @@
 //! 8k-event ring is milliseconds of honest work, and the table reports
 //! that cost per refresh instead of hiding it in a loop average.
 //!
-//! One machine-readable `BENCH JSON {...}` line carries both loop
-//! times, the overhead ratio, and per-relation `{rows, refresh_ns,
-//! total_ns}`. `--smoke` runs paired rounds and *asserts* the observed
-//! loop stays within 5% (plus fixed slack for 1-core CI jitter) of the
-//! unobserved loop, that every relation listed in `sys.relations`
-//! answers `SELECT *`, and that a real acked batch's correlation id
-//! joins to its flush→append→fsync→apply journey in `sys.events`.
+//! The table carries each relation's rows, refresh and total time, and
+//! one line both loop times and the overhead ratio. Observability's
+//! cost on the trajectory is the benchmark's `obs.overhead_pct`
+//! (`BENCH_<pr>.json`, `perf/run.sh`). `--smoke` runs paired rounds and
+//! *asserts* the observed loop stays within 5% (plus fixed slack for
+//! 1-core CI jitter) of the unobserved loop, that every relation listed
+//! in `sys.relations` answers `SELECT *`, and that a real acked batch's
+//! correlation id joins to its flush→append→fsync→apply journey in
+//! `sys.events`.
 
 use std::time::Duration;
 
@@ -231,7 +233,7 @@ fn journey_check() -> Result<(), String> {
     Ok(())
 }
 
-fn emit(rows: usize, off_ms: f64, on_ms: f64, costs: &[RelationCost]) {
+fn emit(off_ms: f64, on_ms: f64, costs: &[RelationCost]) {
     let overhead = if off_ms <= 0.0 { 0.0 } else { on_ms / off_ms };
     let mut table = Table::new(&["relation", "rows", "refresh_us", "total_us"]);
     for c in costs {
@@ -243,21 +245,7 @@ fn emit(rows: usize, off_ms: f64, on_ms: f64, costs: &[RelationCost]) {
         ]);
     }
     println!("\n{}", table.render());
-    let refresh_json: Vec<String> = costs
-        .iter()
-        .map(|c| {
-            format!(
-                "\"{}\":{{\"rows\":{},\"refresh_ns\":{},\"total_ns\":{}}}",
-                c.name, c.rows, c.refresh_ns, c.total_ns
-            )
-        })
-        .collect();
-    println!(
-        "BENCH JSON {{\"experiment\":\"syscat\",\"rows\":{rows},\
-         \"off_ms\":{off_ms:.2},\"on_ms\":{on_ms:.2},\"overhead\":{overhead:.4},\
-         \"relations\":{{{}}}}}",
-        refresh_json.join(",")
-    );
+    println!("loop: off={off_ms:.1} ms on={on_ms:.1} ms overhead={overhead:.4}");
 }
 
 fn smoke() -> i32 {
@@ -282,7 +270,7 @@ fn smoke() -> i32 {
     }
     scdb_obs::metrics().reset();
     let costs = measure_refresh(SMOKE_ROWS);
-    emit(SMOKE_ROWS, last.0, last.1, &costs);
+    emit(last.0, last.1, &costs);
     let mut ok = true;
     if !ok_overhead {
         println!("SMOKE FAIL: observed-loop overhead exceeded 5% in every round");
@@ -338,7 +326,7 @@ fn main() {
     let on = run_loop(FULL_ROWS, true, "on");
     scdb_obs::metrics().reset();
     let costs = measure_refresh(FULL_ROWS);
-    emit(FULL_ROWS, off, on, &costs);
+    emit(off, on, &costs);
     if let Err(e) = journey_check() {
         println!("journey check FAILED: {e}");
         std::process::exit(1);

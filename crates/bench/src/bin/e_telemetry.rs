@@ -11,10 +11,11 @@
 //! acked ingest decomposed into queue-wait → batch-build → WAL-append
 //! → fsync → apply stage histograms.
 //!
-//! One machine-readable `BENCH JSON {...}` line reports both loop
-//! times, the overhead ratio, sample/watch counts, and the p50/p99 of
-//! all five `core.ingest.stage.*` histograms. The Prometheus text
-//! exposition of the final registry is written to
+//! The table reports both loop times and the sample/watch counts, and
+//! one line the overhead ratio. Observability's cost on the trajectory
+//! is the benchmark's `obs.overhead_pct` and the commit stages its
+//! `reported.ingest.*` metrics (`BENCH_<pr>.json`, `perf/run.sh`). The
+//! Prometheus text exposition of the final registry is written to
 //! `target/experiments/telemetry.prom` for the CI format lint.
 //! `--smoke` runs paired rounds and *asserts* the enabled loop stays
 //! within 5% (plus fixed slack for 1-core CI jitter) of the disabled
@@ -139,20 +140,6 @@ fn write_exposition() -> std::path::PathBuf {
     path
 }
 
-fn stage_json() -> String {
-    let mut parts = Vec::new();
-    for stage in STAGES {
-        let h = scdb_obs::metrics()
-            .histogram(&format!("core.ingest.stage.{stage}_ns"))
-            .snapshot();
-        parts.push(format!(
-            "\"{stage}\":{{\"count\":{},\"p50_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
-            h.count, h.p50, h.p99, h.max
-        ));
-    }
-    format!("{{{}}}", parts.join(","))
-}
-
 fn emit(rows: usize, off: &LoopResult, on: &LoopResult) {
     let overhead = if off.ms <= 0.0 { 0.0 } else { on.ms / off.ms };
     let mut table = Table::new(&["telemetry", "rows", "ms", "samples", "watch_fires"]);
@@ -171,17 +158,7 @@ fn emit(rows: usize, off: &LoopResult, on: &LoopResult) {
         on.watch_fires.to_string(),
     ]);
     println!("\n{}", table.render());
-    println!(
-        "BENCH JSON {{\"experiment\":\"telemetry\",\"rows\":{rows},\
-         \"off_ms\":{:.2},\"on_ms\":{:.2},\"overhead\":{:.4},\
-         \"samples\":{},\"watch_fires\":{},\"stages\":{}}}",
-        off.ms,
-        on.ms,
-        overhead,
-        on.samples,
-        on.watch_fires,
-        stage_json()
-    );
+    println!("overhead (on / off): {overhead:.4}");
 }
 
 fn smoke() -> i32 {

@@ -17,8 +17,9 @@
 //! checkpoint → reopen cycle with the flight recorder enabled, prints
 //! the resulting [`Db::health_report`](scdb_core::Db::health_report)
 //! table, and dumps the event ring as JSON Lines (one event per line,
-//! `seq` strictly increasing) — the input `scripts/check_events.sh`
-//! validates in CI.
+//! `seq` strictly increasing). It then validates its own dump with
+//! [`scdb_obs::validate_jsonl`] against the event vocabulary
+//! ([`scdb_obs::EVENT_KINDS`]) and exits non-zero on any problem.
 
 use std::path::Path;
 use std::process::Command;
@@ -182,6 +183,16 @@ fn events_sweep(path: &str) {
         events.recorded(),
         events.dropped(),
     );
+    match scdb_obs::validate_jsonl(&jsonl) {
+        Ok(n) => println!("events: {n} events ok against the event vocabulary"),
+        Err(errors) => {
+            for e in errors.iter().take(20) {
+                eprintln!("events: {e}");
+            }
+            eprintln!("events: {} problem(s) in the dump", errors.len());
+            std::process::exit(1);
+        }
+    }
 }
 
 /// Drive every instrumented subsystem once, then write the global
@@ -259,17 +270,14 @@ fn metrics_sweep(path: &str) {
         .expect("append");
     }
 
-    // Storage: direct point reads + a clustering pass.
+    // Storage: direct appends + a clustering pass.
     let mut store = RowStore::new(SourceId(99));
     let attr = {
         let mut symbols = scdb_types::SymbolTable::new();
         symbols.intern("k")
     };
-    let ids: Vec<_> = (0..64i64)
-        .map(|i| store.append(Record::from_pairs([(attr, Value::Int(i))])))
-        .collect();
-    for id in &ids {
-        store.get(*id).expect("stored");
+    for i in 0..64i64 {
+        store.append(Record::from_pairs([(attr, Value::Int(i))]));
     }
     let mut tracker = CoAccessTracker::new(1024);
     for g in 0..16u64 {

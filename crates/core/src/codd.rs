@@ -8,8 +8,6 @@
 //! paper's "comprehensive list of criteria that may serve as a test for
 //! self-curating databases".
 
-use scdb_types::ValueKind;
-
 use crate::db::Db;
 
 /// Status of one checklist item.
@@ -83,20 +81,7 @@ impl Db {
         });
 
         // Extended null treatment: heterogeneous/noisy/fuzzy items.
-        let mut hetero_columns = 0usize;
-        let mut nullable_columns = 0usize;
-        for name in self.source_names() {
-            if let Ok(store) = self.store(&name) {
-                for (_, stats) in store.schema().attrs() {
-                    if stats.kinds.len() > 1 {
-                        hetero_columns += 1;
-                    }
-                    if stats.missing > 0 {
-                        nullable_columns += 1;
-                    }
-                }
-            }
-        }
+        let (hetero_columns, nullable_columns) = self.column_profile();
         items.push(CoddItem {
             rule: "null treatment (extension): noisy/fuzzy/uncertain/incomplete items",
             status: if hetero_columns > 0 || nullable_columns > 0 {
@@ -151,19 +136,28 @@ impl Db {
 
         items
     }
-}
 
-/// True when the store holds any value of more than one kind under one
-/// attribute (column heterogeneity — the paper's departure from BCNF
-/// homogeneity). Helper exposed for tests/benches.
-pub fn has_heterogeneous_column(db: &Db, source: &str) -> bool {
-    db.store(source)
-        .map(|s| {
-            s.schema()
-                .attrs()
-                .any(|(_, st)| st.kinds.keys().filter(|k| **k != ValueKind::Null).count() > 1)
-        })
-        .unwrap_or(false)
+    /// `(heterogeneous, with missing values)` column counts over every
+    /// source. A column is heterogeneous when it has held values of more
+    /// than one kind, and has missing values when a row held a null or
+    /// lacked the attribute altogether.
+    fn column_profile(&self) -> (usize, usize) {
+        let mut hetero = 0usize;
+        let mut missing = 0usize;
+        for name in self.source_names() {
+            let _ = self.with_attr_stats(&name, |stats, rows| {
+                for attr in stats.values() {
+                    if attr.kinds.count_ones() > 1 {
+                        hetero += 1;
+                    }
+                    if attr.nulls > 0 || attr.rows < rows as u64 {
+                        missing += 1;
+                    }
+                }
+            });
+        }
+        (hetero, missing)
+    }
 }
 
 #[cfg(test)]
@@ -212,10 +206,40 @@ mod tests {
         let a = db.intern("v");
         let r = Record::from_pairs([(a, Value::Int(1))]);
         db.ingest("mixed", r, None).unwrap();
-        assert!(!has_heterogeneous_column(&db, "mixed"));
+        assert_eq!(db.column_profile(), (0, 0));
+        // A null is a missing value, not a second kind.
+        db.ingest("mixed", Record::from_pairs([(a, Value::Null)]), None)
+            .unwrap();
+        assert_eq!(db.column_profile(), (0, 1));
         let r = Record::from_pairs([(a, Value::str("one"))]);
         db.ingest("mixed", r, None).unwrap();
-        assert!(has_heterogeneous_column(&db, "mixed"));
-        assert!(!has_heterogeneous_column(&db, "nope"));
+        assert_eq!(db.column_profile(), (1, 1));
+    }
+
+    /// An attribute first seen in a source's second row was missing from
+    /// its first row, so it counts as a column with missing values.
+    #[test]
+    fn attribute_first_seen_late_counts_as_missing() {
+        let db = Db::new();
+        db.register_source("late", None);
+        let a = db.intern("a");
+        let b = db.intern("b");
+        db.ingest("late", Record::from_pairs([(a, Value::Int(1))]), None)
+            .unwrap();
+        db.ingest(
+            "late",
+            Record::from_pairs([(a, Value::Int(2)), (b, Value::Int(3))]),
+            None,
+        )
+        .unwrap();
+        assert_eq!(db.column_profile(), (0, 1));
+        let null_treatment = &db.codd_report()[2];
+        assert!(
+            null_treatment
+                .evidence
+                .starts_with("0 heterogeneous column(s), 1 column(s) with missing values"),
+            "{null_treatment:?}"
+        );
+        assert_eq!(null_treatment.status, CoddStatus::Exhibited);
     }
 }

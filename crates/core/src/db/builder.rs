@@ -29,7 +29,7 @@ use super::mode::{supervise, ModeState};
 use super::recovery::SealLedger;
 use super::{
     ConfigShard, CurationStats, Db, DbInner, DbMode, DbRecoveryReport, InstanceShard,
-    RelationShard, SemanticShard, ShardLabel, ShardSlice, StageHistograms, SLOW_QUERY_RING,
+    RelationShard, SemanticShard, ShardLabel, ShardSlice, StageHistograms,
 };
 use crate::error::CoreError;
 use crate::group_commit::IngestQueue;
@@ -164,9 +164,10 @@ impl IngestConfig {
     }
 }
 
-/// Fluent constructor for [`Db`]: resolver config, optimizer config,
-/// metrics on/off, scan parallelism, enrichment isolation, and
-/// durability in one chain.
+/// Fluent constructor for [`Db`]: resolver config, metrics on/off, scan
+/// parallelism, enrichment isolation, and durability in one chain. The
+/// optimizer starts from [`OptimizerConfig::default`]; change it on the
+/// live handle with [`Db::set_optimizer_config`].
 ///
 /// ```
 /// use scdb_core::Db;
@@ -192,30 +193,20 @@ impl IngestConfig {
 #[must_use = "builders do nothing until `.build()` or `.open()` is called"]
 pub struct DbBuilder {
     resolver: ResolverConfig,
-    optimizer: OptimizerConfig,
     metrics_enabled: Option<bool>,
     executor: Executor,
     isolation: Option<IsolationMode>,
     durability: Option<DurabilityConfig>,
     slow_query_threshold: Option<Duration>,
-    slow_query_capacity: Option<usize>,
     ingest: IngestConfig,
     telemetry: Option<TelemetryConfig>,
     write_shards: Option<u32>,
-    shard_policy: Option<PlacementPolicy>,
 }
 
 impl DbBuilder {
     /// Entity-resolution configuration (thresholds, blocking, realign).
     pub fn resolver(mut self, config: ResolverConfig) -> Self {
         self.resolver = config;
-        self
-    }
-
-    /// Query-optimizer configuration (rewrite toggles for the OS.3
-    /// ablation).
-    pub fn optimizer(mut self, config: OptimizerConfig) -> Self {
-        self.optimizer = config;
         self
     }
 
@@ -259,17 +250,9 @@ impl DbBuilder {
     /// Wall-time threshold above which a query execution is captured —
     /// full [`QueryProfile`](scdb_obs::QueryProfile) plus query text —
     /// into the bounded slow-query ring ([`Db::slow_queries`], capacity
-    /// [`SLOW_QUERY_RING`]). Defaults to 100 ms.
+    /// [`SLOW_QUERY_RING`](super::SLOW_QUERY_RING)). Defaults to 100 ms.
     pub fn slow_query_threshold(mut self, threshold: Duration) -> Self {
         self.slow_query_threshold = Some(threshold);
-        self
-    }
-
-    /// Capacity of the slow-query ring (minimum 1; default
-    /// [`SLOW_QUERY_RING`] = 32). A long postmortem window wants a
-    /// deeper ring; a memory-tight deployment a shallower one.
-    pub fn slow_query_capacity(mut self, capacity: usize) -> Self {
-        self.slow_query_capacity = Some(capacity);
         self
     }
 
@@ -292,34 +275,14 @@ impl DbBuilder {
     /// queue configured — its own committer thread, so single-shard
     /// batches commit fully independently: one lock acquisition, one
     /// append, one fsync per shard. Records route by their identity
-    /// value through a [`ShardMap`] built from [`DbBuilder::shard_policy`]
-    /// (default [`PlacementPolicy::Range`]) and persisted in
-    /// checkpoints. `0`/`1` leave the database unsharded (the default:
-    /// one slice, unsuffixed file names). The shard count is fixed for
+    /// value through a [`ShardMap`] built with [`PlacementPolicy::Range`]
+    /// (contiguous slot ranges, so neighbouring keys co-locate) and
+    /// persisted in checkpoints. `0`/`1` leave the database unsharded
+    /// (the default: one slice, unsuffixed file names). The shard count is fixed for
     /// the life of the log directory — [`DbBuilder::open`] refuses a
     /// directory laid out for a different count.
     pub fn write_shards(mut self, shards: u32) -> Self {
         self.write_shards = Some(shards.max(1));
-        self
-    }
-
-    /// Placement policy the slot→shard routing table is built from
-    /// (default [`PlacementPolicy::Range`]: contiguous slot ranges, so
-    /// neighbouring keys co-locate). Only meaningful with
-    /// [`DbBuilder::write_shards`] ≥ 2.
-    pub fn shard_policy(mut self, policy: PlacementPolicy) -> Self {
-        self.shard_policy = Some(policy);
-        self
-    }
-
-    /// Lock-wait threshold above which a blocked shard-lock acquisition
-    /// emits a `("lock", "contended")` flight-recorder event. This is a
-    /// process-global knob (it forwards to
-    /// [`scdb_obs::set_lock_contention_threshold_ns`]); the default is
-    /// 1 ms. Waits below the threshold still feed the
-    /// `core.lock.<shard>.wait_ns` histograms.
-    pub fn lock_contention_threshold(self, threshold: Duration) -> Self {
-        scdb_obs::set_lock_contention_threshold_ns(threshold.as_nanos() as u64);
         self
     }
 
@@ -343,11 +306,8 @@ impl DbBuilder {
         }
         let isolation = self.isolation.unwrap_or(IsolationMode::Snapshot);
         let telemetry = self.telemetry.map(|c| Arc::new(TelemetryState::new(c)));
-        let shard_map = ShardMap::build(
-            self.shard_policy.unwrap_or(PlacementPolicy::Range),
-            self.write_shards.unwrap_or(1),
-            &[],
-        );
+        let shard_map =
+            ShardMap::build(PlacementPolicy::Range, self.write_shards.unwrap_or(1), &[]);
         let shard_count = shard_map.shards();
         let shards: Vec<ShardSlice> = (0..shard_count)
             .map(|k| {
@@ -406,7 +366,6 @@ impl DbBuilder {
                 slow_threshold: self
                     .slow_query_threshold
                     .unwrap_or(Duration::from_millis(100)),
-                slow_capacity: self.slow_query_capacity.unwrap_or(SLOW_QUERY_RING).max(1),
                 semantic: TrackedRwLock::new(
                     "semantic",
                     "core.lock.semantic.wait_ns",
@@ -421,7 +380,7 @@ impl DbBuilder {
                     "config",
                     "core.lock.config.wait_ns",
                     ConfigShard {
-                        optimizer: self.optimizer,
+                        optimizer: OptimizerConfig::default(),
                         executor: self.executor,
                     },
                 ),
@@ -619,7 +578,6 @@ mod tests {
     fn builder_configures_all_knobs() {
         let db = Db::builder()
             .resolver(ResolverConfig::default())
-            .optimizer(OptimizerConfig::default())
             .scan_workers(2)
             .build();
         db.register_source("t", None);

@@ -386,9 +386,6 @@ struct DbInner {
     slow: Mutex<VecDeque<SlowQuery>>,
     /// Wall-time threshold above which a query is captured into `slow`.
     slow_threshold: Duration,
-    /// Capacity of the `slow` ring ([`DbBuilder::slow_query_capacity`];
-    /// defaults to [`SLOW_QUERY_RING`]).
-    slow_capacity: usize,
     semantic: TrackedRwLock<SemanticShard>,
     config: TrackedRwLock<ConfigShard>,
     /// Telemetry pipeline state (time-series ring, watch engine, JSONL
@@ -791,18 +788,18 @@ impl Db {
         instance.sources.iter().map(|(n, _)| n.clone()).collect()
     }
 
-    /// Read access to a source's store (benches, reports). The guard
-    /// holds the instance lock until dropped.
-    pub fn store(&self, source: &str) -> Result<MappedRwLockReadGuard<'_, RowStore>, CoreError> {
+    /// Run `f` over a source's per-attribute statistics and its row
+    /// count (shard 0). The statistics hold only the values appended
+    /// rows carried, so an attribute whose `rows` falls short of the row
+    /// count is missing from some rows.
+    pub(crate) fn with_attr_stats<R>(
+        &self,
+        source: &str,
+        f: impl FnOnce(&HashMap<String, AttrStatistics>, usize) -> R,
+    ) -> Result<R, CoreError> {
         let instance = self.inner.shard0().instance.read();
-        let pos = instance
-            .sources
-            .iter()
-            .position(|(n, _)| n == source)
-            .ok_or_else(|| CoreError::UnknownSource(source.to_string()))?;
-        Ok(RwLockReadGuard::map(instance, move |i: &InstanceShard| {
-            &i.sources[pos].1.store
-        }))
+        let state = instance.source_state(source)?;
+        Ok(f(&state.stats, state.store.len()))
     }
 
     /// Total pairwise ER comparisons so far (cost metric).

@@ -18,9 +18,7 @@ use scdb_types::{Record, SourceId, Symbol};
 use super::{Db, QueryOutcome};
 use crate::error::CoreError;
 
-/// Default capacity of the slow-query ring ([`Db::slow_queries`];
-/// override with
-/// [`DbBuilder::slow_query_capacity`](crate::DbBuilder::slow_query_capacity)).
+/// Capacity of the slow-query ring ([`Db::slow_queries`]).
 pub const SLOW_QUERY_RING: usize = 32;
 
 /// One slow-query capture: a query whose wall time crossed
@@ -291,7 +289,7 @@ impl Db {
             &text,
         );
         let mut slow = self.inner.slow.lock();
-        while slow.len() >= self.inner.slow_capacity {
+        while slow.len() >= SLOW_QUERY_RING {
             slow.pop_front();
         }
         slow.push_back(SlowQuery {
@@ -303,8 +301,7 @@ impl Db {
     }
 
     /// Recent slow-query captures, oldest first (bounded ring, capacity
-    /// [`DbBuilder::slow_query_capacity`](crate::DbBuilder::slow_query_capacity),
-    /// default [`SLOW_QUERY_RING`]; see
+    /// [`SLOW_QUERY_RING`]; see
     /// [`DbBuilder::slow_query_threshold`](crate::DbBuilder::slow_query_threshold)).
     pub fn slow_queries(&self) -> Vec<SlowQuery> {
         self.inner.slow.lock().iter().cloned().collect()
@@ -540,6 +537,5 @@ mod tests {
             Err(CoreError::UnknownSource(_))
         ));
         assert!(db.record_count("nope").is_err());
-        assert!(db.store("nope").is_err());
     }
 }

@@ -1001,6 +1001,57 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A snapshot carries rows, not statistics: reopening rebuilds every
+    /// attribute's statistics, kind bitmask included, from the rows.
+    #[test]
+    fn attr_stats_rebuild_from_snapshot_rows() {
+        use scdb_types::{Value, ValueKind};
+        let dir = tmpdir("stats-reopen");
+        let profile = |db: &Db| {
+            db.with_attr_stats("mixed", |stats, rows| {
+                let mut attrs: Vec<(String, u8, u64, u64)> = stats
+                    .iter()
+                    .map(|(name, s)| (name.clone(), s.kinds, s.rows, s.nulls))
+                    .collect();
+                attrs.sort();
+                (attrs, rows)
+            })
+            .unwrap()
+        };
+        let before = {
+            let db = Db::open(&dir).unwrap();
+            db.register_source("mixed", None);
+            let v = db.intern("v");
+            let w = db.intern("w");
+            for r in [
+                Record::from_pairs([(v, Value::Int(1))]),
+                Record::from_pairs([(v, Value::Null), (w, Value::Float(0.5))]),
+                Record::from_pairs([(v, Value::str("one"))]),
+            ] {
+                db.ingest("mixed", r, None).unwrap();
+            }
+            db.checkpoint().unwrap();
+            profile(&db)
+        };
+        let bit = |k: ValueKind| 1u8 << k as u8;
+        assert_eq!(
+            before,
+            (
+                vec![
+                    ("v".into(), bit(ValueKind::Int) | bit(ValueKind::Str), 3, 1),
+                    ("w".into(), bit(ValueKind::Float), 1, 0),
+                ],
+                3
+            )
+        );
+        let db = Db::open(&dir).unwrap();
+        let report = db.recovery_report().unwrap();
+        assert!(report.wal.snapshot_seq.is_some(), "snapshot was loaded");
+        assert_eq!(report.records_replayed, 0);
+        assert_eq!(profile(&db), before);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn checkpoint_requires_durability() {
         let db = Db::new();

@@ -47,6 +47,68 @@ pub const MAX_FIELDS: usize = 8;
 /// Capacity of the process-global ring returned by [`events`].
 pub const EVENT_RING_CAPACITY: usize = 8192;
 
+/// The event vocabulary: every subsystem and the kinds its emission
+/// sites record. A new emission site adds its kind here (and to
+/// DESIGN.md §7) before it ships; [`validate_jsonl`] and the
+/// observability tests check recorded events against this table.
+pub const EVENT_KINDS: &[(&str, &[&str])] = &[
+    (
+        "core",
+        &[
+            "ingest",
+            "ingest.stages",
+            "recovery.snapshot",
+            "recovery.complete",
+            "checkpoint.serialize",
+            "checkpoint.complete",
+            "index.create",
+            "index.drop",
+            "index.advise",
+            "mode.degrade",
+            "mode.recover",
+            "thread.panic",
+            "thread.restart",
+            "shard.map",
+            "shard.recovery",
+            "shard.seal",
+        ],
+    ),
+    (
+        "txn",
+        &[
+            "recovery.snapshot",
+            "recovery.snapshot_drop",
+            "recovery.segment",
+            "recovery.truncated",
+            "recovery.scan",
+            "group_commit.flush",
+            "wal.append",
+            "wal.fsync",
+            "segment.seal",
+            "segment.rotate",
+            "segment.prune",
+            // The checkpoint phases, emitted as `checkpoint.{phase}`.
+            "checkpoint.write",
+            "checkpoint.sync",
+            "checkpoint.rename",
+            "checkpoint.prune",
+            "fault.injected",
+        ],
+    ),
+    ("query", &["scan.parallel", "slow", "index.scan"]),
+    ("storage", &["cluster.build"]),
+    ("er", &["merge"]),
+    ("obs", &["warn", "watch.fired", "watch.resolved"]),
+    ("lock", &["contended"]),
+];
+
+/// True when `(subsystem, kind)` is in [`EVENT_KINDS`].
+pub fn is_known_event(subsystem: &str, kind: &str) -> bool {
+    EVENT_KINDS
+        .iter()
+        .any(|(s, kinds)| *s == subsystem && kinds.contains(&kind))
+}
+
 /// A fixed-capacity inline string: up to [`SMALL_STR`] bytes, truncated
 /// at a character boundary. `Copy`, allocation-free — the building
 /// block that keeps the event hot path off the heap.
@@ -485,6 +547,82 @@ impl EventLog {
     }
 }
 
+/// Check a JSON Lines event dump ([`EventLog::export_jsonl`]): every
+/// line is a JSON object, `seq` strictly increases down the file, every
+/// `(subsystem, kind)` is in [`EVENT_KINDS`], and the batch-id contract
+/// holds. That contract: any `batch_id` field is an unsigned integer
+/// (it joins against `sys.events`), `wal.append` and `wal.fsync` carry
+/// a positive one (they only exist inside a batch), and
+/// `group_commit.flush` carries one. Returns the number of events, or
+/// every problem found, one message per problem.
+pub fn validate_jsonl(text: &str) -> Result<usize, Vec<String>> {
+    let mut errors = Vec::new();
+    let mut prev_seq: Option<u64> = None;
+    let mut n = 0usize;
+    for (i, line) in text.lines().enumerate() {
+        let lineno = i + 1;
+        let line = line.trim();
+        if line.is_empty() {
+            errors.push(format!("line {lineno}: empty line"));
+            continue;
+        }
+        let ev = match serde_json::from_str(line) {
+            Ok(v @ serde_json::Value::Object(_)) => v,
+            Ok(_) => {
+                errors.push(format!("line {lineno}: not a JSON object"));
+                continue;
+            }
+            Err(e) => {
+                errors.push(format!("line {lineno}: not valid JSON: {e}"));
+                continue;
+            }
+        };
+        match ev.get("seq").and_then(serde_json::Value::as_u64) {
+            None => errors.push(format!("line {lineno}: missing integer 'seq'")),
+            Some(seq) if prev_seq.is_some_and(|p| seq <= p) => errors.push(format!(
+                "line {lineno}: seq {seq} not strictly greater than {}",
+                prev_seq.unwrap_or_default()
+            )),
+            Some(seq) => prev_seq = Some(seq),
+        }
+        let subsystem = ev.get("subsystem").and_then(serde_json::Value::as_str);
+        let kind = ev.get("kind").and_then(serde_json::Value::as_str);
+        match (subsystem, kind) {
+            (_, None | Some("")) => errors.push(format!("line {lineno}: missing or empty 'kind'")),
+            (Some(s), Some(k)) if is_known_event(s, k) => {}
+            (s, Some(k)) => errors.push(format!(
+                "line {lineno}: unknown event kind {k:?} for subsystem {:?}",
+                s.unwrap_or_default()
+            )),
+        }
+        let batch_id = ev.get("fields").and_then(|f| f.get("batch_id"));
+        let batch = batch_id.and_then(serde_json::Value::as_u64);
+        if batch_id.is_some() && batch.is_none() {
+            errors.push(format!("line {lineno}: malformed batch_id {batch_id:?}"));
+        }
+        match kind {
+            Some(k @ ("wal.append" | "wal.fsync")) if batch.is_none_or(|b| b == 0) => {
+                errors.push(format!("line {lineno}: {k} without a positive batch_id"));
+            }
+            Some("group_commit.flush") if batch.is_none() => {
+                errors.push(format!(
+                    "line {lineno}: group_commit.flush missing batch_id"
+                ));
+            }
+            _ => {}
+        }
+        n += 1;
+    }
+    if n == 0 {
+        errors.push("no events in dump".to_string());
+    }
+    if errors.is_empty() {
+        Ok(n)
+    } else {
+        Err(errors)
+    }
+}
+
 /// The process-global flight recorder used by all instrumentation
 /// (capacity [`EVENT_RING_CAPACITY`]).
 pub fn events() -> &'static EventLog {
@@ -633,5 +771,66 @@ mod tests {
         assert_eq!(e.fields().len(), MAX_FIELDS);
         assert_eq!(e.field_u64("f0"), Some(0));
         assert!(e.field("f11").is_none());
+    }
+
+    #[test]
+    fn validate_jsonl_accepts_a_real_dump_and_names_each_problem() {
+        let log = EventLog::with_capacity(8);
+        log.record("txn", "wal.append", &[("batch_id", FieldValue::U64(3))]);
+        log.record(
+            "txn",
+            "group_commit.flush",
+            &[("batch_id", FieldValue::U64(0))],
+        );
+        log.record_with_message("obs", "warn", &[], "note");
+        let good = log.export_jsonl();
+        assert_eq!(validate_jsonl(&good), Ok(3));
+        assert!(is_known_event("txn", "checkpoint.rename"));
+        assert!(!is_known_event("core", "checkpoint.rename"));
+
+        let bad_lines = [
+            (r#"[1]"#, "not a JSON object"),
+            (r#"{"seq":1,"subsystem":"txn""#, "not valid JSON"),
+            (
+                r#"{"subsystem":"er","kind":"merge"}"#,
+                "missing integer 'seq'",
+            ),
+            (
+                r#"{"seq":9,"subsystem":"core","kind":"wal.append"}"#,
+                "unknown event kind",
+            ),
+            (
+                r#"{"seq":10,"subsystem":"txn","kind":"wal.fsync","fields":{}}"#,
+                "without a positive batch_id",
+            ),
+            (
+                r#"{"seq":11,"subsystem":"txn","kind":"wal.fsync","fields":{"batch_id":0}}"#,
+                "without a positive batch_id",
+            ),
+            (
+                r#"{"seq":12,"subsystem":"txn","kind":"group_commit.flush","fields":{}}"#,
+                "missing batch_id",
+            ),
+            (
+                r#"{"seq":13,"subsystem":"er","kind":"merge","fields":{"batch_id":"x"}}"#,
+                "malformed batch_id",
+            ),
+            (
+                r#"{"seq":2,"subsystem":"er","kind":"merge"}"#,
+                "not strictly greater",
+            ),
+            ("", "empty line"),
+        ];
+        for (line, want) in bad_lines {
+            let errors = validate_jsonl(&format!("{}{line}\n", good)).unwrap_err();
+            assert!(
+                errors.iter().any(|e| e.contains(want)),
+                "{line:?}: want {want:?}, got {errors:?}"
+            );
+        }
+        assert_eq!(
+            validate_jsonl(""),
+            Err(vec!["no events in dump".to_string()])
+        );
     }
 }

@@ -47,9 +47,12 @@ use std::time::Instant;
 
 use parking_lot::RwLock;
 
-pub use event::{event, events, Event, EventFilter, EventLog, FieldValue, SmallStr};
+pub use event::{
+    event, events, is_known_event, validate_jsonl, Event, EventFilter, EventLog, FieldValue,
+    SmallStr, EVENT_KINDS,
+};
 pub use export::{prometheus_name, prometheus_text, JsonlSink};
-pub use lock::{set_lock_contention_threshold_ns, TrackedMutex, TrackedRwLock};
+pub use lock::{TrackedMutex, TrackedRwLock, LOCK_CONTENTION_THRESHOLD_NS};
 pub use profile::{ProfileBuilder, QueryProfile, StageProfile};
 pub use timeseries::{CounterWindow, HistogramWindow, Sample, SeriesSummary, TimeSeriesRing};
 pub use watch::{default_watches, WatchEngine, WatchOp, WatchRule, WatchSignal, WatchStatus};
@@ -537,12 +540,6 @@ impl MetricsSnapshot {
     }
 }
 
-impl serde::Serialize for MetricsSnapshot {
-    fn to_ser_value(&self) -> serde::SerValue {
-        self.to_json().to_ser_value()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Spans
 // ---------------------------------------------------------------------------
@@ -726,7 +723,7 @@ mod tests {
             r.observe("h.three_ns", v);
         }
         let snap = r.snapshot();
-        let text = serde_json::to_string(&snap).expect("serializable");
+        let text = serde_json::to_string(&snap.to_json()).expect("serializable");
         let parsed: serde_json::Value = serde_json::from_str(&text).expect("valid json");
         let back = MetricsSnapshot::from_json(&parsed).expect("decodable");
         assert_eq!(back, snap);

@@ -10,39 +10,26 @@
 //! * record the wait into the wrapper's wait histogram (e.g.
 //!   `core.lock.instance.wait_ns`), and
 //! * emit a `("lock", "contended")` event carrying
-//!   `{shard, mode, wait_ns}` when the wait exceeds the process-global
-//!   threshold ([`set_lock_contention_threshold_ns`], default 1 ms).
+//!   `{shard, mode, wait_ns}` when the wait reaches
+//!   [`LOCK_CONTENTION_THRESHOLD_NS`] (1 ms).
 //!
 //! Guards are the plain `parking_lot` guard types, so call sites keep
 //! using `RwLockReadGuard::map` and friends unchanged.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::event::FieldValue;
 
-/// Default contention threshold: waits of 1 ms or more emit an event.
-pub const DEFAULT_LOCK_CONTENTION_THRESHOLD_NS: u64 = 1_000_000;
-
-static THRESHOLD_NS: AtomicU64 = AtomicU64::new(DEFAULT_LOCK_CONTENTION_THRESHOLD_NS);
-
-/// Set the process-global wait threshold (nanoseconds) above which a
-/// contended acquisition emits a `("lock", "contended")` event. Waits
-/// below the threshold still feed the wait histograms.
-pub fn set_lock_contention_threshold_ns(ns: u64) {
-    THRESHOLD_NS.store(ns, Ordering::Relaxed);
-}
-
-/// Current `("lock", "contended")` event threshold in nanoseconds.
-pub fn lock_contention_threshold_ns() -> u64 {
-    THRESHOLD_NS.load(Ordering::Relaxed)
-}
+/// Contention threshold: waits of 1 ms or more emit a
+/// `("lock", "contended")` event. Shorter waits still feed the wait
+/// histograms.
+pub const LOCK_CONTENTION_THRESHOLD_NS: u64 = 1_000_000;
 
 fn note_wait(name: &'static str, metric: &'static str, mode: &'static str, wait_ns: u64) {
     crate::metrics().observe(metric, wait_ns);
-    if wait_ns >= lock_contention_threshold_ns() {
+    if wait_ns >= LOCK_CONTENTION_THRESHOLD_NS {
         crate::event(
             "lock",
             "contended",
@@ -241,7 +228,7 @@ mod tests {
             .histogram("test.lock.t_cont.wait_ns")
             .snapshot();
         assert!(h.count > before, "blocked read was measured");
-        // The ~20 ms wait is far above the 1 ms default threshold, so a
+        // The ~20 ms wait is far above the 1 ms threshold, so a
         // contended event for this shard must exist.
         let hits = crate::events().select(
             &crate::EventFilter::new()

@@ -161,11 +161,12 @@ impl RowSource for StoreSource<'_> {
         let offsets = self.indexes?.lookup(attr, pred)?;
         // Offsets are sorted ascending, i.e. arrival order — the same
         // order a full scan yields, so downstream limit/merge semantics
-        // are unchanged. Tombstoned offsets (benign races) are skipped.
+        // are unchanged. Rows are never removed, so every offset the
+        // index holds names a stored row.
         Some(
             offsets
                 .into_iter()
-                .filter_map(|off| self.store.peek(RecordId::new(self.store.source(), off)))
+                .filter_map(|off| self.store.get(RecordId::new(self.store.source(), off)).ok())
                 .collect(),
         )
     }

@@ -7,7 +7,7 @@ use scdb_types::RecordId;
 /// Errors produced by instance-layer operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageError {
-    /// The addressed record does not exist (never written or deleted).
+    /// The addressed record does not exist (never written).
     NoSuchRecord(RecordId),
     /// A record id referenced a different source than the store it was
     /// used against.

@@ -7,8 +7,10 @@
 //! arrival order, so an index scan can reproduce exactly the rows (and
 //! row order) a full scan would produce.
 //!
-//! Indexes are maintained incrementally by the curation pipeline under
-//! the existing instance-shard locks; contents are never logged — they
+//! Rows are only ever appended, so an index is filled in exactly two
+//! ways: [`IndexSet::create`] builds it from the whole store, and
+//! [`IndexSet::note_append`] adds each row the curation pipeline appends
+//! under the instance-shard lock. Contents are never logged — they
 //! rebuild deterministically from the row store during recovery, while
 //! the *definitions* persist through the WAL and checkpoint snapshot.
 
@@ -136,30 +138,6 @@ impl SecondaryIndex {
         self.entries += 1;
     }
 
-    /// Remove one row's value (tombstoned / retracted rows).
-    pub fn remove(&mut self, value: &Value, offset: u64) {
-        if value.is_null() {
-            return;
-        }
-        let (emptied, removed) = match &mut self.backing {
-            Backing::Hash(m) => prune(m.get_mut(value), offset),
-            Backing::Ordered(m) => prune(m.get_mut(value), offset),
-        };
-        if removed {
-            self.entries -= 1;
-        }
-        if emptied {
-            match &mut self.backing {
-                Backing::Hash(m) => {
-                    m.remove(value);
-                }
-                Backing::Ordered(m) => {
-                    m.remove(value);
-                }
-            }
-        }
-    }
-
     /// True when this index can answer `pred`.
     pub fn supports(&self, pred: &IndexPredicate) -> bool {
         match (pred, self.def.kind) {
@@ -200,7 +178,8 @@ impl SecondaryIndex {
         Some(out)
     }
 
-    /// Rebuild contents from `store` (recovery / snapshot install).
+    /// Rebuild contents from `store` (index creation, recovery and
+    /// snapshot install).
     pub fn rebuild(&mut self, symbols: &SymbolTable, store: &RowStore) {
         self.backing = match self.def.kind {
             IndexKind::Hash => Backing::Hash(HashMap::new()),
@@ -215,17 +194,6 @@ impl SecondaryIndex {
                 self.insert(v, id.offset);
             }
         }
-    }
-}
-
-fn prune(slot: Option<&mut Vec<u64>>, offset: u64) -> (bool, bool) {
-    match slot {
-        Some(offs) => {
-            let before = offs.len();
-            offs.retain(|o| *o != offset);
-            (offs.is_empty(), offs.len() < before)
-        }
-        None => (false, false),
     }
 }
 
@@ -293,30 +261,6 @@ impl IndexSet {
                     idx.insert(v, offset);
                 }
             }
-        }
-    }
-
-    /// Maintain all indexes for a deleted (retracted) row.
-    pub fn note_delete(&mut self, symbols: &SymbolTable, record: &Record, offset: u64) {
-        for idx in &mut self.list {
-            if let Some(sym) = symbols.get(&idx.def.attr) {
-                if let Some(v) = record.get(sym) {
-                    idx.remove(v, offset);
-                }
-            }
-        }
-    }
-
-    /// Maintain all indexes for an in-place row update.
-    pub fn note_update(&mut self, symbols: &SymbolTable, old: &Record, new: &Record, offset: u64) {
-        self.note_delete(symbols, old, offset);
-        self.note_append(symbols, new, offset);
-    }
-
-    /// Rebuild every index from `store` (snapshot install).
-    pub fn rebuild_all(&mut self, symbols: &SymbolTable, store: &RowStore) {
-        for idx in &mut self.list {
-            idx.rebuild(symbols, store);
         }
     }
 
@@ -415,7 +359,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_maintenance_tracks_appends_and_deletes() {
+    fn incremental_maintenance_tracks_appends() {
         let (mut syms, mut store) = fixture();
         let name = syms.intern("name");
         let mut set = IndexSet::new();
@@ -428,16 +372,6 @@ mod tests {
             set.lookup("name", &IndexPredicate::Eq(Value::str("r3")))
                 .unwrap(),
             vec![3, 10]
-        );
-        // Delete the original.
-        let old = store
-            .delete(scdb_types::RecordId::new(store.source(), 3))
-            .unwrap();
-        set.note_delete(&syms, &old, 3);
-        assert_eq!(
-            set.lookup("name", &IndexPredicate::Eq(Value::str("r3")))
-                .unwrap(),
-            vec![10]
         );
     }
 
@@ -457,32 +391,43 @@ mod tests {
             .is_empty());
     }
 
+    /// The reference check for append-only maintenance: indexes created
+    /// over the full store equal indexes created empty and fed every row
+    /// through `note_append`.
     #[test]
     fn rebuild_matches_incremental() {
-        let (syms, store) = fixture();
-        let mut set = IndexSet::new();
-        set.create(def("ix", "score", IndexKind::Ordered), &syms, &store);
-        let before = set
-            .lookup(
-                "score",
-                &IndexPredicate::Range {
-                    lo: None,
-                    hi: Some((Value::Int(4), true)),
-                },
-            )
-            .unwrap();
-        set.rebuild_all(&syms, &store);
-        let after = set
-            .lookup(
-                "score",
-                &IndexPredicate::Range {
-                    lo: None,
-                    hi: Some((Value::Int(4), true)),
-                },
-            )
-            .unwrap();
-        assert_eq!(before, after);
-        assert_eq!(after, vec![0, 1, 2, 3, 4]);
+        let (mut syms, mut full) = fixture();
+        let score = syms.intern("score");
+        // Duplicates, a null, a mixed-kind value and a missing attribute.
+        for v in [Value::Int(3), Value::Null, Value::str("x"), Value::Int(3)] {
+            full.append(Record::from_pairs([(score, v)]));
+        }
+        full.append(Record::new());
+        let (mut rebuilt, mut incremental) = (IndexSet::new(), IndexSet::new());
+        let mut grown = RowStore::new(full.source());
+        for (ix, kind) in [("ix_h", IndexKind::Hash), ("ix_o", IndexKind::Ordered)] {
+            assert!(rebuilt.create(def(ix, "score", kind), &syms, &full));
+            assert!(incremental.create(def(ix, "score", kind), &syms, &grown));
+        }
+        for (_, record) in full.scan() {
+            let id = grown.append(record.clone());
+            incremental.note_append(&syms, record, id.offset);
+        }
+        for (a, b) in rebuilt.iter().zip(incremental.iter()) {
+            assert_eq!(a.entries(), b.entries(), "{}", a.def().name);
+        }
+        let range = |lo: Option<(Value, bool)>, hi| IndexPredicate::Range { lo, hi };
+        for pred in [
+            IndexPredicate::Eq(Value::Int(3)),
+            IndexPredicate::Eq(Value::str("x")),
+            range(None, Some((Value::Int(4), true))),
+            range(Some((Value::Int(2), false)), Some((Value::str("x"), true))),
+        ] {
+            let want = rebuilt.lookup("score", &pred);
+            assert_eq!(want, incremental.lookup("score", &pred), "{pred:?}");
+        }
+        let three = rebuilt.lookup("score", &IndexPredicate::Eq(Value::Int(3)));
+        assert_eq!(three, Some(vec![3, 10, 13]));
     }
 
     #[test]

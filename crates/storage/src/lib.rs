@@ -3,8 +3,7 @@
 //! The instance layer stores raw data "spanning both structured and
 //! unstructured" forms. This crate provides:
 //!
-//! * [`RowStore`] — an append-friendly, schema-flexible record store with
-//!   per-source [`SourceSchema`](scdb_types::SourceSchema) inference;
+//! * [`RowStore`] — an append-only, schema-flexible record store;
 //! * [`mod@column`] — columnar segments with lightweight compression
 //!   (dictionary, run-length, delta), because "analytical workloads benefit
 //!   greatly from a columnar decomposition" (§3.1);
@@ -14,8 +13,10 @@
 //!   substitutions);
 //! * [`text`] — a token-indexed text/blob store for the unstructured end of
 //!   the spectrum;
-//! * [`stats`] — per-attribute statistics (histograms, common values) that
-//!   feed the cost-based side of the query optimizer (OS.3);
+//! * [`stats`] — per-attribute statistics (histograms, common values,
+//!   value kinds) learned from every appended row: the one profile of a
+//!   source's attributes, read by the cost-based side of the query
+//!   optimizer (OS.3) and the §5 Codd report;
 //! * [`mod@index`] — secondary hash / ordered indexes over attribute
 //!   values, the optimizer's alternative access path to a full scan.
 

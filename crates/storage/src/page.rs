@@ -3,7 +3,7 @@
 //! The OS.1 footnote in the paper imagines packing frequently co-accessed
 //! data "to be used efficiently in the limited, but fast-access memory of
 //! modern hardware including CPU cache". We cannot portably read hardware
-//! counters, so the instance layer counts *page touches*: every record
+//! counters, so the OS.1 experiments count *page touches*: every record
 //! access touches the page holding the record's current physical position.
 //! Fewer distinct pages touched by a workload ⇒ better locality. The
 //! counter is interior-mutable so read paths stay `&self`.

@@ -1,47 +1,30 @@
 //! The per-source row store.
 //!
 //! Records append in arrival order (the natural order of a continuously
-//! ingesting source, §4.2 "individual data sources may change over time"),
-//! support in-place update and tombstone deletion, and feed schema
-//! inference on every write so the "schema becomes part of the data" (§1).
+//! ingesting source, §4.2 "individual data sources may change over time")
+//! and are never rewritten in place: a record's id is its offset, and the
+//! store only grows. What the rows say about the source's attributes is
+//! learned by the per-attribute [`stats`](crate::stats) the caller folds
+//! every appended record into, so the "schema becomes part of the data"
+//! (§1).
 
-use scdb_types::{Record, RecordId, SourceId, SourceSchema};
+use scdb_types::{Record, RecordId, SourceId};
 
 use crate::error::StorageError;
-use crate::page::{PageConfig, TouchCounter};
 
-/// Default cap on exact distinct-value tracking during schema inference.
-pub const DEFAULT_DISTINCT_CAP: u64 = 4096;
-
-/// An append-friendly, schema-flexible record store for one source.
+/// An append-only, schema-flexible record store for one source.
 #[derive(Debug)]
 pub struct RowStore {
     source: SourceId,
-    slots: Vec<Option<Record>>,
-    live: usize,
-    bytes: usize,
-    schema: SourceSchema,
-    pages: PageConfig,
-    touches: TouchCounter,
+    rows: Vec<Record>,
 }
 
 impl RowStore {
-    /// New store for `source` with the default page geometry.
+    /// New empty store for `source`.
     pub fn new(source: SourceId) -> Self {
-        Self::with_pages(source, PageConfig::default())
-    }
-
-    /// New store with explicit page geometry (used by the OS.1 experiments
-    /// to vary locality granularity).
-    pub fn with_pages(source: SourceId, pages: PageConfig) -> Self {
         RowStore {
             source,
-            slots: Vec::new(),
-            live: 0,
-            bytes: 0,
-            schema: SourceSchema::new(DEFAULT_DISTINCT_CAP),
-            pages,
-            touches: TouchCounter::new(),
+            rows: Vec::new(),
         }
     }
 
@@ -52,113 +35,45 @@ impl RowStore {
 
     /// Append a record, returning its id.
     pub fn append(&mut self, record: Record) -> RecordId {
-        let offset = self.slots.len() as u64;
-        self.schema.observe(&record);
+        let offset = self.rows.len() as u64;
         let size = record.approx_size();
-        self.bytes += size;
-        self.slots.push(Some(record));
-        self.live += 1;
+        self.rows.push(record);
         let m = scdb_obs::metrics();
         m.inc("storage.rows_appended");
         m.add("storage.bytes_written", size as u64);
         RecordId::new(self.source, offset)
     }
 
-    fn check(&self, id: RecordId) -> Result<usize, StorageError> {
+    /// Fetch a record.
+    pub fn get(&self, id: RecordId) -> Result<&Record, StorageError> {
         if id.source != self.source {
             return Err(StorageError::WrongSource {
                 expected: self.source,
                 got: id.source,
             });
         }
-        let idx = id.offset as usize;
-        match self.slots.get(idx) {
-            Some(Some(_)) => Ok(idx),
-            _ => Err(StorageError::NoSuchRecord(id)),
-        }
+        self.rows
+            .get(id.offset as usize)
+            .ok_or(StorageError::NoSuchRecord(id))
     }
 
-    /// Fetch a record, counting a page touch (physical order).
-    pub fn get(&self, id: RecordId) -> Result<&Record, StorageError> {
-        let idx = self.check(id)?;
-        self.touches.touch(self.pages.page_of(idx as u64));
-        scdb_obs::metrics().inc("storage.page_reads");
-        Ok(self.slots[idx].as_ref().expect("checked live"))
-    }
-
-    /// Fetch without touching the locality counters (internal paths).
-    pub fn peek(&self, id: RecordId) -> Option<&Record> {
-        if id.source != self.source {
-            return None;
-        }
-        self.slots.get(id.offset as usize)?.as_ref()
-    }
-
-    /// Replace a record in place.
-    pub fn update(&mut self, id: RecordId, record: Record) -> Result<Record, StorageError> {
-        let idx = self.check(id)?;
-        self.schema.observe(&record);
-        self.bytes += record.approx_size();
-        let old = self.slots[idx].replace(record).expect("checked live");
-        self.bytes = self.bytes.saturating_sub(old.approx_size());
-        Ok(old)
-    }
-
-    /// Tombstone a record.
-    pub fn delete(&mut self, id: RecordId) -> Result<Record, StorageError> {
-        let idx = self.check(id)?;
-        let old = self.slots[idx].take().expect("checked live");
-        self.bytes = self.bytes.saturating_sub(old.approx_size());
-        self.live -= 1;
-        Ok(old)
-    }
-
-    /// Iterate live records in physical (arrival) order.
+    /// Iterate records in physical (arrival) order.
     pub fn scan(&self) -> impl Iterator<Item = (RecordId, &Record)> {
         let source = self.source;
-        self.slots.iter().enumerate().filter_map(move |(i, slot)| {
-            slot.as_ref().map(|r| (RecordId::new(source, i as u64), r))
-        })
+        self.rows
+            .iter()
+            .enumerate()
+            .map(move |(i, r)| (RecordId::new(source, i as u64), r))
     }
 
-    /// Number of live records.
+    /// Number of records.
     pub fn len(&self) -> usize {
-        self.live
+        self.rows.len()
     }
 
-    /// True when no live records remain.
+    /// True when no records have been appended.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Total slots ever appended (live + tombstoned).
-    pub fn high_water(&self) -> u64 {
-        self.slots.len() as u64
-    }
-
-    /// Approximate live payload bytes.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// The inferred schema of this source.
-    pub fn schema(&self) -> &SourceSchema {
-        &self.schema
-    }
-
-    /// Page geometry in effect.
-    pub fn pages(&self) -> PageConfig {
-        self.pages
-    }
-
-    /// Locality counters accumulated by `get` calls.
-    pub fn touches(&self) -> &TouchCounter {
-        &self.touches
-    }
-
-    /// Reset locality counters (between experiment phases).
-    pub fn reset_touches(&self) {
-        self.touches.reset();
+        self.rows.is_empty()
     }
 }
 
@@ -199,61 +114,5 @@ mod tests {
             s.get(RecordId::new(SourceId(0), 5)),
             Err(StorageError::NoSuchRecord(_))
         ));
-    }
-
-    #[test]
-    fn delete_then_get_fails_and_scan_skips() {
-        let (mut s, _) = store_with(3);
-        let id = RecordId::new(SourceId(0), 1);
-        s.delete(id).unwrap();
-        assert!(s.get(id).is_err());
-        assert!(s.delete(id).is_err());
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.high_water(), 3);
-        let offsets: Vec<u64> = s.scan().map(|(id, _)| id.offset).collect();
-        assert_eq!(offsets, vec![0, 2]);
-    }
-
-    #[test]
-    fn update_replaces_and_tracks_bytes() {
-        let (mut s, mut syms) = store_with(1);
-        let name = syms.intern("name");
-        let id = RecordId::new(SourceId(0), 0);
-        let before = s.bytes();
-        let old = s
-            .update(
-                id,
-                Record::from_pairs([(name, Value::str("a much longer replacement value"))]),
-            )
-            .unwrap();
-        assert_eq!(old.get(name), Some(&Value::str("r0")));
-        assert!(s.bytes() > before);
-    }
-
-    #[test]
-    fn schema_tracks_appends_and_updates() {
-        let (mut s, mut syms) = store_with(2);
-        let dose = syms.intern("dose");
-        s.append(Record::from_pairs([(dose, Value::Float(5.1))]));
-        assert_eq!(s.schema().records_seen(), 3);
-        assert!(s.schema().attr(dose).is_some());
-    }
-
-    #[test]
-    fn touches_accumulate_per_page() {
-        let mut syms = SymbolTable::new();
-        let a = syms.intern("a");
-        let mut s = RowStore::with_pages(SourceId(0), PageConfig::new(4));
-        for i in 0..8 {
-            s.append(Record::from_pairs([(a, Value::Int(i))]));
-        }
-        // Two records on page 0, one on page 1.
-        s.get(RecordId::new(SourceId(0), 0)).unwrap();
-        s.get(RecordId::new(SourceId(0), 3)).unwrap();
-        s.get(RecordId::new(SourceId(0), 4)).unwrap();
-        assert_eq!(s.touches().total(), 3);
-        assert_eq!(s.touches().distinct(), 2);
-        s.reset_touches();
-        assert_eq!(s.touches().total(), 0);
     }
 }

@@ -258,19 +258,27 @@ impl CommonValues {
     }
 }
 
-/// Full statistics for one attribute.
+/// Full statistics for one attribute: the one per-attribute profile the
+/// instance layer keeps, read by the optimizer and by the §5 Codd report.
 #[derive(Debug, Clone)]
 pub struct AttrStatistics {
-    /// Rows observed (including nulls).
+    /// Rows observed (including nulls). A source's rows that lack the
+    /// attribute are not observed, so this can fall short of the
+    /// source's row count.
     pub rows: u64,
     /// Null/absent observations.
     pub nulls: u64,
+    /// Bitmask of the non-null [`ValueKind`](scdb_types::ValueKind)s
+    /// observed: bit `kind as u8` is set once a value of that kind has
+    /// been seen. More than one bit set means a heterogeneous column.
+    pub kinds: u8,
     /// Numeric histogram, present when the attribute is numeric-bearing.
     pub histogram: Option<Histogram>,
     /// Most-common-values sketch.
     pub common: CommonValues,
     /// Exact-then-frozen distinct estimate.
     pub distinct: u64,
+    distinct_cap: usize,
     distinct_set: Option<std::collections::HashSet<Value>>,
 }
 
@@ -281,9 +289,11 @@ impl AttrStatistics {
         AttrStatistics {
             rows: 0,
             nulls: 0,
+            kinds: 0,
             histogram: None,
             common: CommonValues::new(mcv_capacity),
             distinct: 0,
+            distinct_cap,
             distinct_set: Some(std::collections::HashSet::with_capacity(
                 distinct_cap.min(1024),
             )),
@@ -297,6 +307,7 @@ impl AttrStatistics {
             self.nulls += 1;
             return;
         }
+        self.kinds |= 1 << v.kind() as u8;
         self.common.add(v);
         if let Some(f) = v.as_float() {
             match &mut self.histogram {
@@ -312,7 +323,7 @@ impl AttrStatistics {
         if let Some(set) = &mut self.distinct_set {
             set.insert(v.clone());
             self.distinct = set.len() as u64;
-            if set.len() >= 4096 {
+            if set.len() >= self.distinct_cap {
                 self.distinct_set = None; // freeze
             }
         }
@@ -344,6 +355,7 @@ impl AttrStatistics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scdb_types::ValueKind;
 
     #[test]
     fn histogram_uniform_selectivity() {
@@ -474,5 +486,35 @@ mod tests {
         assert_eq!(s.nulls, 1);
         assert!((s.non_null_fraction() - 2.0 / 3.0).abs() < 1e-9);
         assert!(s.histogram.is_some());
+    }
+
+    #[test]
+    fn attr_stats_kind_bitmask() {
+        let bit = |k: ValueKind| 1u8 << k as u8;
+        let mut s = AttrStatistics::new(8, 4096);
+        assert_eq!(s.kinds, 0);
+        s.observe(&Value::Null);
+        assert_eq!(s.kinds, 0, "a null sets no kind bit");
+        s.observe(&Value::Int(1));
+        s.observe(&Value::Int(2));
+        assert_eq!(s.kinds, bit(ValueKind::Int));
+        s.observe(&Value::str("two"));
+        s.observe(&Value::Null);
+        assert_eq!(s.kinds, bit(ValueKind::Int) | bit(ValueKind::Str));
+        assert_eq!(s.kinds.count_ones(), 2, "heterogeneous");
+        assert_eq!((s.rows, s.nulls), (5, 2));
+        let mut f = AttrStatistics::new(8, 4096);
+        f.observe(&Value::Float(1.5));
+        f.observe(&Value::Int(1));
+        assert_eq!(f.kinds.count_ones(), 2, "int and float are two kinds");
+    }
+
+    #[test]
+    fn attr_stats_distinct_counting_caps() {
+        let mut s = AttrStatistics::new(8, 5);
+        for i in 0..100 {
+            s.observe(&Value::Int(i % 50));
+        }
+        assert_eq!((s.distinct, s.rows), (5, 100), "frozen at the cap");
     }
 }

@@ -14,9 +14,9 @@
 //!   names, concept names, and role names;
 //! * [`Provenance`] — the source/confidence/time lineage every curated fact
 //!   carries (a prerequisite for the parallel-worlds semantics of §4.2);
-//! * [`Record`] and [`SourceSchema`] — schema-flexible records, because a
-//!   self-curating database "cannot assume that all data is in a relational
-//!   model" (§5, deviation from the foundation rule).
+//! * [`Record`] — schema-flexible records, because a self-curating
+//!   database "cannot assume that all data is in a relational model" (§5,
+//!   deviation from the foundation rule).
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,6 +32,6 @@ pub mod value;
 pub use error::TypeError;
 pub use ids::{AttrId, ConceptId, EntityId, IdGen, RecordId, RoleId, SourceId, WorldId};
 pub use provenance::{Confidence, Provenance};
-pub use record::{Record, SourceSchema};
+pub use record::Record;
 pub use symbol::{Symbol, SymbolTable};
 pub use value::{Value, ValueKind};

@@ -7,12 +7,10 @@
 //! parallel-world machinery in `scdb-uncertain` attaches per-source
 //! *premises* on top of this.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{RecordId, SourceId};
 
 /// A confidence score in `[0, 1]`, clamped on construction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Confidence(f64);
 
 impl Confidence {
@@ -71,7 +69,7 @@ impl Ord for Confidence {
 
 /// The lineage of a curated fact: where it came from, how sure we are, and
 /// when the curation step produced it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Provenance {
     /// Source the fact was derived from.
     pub source: SourceId,

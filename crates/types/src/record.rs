@@ -1,16 +1,14 @@
-//! Schema-flexible records and per-source schemas.
+//! Schema-flexible records.
 //!
 //! Sources are "independently produced and maintained" (§1) and arrive with
 //! their own attribute vocabularies (Figure 2: one source says `Drug Name`,
 //! another says `Drug`). A [`Record`] is therefore a sparse list of
-//! `(attribute, value)` pairs; a [`SourceSchema`] accumulates what is known
-//! about a source's attributes *from the data itself* — schema as data, not
-//! as a separate blueprint.
+//! `(attribute, value)` pairs. What is known about a source's attributes is
+//! learned *from the data itself* by the storage layer's per-attribute
+//! statistics — schema as data, not as a separate blueprint.
 
-use std::collections::HashMap;
-
-use crate::symbol::{Symbol, SymbolTable};
-use crate::value::{Value, ValueKind};
+use crate::symbol::Symbol;
+use crate::value::Value;
 
 /// A sparse, schema-flexible record: attribute/value pairs sorted by
 /// attribute symbol for deterministic iteration and cheap merging.
@@ -94,128 +92,10 @@ impl FromIterator<(Symbol, Value)> for Record {
     }
 }
 
-/// Statistics about one attribute of a source, inferred from observed data.
-#[derive(Debug, Clone, Default)]
-pub struct AttrStats {
-    /// Records in which the attribute was present and non-null.
-    pub present: u64,
-    /// Records in which the attribute was null or absent.
-    pub missing: u64,
-    /// Histogram of observed value kinds.
-    pub kinds: HashMap<ValueKind, u64>,
-    /// Count of distinct values, tracked exactly up to a cap then frozen.
-    pub distinct_capped: u64,
-}
-
-impl AttrStats {
-    /// The dominant (most frequent) value kind, if any values were seen.
-    pub fn dominant_kind(&self) -> Option<ValueKind> {
-        self.kinds
-            .iter()
-            .max_by_key(|(k, n)| (**n, std::cmp::Reverse(**k)))
-            .map(|(k, _)| *k)
-    }
-
-    /// Fraction of records where the attribute is present.
-    pub fn coverage(&self) -> f64 {
-        let total = self.present + self.missing;
-        if total == 0 {
-            0.0
-        } else {
-            self.present as f64 / total as f64
-        }
-    }
-}
-
-/// What is known about a source's attributes, learned incrementally from
-/// ingested records.
-///
-/// This is the paper's "schema becomes part of the data" (§1): nothing here
-/// is declared up-front; everything is observed.
-#[derive(Debug, Clone, Default)]
-pub struct SourceSchema {
-    stats: HashMap<Symbol, AttrStats>,
-    records_seen: u64,
-    distinct_cap: u64,
-    distinct_sets: HashMap<Symbol, std::collections::HashSet<Value>>,
-}
-
-impl SourceSchema {
-    /// New schema tracker; `distinct_cap` bounds exact distinct counting.
-    pub fn new(distinct_cap: u64) -> Self {
-        SourceSchema {
-            distinct_cap,
-            ..Default::default()
-        }
-    }
-
-    /// Observe one record.
-    pub fn observe(&mut self, record: &Record) {
-        self.records_seen += 1;
-        for (attr, value) in record.iter() {
-            let stats = self.stats.entry(attr).or_default();
-            if value.is_null() {
-                stats.missing += 1;
-                continue;
-            }
-            stats.present += 1;
-            *stats.kinds.entry(value.kind()).or_insert(0) += 1;
-            if stats.distinct_capped < self.distinct_cap {
-                let set = self.distinct_sets.entry(attr).or_default();
-                if set.insert(value.clone()) {
-                    stats.distinct_capped = set.len() as u64;
-                }
-            }
-        }
-        // Attributes absent from this record count as missing.
-        let present: Vec<Symbol> = record.attrs().collect();
-        for (attr, stats) in self.stats.iter_mut() {
-            if !present.contains(attr) {
-                stats.missing += 1;
-            }
-        }
-    }
-
-    /// Stats for one attribute.
-    pub fn attr(&self, attr: Symbol) -> Option<&AttrStats> {
-        self.stats.get(&attr)
-    }
-
-    /// All observed attributes.
-    pub fn attrs(&self) -> impl Iterator<Item = (Symbol, &AttrStats)> {
-        self.stats.iter().map(|(s, st)| (*s, st))
-    }
-
-    /// Records observed so far.
-    pub fn records_seen(&self) -> u64 {
-        self.records_seen
-    }
-
-    /// Human-readable summary, resolving symbols through `table`.
-    pub fn describe(&self, table: &SymbolTable) -> String {
-        let mut rows: Vec<String> = self
-            .stats
-            .iter()
-            .map(|(sym, st)| {
-                format!(
-                    "{}: kind={} coverage={:.2} distinct<={}",
-                    table.resolve(*sym),
-                    st.dominant_kind()
-                        .map(|k| k.to_string())
-                        .unwrap_or_else(|| "?".into()),
-                    st.coverage(),
-                    st.distinct_capped
-                )
-            })
-            .collect();
-        rows.sort();
-        rows.join("\n")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::symbol::SymbolTable;
 
     fn syms() -> (SymbolTable, Symbol, Symbol, Symbol) {
         let mut t = SymbolTable::new();
@@ -256,52 +136,5 @@ mod tests {
         assert_eq!(r.remove(dose), Some(Value::Int(2)));
         assert_eq!(r.remove(dose), None);
         assert_eq!(r.len(), 1);
-    }
-
-    #[test]
-    fn schema_infers_kinds_and_coverage() {
-        let (_t, name, dose, _g) = syms();
-        let mut schema = SourceSchema::new(100);
-        schema.observe(&Record::from_pairs([
-            (name, Value::str("Warfarin")),
-            (dose, Value::Float(5.1)),
-        ]));
-        schema.observe(&Record::from_pairs([(name, Value::str("Ibuprofen"))]));
-        schema.observe(&Record::from_pairs([
-            (name, Value::str("Warfarin")),
-            (dose, Value::Null),
-        ]));
-        let ns = schema.attr(name).unwrap();
-        assert_eq!(ns.dominant_kind(), Some(ValueKind::Str));
-        assert!((ns.coverage() - 1.0).abs() < 1e-9);
-        assert_eq!(ns.distinct_capped, 2);
-        let ds = schema.attr(dose).unwrap();
-        assert_eq!(ds.present, 1);
-        assert_eq!(ds.missing, 2); // one explicit null + one absent
-        assert!((ds.coverage() - 1.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn schema_distinct_counting_caps() {
-        let (mut t, _n, _d, _g) = syms();
-        let attr = t.intern("v");
-        let mut schema = SourceSchema::new(5);
-        for i in 0..100 {
-            schema.observe(&Record::from_pairs([(attr, Value::Int(i))]));
-        }
-        assert_eq!(schema.attr(attr).unwrap().distinct_capped, 5);
-        assert_eq!(schema.records_seen(), 100);
-    }
-
-    #[test]
-    fn describe_mentions_attrs() {
-        let (t, name, _d, _g) = syms();
-        let mut schema = SourceSchema::new(10);
-        let mut r = Record::new();
-        r.set(name, Value::str("x"));
-        schema.observe(&r);
-        let d = schema.describe(&t);
-        assert!(d.contains("name"));
-        assert!(d.contains("kind=str"));
     }
 }

@@ -11,13 +11,11 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TypeError;
 
 /// The discriminant of a [`Value`], used for schema inference and coercion
 /// decisions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ValueKind {
     /// Absence of a value. The paper extends Codd's "systematic treatment of
     /// nulls" rule: nulls are first-class and interact with the
@@ -56,7 +54,7 @@ impl fmt::Display for ValueKind {
 }
 
 /// A nested semi-structured document value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Doc {
     /// Ordered list of values.
     Array(Vec<Value>),
@@ -86,7 +84,7 @@ impl Doc {
 /// columns — a direct consequence of the paper's rejection of column
 /// homogeneity ("the Boyce-Codd normal forms to some extent already
 /// penalize any column heterogeneity", §1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// Missing / unknown.
     Null,

@@ -148,10 +148,11 @@ echo "== benchmark package gate (release)"
 perf/check.sh
 
 echo "== flight recorder event dump (release)"
-events_jsonl="target/experiments/events.jsonl"
+# The sweep validates its own dump against scdb_obs::EVENT_KINDS: every
+# line a JSON object, seq strictly increasing, every (subsystem, kind)
+# known, and the batch_id contract; it exits non-zero on any problem.
 mkdir -p target/experiments
 cargo run -q --offline --release -p scdb-bench --bin run_all_experiments -- \
-    --events-jsonl "$events_jsonl"
-scripts/check_events.sh "$events_jsonl"
+    --events-jsonl target/experiments/events.jsonl
 
 echo "== ci green"

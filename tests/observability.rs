@@ -307,12 +307,14 @@ fn valid_metric_name(name: &str) -> bool {
 
 /// Every metric name minted by a full pipeline pass (durable ingest,
 /// ER, links, semantic query, checkpoint, reopen, kv txn) follows the
-/// DESIGN.md §7 convention. Guards against naming drift.
+/// DESIGN.md §7 convention, and every event it records is in the event
+/// vocabulary ([`scdb_obs::EVENT_KINDS`]). Guards against naming drift.
 #[test]
 fn metric_names_follow_design_convention() {
     let _g = obs_lock();
     scdb_obs::metrics().set_enabled(true);
     scdb_obs::events().set_enabled(true);
+    let seq0 = scdb_obs::events().recorded();
 
     let dir = scratch_dir("naming");
     {
@@ -379,6 +381,17 @@ fn metric_names_follow_design_convention() {
     for name in ["er.comparisons", "er.context_evals"] {
         assert!(snap.counters.contains_key(name), "missing counter {name}");
     }
+    let recorded = scdb_obs::events().select(&EventFilter::new().seq_min(seq0));
+    assert!(!recorded.is_empty(), "pipeline pass should record events");
+    let unknown: Vec<String> = recorded
+        .iter()
+        .filter(|e| !scdb_obs::is_known_event(e.subsystem.as_str(), e.kind.as_str()))
+        .map(|e| format!("{}/{}", e.subsystem, e.kind))
+        .collect();
+    assert!(
+        unknown.is_empty(),
+        "events missing from scdb_obs::EVENT_KINDS: {unknown:?}"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -8,7 +8,7 @@
 use std::sync::Mutex;
 use std::time::Duration;
 
-use scdb_core::{CoreError, Db, DurabilityConfig, IngestConfig, TelemetryConfig};
+use scdb_core::{CoreError, Db, DurabilityConfig, IngestConfig, TelemetryConfig, SLOW_QUERY_RING};
 use scdb_er::normalize::normalize;
 use scdb_placement::{PlacementPolicy, ShardMap};
 use scdb_types::{Record, Value};
@@ -283,17 +283,14 @@ fn sys_namespace_is_reserved() {
     ));
 }
 
-/// Satellite: `DbBuilder::slow_query_capacity` bounds the ring, keeping
-/// the newest captures.
+/// Satellite: the slow-query ring holds at most [`SLOW_QUERY_RING`]
+/// captures, keeping the newest.
 #[test]
 fn slow_query_capacity_bounds_the_ring() {
     let _g = obs_lock();
     scdb_obs::metrics().set_enabled(true);
 
-    let db = Db::builder()
-        .slow_query_threshold(Duration::ZERO)
-        .slow_query_capacity(3)
-        .build();
+    let db = Db::builder().slow_query_threshold(Duration::ZERO).build();
     db.register_source("cap", Some("k"));
     let k = db.intern("k");
     let v = db.intern("v");
@@ -301,19 +298,23 @@ fn slow_query_capacity_bounds_the_ring() {
         let r = Record::from_pairs([(k, Value::str(format!("k-{i}"))), (v, Value::Int(i))]);
         db.ingest("cap", r, None).expect("ingest");
     }
-    for i in 0..10i64 {
+    let n = SLOW_QUERY_RING + 7;
+    for i in 0..n {
         db.query(&format!("SELECT k FROM cap WHERE v >= {i}"))
             .expect("query");
     }
     let slow = db.slow_queries();
-    assert_eq!(slow.len(), 3, "ring bounded at the configured capacity");
+    assert_eq!(slow.len(), SLOW_QUERY_RING, "ring bounded at its capacity");
     assert!(
-        slow.last().expect("newest").text.contains(">= 9"),
+        slow.last()
+            .expect("newest")
+            .text
+            .ends_with(&format!(">= {}", n - 1)),
         "newest capture retained"
     );
     assert!(
-        slow.first().expect("oldest").text.contains(">= 7"),
-        "oldest surviving capture is the third-newest"
+        slow.first().expect("oldest").text.ends_with(">= 7"),
+        "oldest surviving capture is the ring's width back"
     );
 }
 
