@@ -14,9 +14,7 @@
 //! The table reports both loop times and the sample/watch counts, and
 //! one line the overhead ratio. Observability's cost on the trajectory
 //! is the benchmark's `obs.overhead_pct` and the commit stages its
-//! `reported.ingest.*` metrics (`BENCH_<pr>.json`, `perf/run.sh`). The
-//! Prometheus text exposition of the final registry is written to
-//! `target/experiments/telemetry.prom` for the CI format lint.
+//! `reported.ingest.*` metrics (`BENCH_<pr>.json`, `perf/run.sh`).
 //! `--smoke` runs paired rounds and *asserts* the enabled loop stays
 //! within 5% (plus fixed slack for 1-core CI jitter) of the disabled
 //! loop, and that all five stages were observed.
@@ -129,17 +127,6 @@ fn run_loop(rows: usize, telemetry: bool, tag: &str) -> LoopResult {
     }
 }
 
-/// Write the Prometheus exposition of the current registry for the CI
-/// format lint (`scripts/ci.sh`).
-fn write_exposition() -> std::path::PathBuf {
-    let dir = std::path::Path::new("target").join("experiments");
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join("telemetry.prom");
-    let text = scdb_core::prometheus_text(&scdb_obs::metrics().snapshot());
-    std::fs::write(&path, text).expect("write telemetry.prom");
-    path
-}
-
 fn emit(rows: usize, off: &LoopResult, on: &LoopResult) {
     let overhead = if off.ms <= 0.0 { 0.0 } else { on.ms / off.ms };
     let mut table = Table::new(&["telemetry", "rows", "ms", "samples", "watch_fires"]);
@@ -188,8 +175,6 @@ fn smoke() -> i32 {
     }
     let (off, on) = last.expect("at least one round ran");
     emit(SMOKE_ROWS, &off, &on);
-    let prom = write_exposition();
-    println!("prometheus exposition: {}", prom.display());
     let mut ok = true;
     if !ok_overhead {
         println!("SMOKE FAIL: enabled-sampler overhead exceeded 5% in every round");
@@ -242,8 +227,6 @@ fn main() {
     scdb_obs::metrics().reset();
     let on = run_loop(FULL_ROWS, true, "on");
     emit(FULL_ROWS, &off, &on);
-    let prom = write_exposition();
-    println!("prometheus exposition: {}", prom.display());
     println!("\nshape check: overhead should sit near 1.0 (the sampler reads, never locks the");
     println!("shards); queue_wait dominates the stage split under a saturated queue, fsync");
     println!("stays near zero under EveryN(64), and apply carries the curation pipeline cost.");

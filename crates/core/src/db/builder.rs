@@ -9,8 +9,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use scdb_er::{IncrementalResolver, ResolverConfig};
-use scdb_graph::PropertyGraph;
+use scdb_er::ResolverConfig;
 use scdb_obs::{metrics, FieldValue as F, TrackedMutex, TrackedRwLock};
 use scdb_placement::{PlacementPolicy, ShardMap};
 use scdb_query::exec::Executor;
@@ -28,8 +27,8 @@ use super::ingest::{group_committer, InflightTickets};
 use super::mode::{supervise, ModeState};
 use super::recovery::SealLedger;
 use super::{
-    ConfigShard, CurationStats, Db, DbInner, DbMode, DbRecoveryReport, InstanceShard,
-    RelationShard, SemanticShard, ShardLabel, ShardSlice, StageHistograms,
+    ConfigShard, Db, DbInner, DbMode, DbRecoveryReport, InstanceShard, RelationShard,
+    SemanticShard, ShardLabel, ShardSlice, StageHistograms,
 };
 use crate::error::CoreError;
 use crate::group_commit::IngestQueue;
@@ -332,14 +331,7 @@ impl DbBuilder {
                     relation: TrackedRwLock::new(
                         relation.0,
                         relation.1,
-                        RelationShard {
-                            resolver: IncrementalResolver::new(self.resolver.clone()),
-                            graph: PropertyGraph::new(),
-                            entity_by_name: HashMap::new(),
-                            identity_of_entity: HashMap::new(),
-                            stats: CurationStats::default(),
-                            tick: 0,
-                        },
+                        RelationShard::new(self.resolver.clone()),
                     ),
                     durable: TrackedMutex::new(durable.0, durable.1, None),
                     queue: self

@@ -8,13 +8,11 @@ use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 use parking_lot::RwLockWriteGuard;
-use scdb_er::normalize::{normalize, normalize_into};
+use scdb_er::normalize::normalize;
 use scdb_obs::{metrics, FieldValue as F};
 use scdb_storage::{IndexSet, RowStore};
 use scdb_txn::{DurableWal, LogRecord, TxnError};
-use scdb_types::{
-    Confidence, EntityId, Provenance, Record, SourceId, Symbol, SymbolTable, Value, ValueKind,
-};
+use scdb_types::{Record, SourceId, Symbol, SymbolTable, Value, ValueKind};
 
 use super::{Db, DbInner, DbMode, IngestReport, InstanceShard, RelationShard, SourceState};
 use crate::error::CoreError;
@@ -82,8 +80,9 @@ impl Db {
         identity_attr: Option<&str>,
     ) -> SourceId {
         let id = SourceId(inst.sources.len() as u32);
+        let identity_attr = identity_attr.map(|attr| symbols.intern(attr));
         if let Some(attr) = identity_attr {
-            rel.resolver.designate_identity(id, symbols.intern(attr));
+            rel.resolver.designate_identity(id, attr);
         }
         inst.sources.push((
             name.to_string(),
@@ -91,14 +90,14 @@ impl Db {
                 id,
                 store: RowStore::new(id),
                 stats: HashMap::new(),
-                identity_attr: identity_attr.map(str::to_string),
+                identity_attr,
                 indexes: IndexSet::new(),
             },
         ));
         self.inner
             .identities
             .write()
-            .insert(name.to_string(), identity_attr.map(str::to_string));
+            .insert(name.to_string(), identity_attr);
         id
     }
 
@@ -264,28 +263,17 @@ impl Db {
     /// co-locate on one shard and per-shard entity resolution stays
     /// exact.
     fn routing_key(&self, source: &str, record: &Record) -> String {
-        let symbols = self.inner.symbols.read();
         // The identity attribute comes from the leaf-lock mirror, not a
         // shard's instance state: commits hold their shard's instance
         // write lock across the fsync, and routing must never wait on
         // that (no cross-shard coordination on the hot path).
-        let identity = self.inner.identities.read().get(source).cloned().flatten();
-        let mut first_str: Option<String> = None;
-        let mut first_any: Option<String> = None;
-        for (a, v) in record.iter() {
-            if let Some(id) = &identity {
-                if symbols.resolve(a) == id.as_str() {
-                    return normalize(&v.render());
-                }
-            }
-            if first_str.is_none() && v.kind() == ValueKind::Str {
-                first_str = Some(normalize(&v.render()));
-            }
-            if first_any.is_none() {
-                first_any = Some(normalize(&v.render()));
-            }
-        }
-        first_str.or(first_any).unwrap_or_default()
+        let identity = self.inner.identities.read().get(source).copied().flatten();
+        identity
+            .and_then(|attr| record.get(attr))
+            .or_else(|| first_string(record))
+            .or_else(|| record.iter().next().map(|(_, v)| v))
+            .map(|v| normalize(&v.render()))
+            .unwrap_or_default()
     }
 
     /// The commit function: every ingest path — a direct call, a
@@ -300,15 +288,15 @@ impl Db {
     /// (entity resolution is order-dependent) and readers never see a
     /// torn batch:
     ///
-    /// 1. **Prepare** — validate each item's source and resolve its
-    ///    attribute names, once (the only name allocation on the path).
-    ///    A failed item must leave memory and log unchanged; the rest of
-    ///    the batch is unaffected.
+    /// 1. **Prepare** — validate each item's source. The row stays the
+    ///    one [`Record`] it arrived as. A failed item must leave memory
+    ///    and log unchanged; the rest of the batch is unaffected.
     /// 2. **Log** — under the participants' `durable` mutexes (taken in
     ///    shard order), frame each participant's valid rows plus one
     ///    seal ([`LogRecord::seal`]) into a single append to that
-    ///    shard's WAL. Attribute names are *moved* into the log records
-    ///    and moved back out after the append, never re-cloned. A failed
+    ///    shard's WAL. Each row's `(name, value)` pairs are built from
+    ///    its record here, and only here: an in-memory database never
+    ///    resolves a name or clones a value on the write path. A failed
     ///    append fails the whole batch: nothing was applied, nothing
     ///    gets acked.
     /// 3. **Apply** — run the curation pipeline per row via
@@ -389,7 +377,7 @@ impl Db {
             for (slot, item) in items {
                 part.slots.push(slot);
                 part.prepared
-                    .push(prepare_item(&part.instance, &symbols, item, batch_id));
+                    .push(prepare_item(&part.instance, item, batch_id));
             }
         }
         let build_ns = build_start.elapsed().as_nanos() as u64;
@@ -427,12 +415,12 @@ impl Db {
                     .collect();
                 let batch_rows: usize = parts.iter().map(|p| p.txns.len()).sum();
                 let mut failure: Option<TxnError> = None;
-                for (part, wal) in parts.iter_mut().zip(&mut wals) {
+                for (part, wal) in parts.iter().zip(&mut wals) {
                     if part.txns.is_empty() {
                         continue;
                     }
                     let wal = wal.as_mut().expect("installed together");
-                    match part.log(wal, batch_id, batch_rows, &sealers) {
+                    match part.log(wal, &symbols, batch_id, batch_rows, &sealers) {
                         Ok((append, fsync)) => {
                             append_ns += append;
                             fsync_ns += fsync;
@@ -578,36 +566,13 @@ impl Db {
         }
         rel.tick += 1;
         let tick = rel.tick;
+        // The rows are read under the instance guard while the link rule
+        // writes through the relation guard — two locks, so no copy.
         let mut new_links = 0usize;
-        // Collect (entity, source, role, value) tuples first.
-        let mut work: Vec<(EntityId, SourceId, Symbol, String)> = Vec::new();
         for (_, state) in &instance.sources {
             for (rid, record) in state.store.scan() {
-                let Some(entity) = rel.resolver.entity_of(rid) else {
-                    continue;
-                };
-                for (a, v) in record.iter() {
-                    if v.kind() == ValueKind::Str {
-                        work.push((entity, state.id, a, v.render().into_owned()));
-                    }
-                }
-            }
-        }
-        for (entity, source_id, role, raw) in work {
-            let key = normalize(&raw);
-            if key.is_empty() {
-                continue;
-            }
-            if rel.identity_of_entity.get(&entity) == Some(&key) {
-                continue;
-            }
-            if let Some(&target) = rel.entity_by_name.get(&key) {
-                if target != entity && rel.graph.contains(entity) && rel.graph.contains(target) {
-                    let prov = Provenance::inferred(source_id, Confidence::CERTAIN, tick);
-                    if rel.graph.add_edge(entity, target, role, prov)? {
-                        new_links += 1;
-                        rel.stats.links += 1;
-                    }
+                if let Some(entity) = rel.resolver.entity_of(rid) {
+                    new_links += rel.link(entity, record, state.id, tick)?;
                 }
             }
         }
@@ -637,20 +602,24 @@ impl Participant<'_> {
     /// nanoseconds — pure append I/O vs fsync (including rotation
     /// fsyncs), split out by the WAL itself.
     fn log(
-        &mut self,
+        &self,
         wal: &mut DurableWal,
+        symbols: &SymbolTable,
         batch_id: u64,
         batch_rows: usize,
         sealers: &[(u32, u64)],
     ) -> Result<(u64, u64), TxnError> {
         let mut recs = Vec::with_capacity(self.txns.len() + 1);
-        let mut txns = self.txns.iter();
-        for p in self.prepared.iter_mut().flatten() {
+        for (p, &txn) in self.prepared.iter().flatten().zip(&self.txns) {
             recs.push(LogRecord::IngestRow {
-                txn: *txns.next().expect("one txn per valid row"),
-                source: p.source.clone(),
-                attrs: std::mem::take(&mut p.attrs),
-                text: p.text.take(),
+                txn,
+                source: self.instance.sources[p.source_id.0 as usize].0.clone(),
+                attrs: p
+                    .record
+                    .iter()
+                    .map(|(a, v)| (symbols.resolve(a).to_string(), v.clone()))
+                    .collect(),
+                text: p.text.clone(),
             });
         }
         recs.push(LogRecord::seal(&self.txns, sealers));
@@ -668,15 +637,6 @@ impl Participant<'_> {
         };
         wal.set_batch_context(0);
         appended?;
-        // Hand the framed attrs/text back to their rows for the apply
-        // phase.
-        let mut frames = recs.into_iter();
-        for p in self.prepared.iter_mut().flatten() {
-            if let Some(LogRecord::IngestRow { attrs, text, .. }) = frames.next() {
-                p.attrs = attrs;
-                p.text = text;
-            }
-        }
         Ok(wal.last_stage_ns())
     }
 }
@@ -710,56 +670,47 @@ fn collect_slots(
         .collect()
 }
 
-/// One prepared row, ready to log and apply: source pre-validated,
-/// attribute names resolved exactly once.
+/// One prepared row, ready to log and apply: its source validated, the
+/// row itself the one [`Record`] it arrived as.
 struct Prepared {
-    source: String,
     source_id: SourceId,
-    identity_attr: Option<String>,
+    identity_attr: Option<Symbol>,
     record: Record,
-    /// Attribute symbols, in `record.iter()` order.
-    syms: Vec<Symbol>,
-    /// `(resolved name, value)` pairs, parallel to `syms`.
-    attrs: Vec<(String, Value)>,
     text: Option<String>,
     /// The batch correlation id this row was committed under.
     batch_id: u64,
 }
 
-/// Resolve one queued item against its shard's instance state: source
-/// validated, attribute names resolved exactly once. The result is
-/// ready to log and to feed [`curate_one`].
+/// Resolve one queued item's source against its shard's instance state.
+/// The result is ready to log and to feed [`curate_one`].
 fn prepare_item(
     inst: &InstanceShard,
-    symbols: &SymbolTable,
     item: IngestItem,
     batch_id: u64,
 ) -> Result<Prepared, CoreError> {
     let state = inst.source_state(&item.source)?;
-    let source_id = state.id;
-    let identity_attr = state.identity_attr.clone();
-    let mut syms = Vec::new();
-    let mut attrs = Vec::new();
-    for (a, v) in item.record.iter() {
-        syms.push(a);
-        attrs.push((symbols.resolve(a).to_string(), v.clone()));
-    }
     Ok(Prepared {
-        source: item.source,
-        source_id,
-        identity_attr,
+        source_id: state.id,
+        identity_attr: state.identity_attr,
         record: item.record,
-        syms,
-        attrs,
         text: item.text,
         batch_id,
     })
 }
 
-/// Run the per-record curation pipeline (store → stats → ER → graph →
-/// link discovery → text) under the caller's shard write locks. The row
+/// A record's first string value: the identity of a row whose source
+/// designates none.
+fn first_string(record: &Record) -> Option<&Value> {
+    record
+        .iter()
+        .map(|(_, v)| v)
+        .find(|v| v.kind() == ValueKind::Str)
+}
+
+/// Run the per-record curation pipeline (store → stats → text → ER →
+/// graph → link discovery) under the caller's shard write locks. The row
 /// is cloned exactly once: the store keeps the clone, the resolver
-/// consumes the original.
+/// consumes the original, and every later step reads the store's copy.
 fn curate_one(
     inst: &mut InstanceShard,
     rel: &mut RelationShard,
@@ -767,105 +718,52 @@ fn curate_one(
     p: Prepared,
 ) -> Result<IngestReport, CoreError> {
     let Prepared {
-        source,
         source_id,
         identity_attr,
         record,
-        syms,
-        attrs,
         text,
         batch_id,
     } = p;
     rel.tick += 1;
     let tick = rel.tick;
     // 1. Instance layer.
-    let record_id;
-    {
-        let state = inst.source_state_mut(&source)?;
-        record_id = state.store.append(record.clone());
-        state
-            .indexes
-            .note_append(symbols, &record, record_id.offset);
-        state.observe_stats(symbols, &record);
+    let record_id = inst.sources[source_id.0 as usize]
+        .1
+        .append(symbols, record.clone());
+    if let Some(t) = &text {
+        inst.text.index(record_id, t);
     }
-    // 2. Relation layer: entity resolution.
+    // 2. Relation layer: entity resolution, then the entity's graph
+    // node (absorbing every entity the row bridged).
     let event = rel.resolver.add(record_id, record, symbols);
     let entity = event.entity;
     rel.stats.records += 1;
     if !event.fresh {
         rel.stats.merges += 1;
     }
-    // Graph node (merge absorbed entities into the survivor).
     rel.graph.ensure_node(entity);
-    for absorbed in &event.absorbed {
-        if rel.graph.contains(*absorbed) {
-            rel.graph.merge_nodes(entity, *absorbed)?;
-        }
-        // Remap name index entries pointing at the absorbed entity.
-        for target in rel.entity_by_name.values_mut() {
-            if target == absorbed {
-                *target = entity;
-            }
-        }
-        if let Some(name) = rel.identity_of_entity.remove(absorbed) {
-            rel.identity_of_entity.entry(entity).or_insert(name);
-        }
-    }
+    rel.absorb(entity, &event.absorbed)?;
+    let (source, state) = &inst.sources[source_id.0 as usize];
+    let record = state.store.get(record_id)?;
     {
         let node = rel.graph.node_mut(entity)?;
-        for (sym, (_, v)) in syms.iter().zip(&attrs) {
-            if node.attrs.get(*sym).is_none() {
-                node.attrs.set(*sym, v.clone());
+        for (sym, v) in record.iter() {
+            if node.attrs.get(sym).is_none() {
+                node.attrs.set(sym, v.clone());
             }
         }
         node.records.push(record_id);
     }
-    // Identity registration.
-    let identity_value = match &identity_attr {
-        Some(attr) => attrs.iter().find(|(n, _)| n == attr),
-        None => attrs.iter().find(|(_, v)| v.kind() == ValueKind::Str),
-    }
-    .map(|(_, v)| v);
-    // Every string value is normalized into this one buffer; a key is
-    // copied out only when a map takes it.
-    let mut key = String::new();
-    if let Some(v) = identity_value {
-        normalize_into(&v.render(), &mut key);
-        if !key.is_empty() {
-            if !rel.entity_by_name.contains_key(key.as_str()) {
-                rel.entity_by_name.insert(key.clone(), entity);
-            }
-            rel.identity_of_entity
-                .entry(entity)
-                .or_insert_with(|| key.clone());
-        }
+    let identity = match identity_attr {
+        Some(attr) => record.get(attr),
+        None => first_string(record),
+    };
+    if let Some(v) = identity {
+        rel.register_identity(entity, v);
     }
     // 3. Link discovery: non-identity values referencing other
     // entities become edges labelled by the attribute.
-    let mut links = 0usize;
-    let identity_key = rel.identity_of_entity.get(&entity);
-    for (attr_sym, (_, value)) in syms.iter().zip(&attrs) {
-        if value.kind() != ValueKind::Str {
-            continue;
-        }
-        normalize_into(&value.render(), &mut key);
-        if key.is_empty() || identity_key.is_some_and(|id| *id == key) {
-            continue;
-        }
-        if let Some(&target) = rel.entity_by_name.get(key.as_str()) {
-            if target != entity {
-                let prov = Provenance::inferred(source_id, Confidence::CERTAIN, tick);
-                if rel.graph.add_edge(entity, target, *attr_sym, prov)? {
-                    links += 1;
-                    rel.stats.links += 1;
-                }
-            }
-        }
-    }
-    // 4. Unstructured payload.
-    if let Some(t) = &text {
-        inst.text.index(record_id, t);
-    }
+    let links = rel.link(entity, record, source_id, tick)?;
     scdb_obs::event(
         "core",
         "ingest",

@@ -87,13 +87,14 @@ mod query;
 mod recovery;
 
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{MappedRwLockReadGuard, Mutex, RwLockReadGuard};
-use scdb_er::normalize::normalize;
-use scdb_er::IncrementalResolver;
+use scdb_er::normalize::{normalize, normalize_into};
+use scdb_er::{IncrementalResolver, ResolverConfig};
 use scdb_graph::metrics::{assess, RichnessReport};
 use scdb_graph::PropertyGraph;
 use scdb_obs::{metrics, Histogram, QueryProfile, TrackedMutex, TrackedRwLock};
@@ -106,10 +107,14 @@ use scdb_semantic::{Ontology, Reasoner, Saturation, Taxonomy, TrainedModel};
 use scdb_storage::stats::AttrStatistics;
 use scdb_storage::{IndexSet, RowStore, TextStore};
 use scdb_txn::{DurableWal, EnrichedDb, WalLag};
-use scdb_types::{Confidence, EntityId, Record, RecordId, SourceId, Symbol, SymbolTable};
+use scdb_types::{
+    Confidence, EntityId, Provenance, Record, RecordId, SourceId, Symbol, SymbolTable, Value,
+    ValueKind,
+};
 
 use crate::error::CoreError;
 use crate::group_commit::IngestQueue;
+use crate::snapshot::SnapshotRecord;
 use crate::telemetry::TelemetryState;
 
 pub use admin::DiagnosticBundle;
@@ -171,7 +176,7 @@ struct SourceState {
     id: SourceId,
     store: RowStore,
     stats: HashMap<String, AttrStatistics>,
-    identity_attr: Option<String>,
+    identity_attr: Option<Symbol>,
     /// Secondary indexes over this source's rows, maintained by the
     /// curation pipeline under the instance write lock. Contents are
     /// never logged — only definitions persist (WAL + snapshot); the
@@ -180,10 +185,13 @@ struct SourceState {
 }
 
 impl SourceState {
-    /// Fold `record`'s values into the per-attribute statistics — the
-    /// one stats path for live curation and snapshot install. An
-    /// attribute's name is copied only the first time it is seen.
-    fn observe_stats(&mut self, symbols: &SymbolTable, record: &Record) {
+    /// Append one row to the instance layer — the store, the indexes
+    /// and the per-attribute statistics — and return its id: the one
+    /// instance append for live curation, replay and snapshot install.
+    /// An attribute's name is copied only the first time it is seen.
+    fn append(&mut self, symbols: &SymbolTable, record: Record) -> RecordId {
+        self.indexes
+            .note_append(symbols, &record, self.store.len() as u64);
         for (attr, value) in record.iter() {
             let name = symbols.resolve(attr);
             match self.stats.get_mut(name) {
@@ -195,6 +203,7 @@ impl SourceState {
                 }
             }
         }
+        self.store.append(record)
     }
 }
 
@@ -231,8 +240,11 @@ impl InstanceShard {
     }
 }
 
-/// One shard's relation layer: resolver, graph, identity index,
-/// counters.
+/// One shard's relation layer: resolver, graph, name index, counters.
+///
+/// The name index — normalized name → entity, and each entity's own
+/// identity key — is read and written only by the methods below: every
+/// path that curates a row registers, remaps and links through them.
 struct RelationShard {
     resolver: IncrementalResolver,
     graph: PropertyGraph,
@@ -240,6 +252,142 @@ struct RelationShard {
     identity_of_entity: HashMap<EntityId, String>,
     stats: CurationStats,
     tick: u64,
+}
+
+impl RelationShard {
+    fn new(config: ResolverConfig) -> RelationShard {
+        RelationShard {
+            resolver: IncrementalResolver::new(config),
+            graph: PropertyGraph::new(),
+            entity_by_name: HashMap::new(),
+            identity_of_entity: HashMap::new(),
+            stats: CurationStats::default(),
+            tick: 0,
+        }
+    }
+
+    /// Fold the entities a row bridged into `survivor`: their graph
+    /// nodes, and every name and identity that pointed at them.
+    fn absorb(&mut self, survivor: EntityId, absorbed: &[EntityId]) -> Result<(), CoreError> {
+        for absorbed in absorbed {
+            if self.graph.contains(*absorbed) {
+                self.graph.merge_nodes(survivor, *absorbed)?;
+            }
+            for target in self.entity_by_name.values_mut() {
+                if target == absorbed {
+                    *target = survivor;
+                }
+            }
+            if let Some(name) = self.identity_of_entity.remove(absorbed) {
+                self.identity_of_entity.entry(survivor).or_insert(name);
+            }
+        }
+        Ok(())
+    }
+
+    /// Register `value` as a name of `entity`: the first entity to claim
+    /// a name keeps it, and an entity keeps its first identity.
+    fn register_identity(&mut self, entity: EntityId, value: &Value) {
+        let key = normalize(&value.render());
+        if key.is_empty() {
+            return;
+        }
+        self.identity_of_entity
+            .entry(entity)
+            .or_insert_with(|| key.clone());
+        self.entity_by_name.entry(key).or_insert(entity);
+    }
+
+    /// The link rule, for a row curated now and for the
+    /// [`Db::discover_links`] sweep alike: every string value of
+    /// `record` that names another entity (and is not `entity`'s own
+    /// identity) becomes an edge labelled by its attribute. Returns the
+    /// new edges; a known edge only takes the new provenance.
+    fn link(
+        &mut self,
+        entity: EntityId,
+        record: &Record,
+        source: SourceId,
+        tick: u64,
+    ) -> Result<usize, CoreError> {
+        let identity = self.identity_of_entity.get(&entity);
+        let mut key = String::new();
+        let mut links = 0usize;
+        for (role, value) in record.iter() {
+            if value.kind() != ValueKind::Str {
+                continue;
+            }
+            normalize_into(&value.render(), &mut key);
+            if key.is_empty() || identity == Some(&key) {
+                continue;
+            }
+            let Some(&target) = self.entity_by_name.get(key.as_str()) else {
+                continue;
+            };
+            if target != entity && self.graph.contains(entity) && self.graph.contains(target) {
+                let prov = Provenance::inferred(source, Confidence::CERTAIN, tick);
+                if self.graph.add_edge(entity, target, role, prov)? {
+                    links += 1;
+                }
+            }
+        }
+        self.stats.links += links as u64;
+        Ok(links)
+    }
+
+    /// The entity registered under `name`, if any.
+    fn entity_named(&self, name: &str) -> Option<EntityId> {
+        self.entity_by_name.get(&normalize(name)).copied()
+    }
+
+    /// Every registered name, for the executor's semantic atoms.
+    fn names(&self) -> &HashMap<String, EntityId> {
+        &self.entity_by_name
+    }
+
+    /// The name index as snapshot frames: every `Name`, then every
+    /// `Ident`, each sorted.
+    fn name_frames(&self) -> Vec<SnapshotRecord> {
+        let mut names: Vec<(&String, &EntityId)> = self.entity_by_name.iter().collect();
+        names.sort();
+        let mut idents: Vec<(&EntityId, &String)> = self.identity_of_entity.iter().collect();
+        idents.sort();
+        let names = names.into_iter().map(|(key, entity)| SnapshotRecord::Name {
+            key: key.clone(),
+            entity: entity.0,
+        });
+        let idents = idents
+            .into_iter()
+            .map(|(entity, key)| SnapshotRecord::Ident {
+                entity: entity.0,
+                key: key.clone(),
+            });
+        names.chain(idents).collect()
+    }
+
+    /// Install one frame [`RelationShard::name_frames`] emitted.
+    fn install_name_frame(&mut self, frame: SnapshotRecord) {
+        match frame {
+            SnapshotRecord::Name { key, entity } => {
+                self.entity_by_name.insert(key, EntityId(entity));
+            }
+            SnapshotRecord::Ident { entity, key } => {
+                self.identity_of_entity.insert(EntityId(entity), key);
+            }
+            _ => {}
+        }
+    }
+
+    /// The name index in [`Db::state_dump`] form.
+    fn dump_names(&self, out: &mut String) {
+        for frame in self.name_frames() {
+            let _ = match frame {
+                SnapshotRecord::Name { key, entity } => writeln!(out, "name {key} -> {entity}"),
+                SnapshotRecord::Ident { entity, key } => writeln!(out, "ident {entity} -> {key}"),
+                _ => Ok(()),
+            };
+        }
+    }
 }
 
 /// One write shard: its slice of the instance and relation layers, its
@@ -376,7 +524,7 @@ struct DbInner {
     /// fsync, and routing through it would couple every writer to that
     /// shard. A leaf lock: held only for the lookup, never while
     /// acquiring any other lock.
-    identities: parking_lot::RwLock<HashMap<String, Option<String>>>,
+    identities: parking_lot::RwLock<HashMap<String, Option<Symbol>>>,
     /// The kv/enrichment store shared by user transactions and the
     /// curation pipeline (internally synchronized).
     enriched: EnrichedDb,
@@ -581,13 +729,7 @@ impl Db {
 
     /// The entity registered under `name`, if any.
     pub fn entity_named(&self, name: &str) -> Option<EntityId> {
-        self.inner
-            .shard0()
-            .relation
-            .read()
-            .entity_by_name
-            .get(&normalize(name))
-            .copied()
+        self.inner.shard0().relation.read().entity_named(name)
     }
 
     /// Run semantic saturation: graph edges whose role names are declared

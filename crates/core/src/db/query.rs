@@ -193,7 +193,7 @@ impl Db {
                 env.semantic = Some(SemanticEnv {
                     ontology: &semantic.ontology,
                     saturation: sat,
-                    entity_by_name: &relation.entity_by_name,
+                    entity_by_name: relation.names(),
                 });
             }
             // Model atoms: features default to the numeric attributes of the

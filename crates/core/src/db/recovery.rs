@@ -471,9 +471,11 @@ impl Db {
                             .into_iter()
                             .map(|(name, value)| (symbols.intern(&name), value)),
                     );
-                    let state = inst.source_state_mut(&source)?;
-                    state.observe_stats(&symbols, &record);
-                    let rid = state.store.append(record.clone());
+                    // No index exists yet (IndexDef frames follow every
+                    // row), so the append notes nothing in one.
+                    let rid = inst
+                        .source_state_mut(&source)?
+                        .append(&symbols, record.clone());
                     if let Some(t) = &text {
                         inst.text.index(rid, t);
                     }
@@ -507,11 +509,8 @@ impl Db {
                         .add_edge(EntityId(from), EntityId(to), role, prov)?;
                     // `links` counters arrive via Meta; don't double-count.
                 }
-                SnapshotRecord::Name { key, entity } => {
-                    rel.entity_by_name.insert(key, EntityId(entity));
-                }
-                SnapshotRecord::Ident { entity, key } => {
-                    rel.identity_of_entity.insert(EntityId(entity), key);
+                frame @ (SnapshotRecord::Name { .. } | SnapshotRecord::Ident { .. }) => {
+                    rel.install_name_frame(frame);
                 }
                 SnapshotRecord::Kv {
                     key,
@@ -708,7 +707,7 @@ fn dump_shard_state(
         let _ = writeln!(
             out,
             "source {name} identity={:?} rows={}",
-            state.identity_attr,
+            state.identity_attr.map(|attr| symbols.resolve(attr)),
             state.store.len()
         );
         for (rid, record) in state.store.scan() {
@@ -789,16 +788,7 @@ fn dump_shard_state(
             let _ = writeln!(out, "{e}");
         }
     }
-    let mut names: Vec<(&String, &EntityId)> = relation.entity_by_name.iter().collect();
-    names.sort();
-    for (key, entity) in names {
-        let _ = writeln!(out, "name {key} -> {}", entity.0);
-    }
-    let mut idents: Vec<(&EntityId, &String)> = relation.identity_of_entity.iter().collect();
-    idents.sort();
-    for (entity, key) in idents {
-        let _ = writeln!(out, "ident {} -> {key}", entity.0);
-    }
+    relation.dump_names(out);
     let s = &relation.stats;
     let _ = writeln!(
         out,
@@ -830,7 +820,9 @@ fn build_snapshot(
     for (name, state) in &instance.sources {
         recs.push(SnapshotRecord::Source {
             name: name.clone(),
-            identity_attr: state.identity_attr.clone(),
+            identity_attr: state
+                .identity_attr
+                .map(|attr| symbols.resolve(attr).to_string()),
         });
     }
     // Rows in global ingest order (the resolver's arrival history), with
@@ -890,22 +882,7 @@ fn build_snapshot(
         edges.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
         recs.extend(edges);
     }
-    let mut names: Vec<(&String, &EntityId)> = relation.entity_by_name.iter().collect();
-    names.sort();
-    for (key, entity) in names {
-        recs.push(SnapshotRecord::Name {
-            key: key.clone(),
-            entity: entity.0,
-        });
-    }
-    let mut idents: Vec<(&EntityId, &String)> = relation.identity_of_entity.iter().collect();
-    idents.sort();
-    for (entity, key) in idents {
-        recs.push(SnapshotRecord::Ident {
-            entity: entity.0,
-            key: key.clone(),
-        });
-    }
+    recs.extend(relation.name_frames());
     // Index definitions after every row of their source (contents
     // rebuild from the installed rows during snapshot install).
     for (_, state) in &instance.sources {

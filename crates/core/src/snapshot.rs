@@ -22,7 +22,11 @@
 //! not curated state, and is documented as non-durable (see ROADMAP).
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use scdb_txn::wal::{get_value, put_value};
+use scdb_txn::wal::{
+    get_attrs, get_count, get_opt_str, get_str, get_value, need, put_attrs, put_opt_str, put_str,
+    put_value,
+};
+use scdb_txn::TxnError;
 use scdb_types::Value;
 
 use crate::error::CoreError;
@@ -111,81 +115,6 @@ const TAG_META: u8 = 8;
 const TAG_TAIL: u8 = 9;
 const TAG_INDEX_DEF: u8 = 10;
 const TAG_SHARD_STATE: u8 = 11;
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut Bytes) -> Result<String, CoreError> {
-    let corrupt = || CoreError::Recovery("snapshot record truncated".to_string());
-    if buf.remaining() < 4 {
-        return Err(corrupt());
-    }
-    let len = buf.get_u32() as usize;
-    if buf.remaining() < len {
-        return Err(corrupt());
-    }
-    let bytes = buf.copy_to_bytes(len);
-    std::str::from_utf8(&bytes)
-        .map(str::to_owned)
-        .map_err(|_| CoreError::Recovery("snapshot string is not utf-8".to_string()))
-}
-
-fn put_opt_str(buf: &mut BytesMut, s: &Option<String>) {
-    match s {
-        None => buf.put_u8(0),
-        Some(s) => {
-            buf.put_u8(1);
-            put_str(buf, s);
-        }
-    }
-}
-
-fn get_opt_str(buf: &mut Bytes) -> Result<Option<String>, CoreError> {
-    if buf.remaining() < 1 {
-        return Err(CoreError::Recovery("snapshot record truncated".to_string()));
-    }
-    match buf.get_u8() {
-        0 => Ok(None),
-        1 => Ok(Some(get_str(buf)?)),
-        _ => Err(CoreError::Recovery(
-            "snapshot option tag invalid".to_string(),
-        )),
-    }
-}
-
-fn put_attrs(buf: &mut BytesMut, attrs: &[(String, Value)]) {
-    buf.put_u32(attrs.len() as u32);
-    for (name, value) in attrs {
-        put_str(buf, name);
-        put_value(buf, &Some(value.clone()));
-    }
-}
-
-fn get_attrs(buf: &mut Bytes) -> Result<Vec<(String, Value)>, CoreError> {
-    if buf.remaining() < 4 {
-        return Err(CoreError::Recovery("snapshot record truncated".to_string()));
-    }
-    let n = buf.get_u32() as usize;
-    let mut attrs = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let name = get_str(buf)?;
-        let value = get_value(buf, 0)
-            .map_err(|e| CoreError::Recovery(format!("snapshot value: {e}")))?
-            .ok_or_else(|| CoreError::Recovery("snapshot attr without value".to_string()))?;
-        attrs.push((name, value));
-    }
-    Ok(attrs)
-}
-
-fn need(buf: &Bytes, n: usize) -> Result<(), CoreError> {
-    if buf.remaining() < n {
-        Err(CoreError::Recovery("snapshot record truncated".to_string()))
-    } else {
-        Ok(())
-    }
-}
 
 impl SnapshotRecord {
     /// Serialize into a standalone frame payload.
@@ -306,52 +235,47 @@ impl SnapshotRecord {
     }
 
     /// Decode one frame payload.
-    pub(crate) fn decode(mut buf: Bytes) -> Result<SnapshotRecord, CoreError> {
-        need(&buf, 1)?;
-        let tag = buf.get_u8();
-        let rec = match tag {
+    pub(crate) fn decode(buf: Bytes) -> Result<SnapshotRecord, CoreError> {
+        Self::decode_fields(buf).map_err(|_| {
+            CoreError::Recovery("snapshot record is truncated or malformed".to_string())
+        })
+    }
+
+    fn decode_fields(mut buf: Bytes) -> Result<SnapshotRecord, TxnError> {
+        let buf = &mut buf;
+        need(buf, 1, 0)?;
+        let rec = match buf.get_u8() {
             TAG_SOURCE => SnapshotRecord::Source {
-                name: get_str(&mut buf)?,
-                identity_attr: get_opt_str(&mut buf)?,
+                name: get_str(buf, 0)?,
+                identity_attr: get_opt_str(buf, 0)?,
             },
             TAG_ROW => {
-                let source = get_str(&mut buf)?;
-                need(&buf, 8)?;
-                let entity = buf.get_u64();
-                let attrs = get_attrs(&mut buf)?;
-                let text = get_opt_str(&mut buf)?;
+                let source = get_str(buf, 0)?;
+                need(buf, 8, 0)?;
                 SnapshotRecord::Row {
                     source,
-                    entity,
-                    attrs,
-                    text,
+                    entity: buf.get_u64(),
+                    attrs: get_attrs(buf, 0)?,
+                    text: get_opt_str(buf, 0)?,
                 }
             }
             TAG_NODE => {
-                need(&buf, 8)?;
+                need(buf, 8, 0)?;
                 let entity = buf.get_u64();
-                let attrs = get_attrs(&mut buf)?;
-                need(&buf, 4)?;
-                let n = buf.get_u32() as usize;
-                let mut records = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    need(&buf, 12)?;
-                    let src = buf.get_u32();
-                    let off = buf.get_u64();
-                    records.push((src, off));
-                }
+                let attrs = get_attrs(buf, 0)?;
+                let n = get_count(buf, 12, 0)?;
                 SnapshotRecord::Node {
                     entity,
                     attrs,
-                    records,
+                    records: (0..n).map(|_| (buf.get_u32(), buf.get_u64())).collect(),
                 }
             }
             TAG_EDGE => {
-                need(&buf, 16)?;
+                need(buf, 16, 0)?;
                 let from = buf.get_u64();
                 let to = buf.get_u64();
-                let role = get_str(&mut buf)?;
-                need(&buf, 12)?;
+                let role = get_str(buf, 0)?;
+                need(buf, 12, 0)?;
                 SnapshotRecord::Edge {
                     from,
                     to,
@@ -361,35 +285,30 @@ impl SnapshotRecord {
                 }
             }
             TAG_NAME => {
-                let key = get_str(&mut buf)?;
-                need(&buf, 8)?;
+                let key = get_str(buf, 0)?;
+                need(buf, 8, 0)?;
                 SnapshotRecord::Name {
                     key,
                     entity: buf.get_u64(),
                 }
             }
             TAG_IDENT => {
-                need(&buf, 8)?;
-                let entity = buf.get_u64();
+                need(buf, 8, 0)?;
                 SnapshotRecord::Ident {
-                    entity,
-                    key: get_str(&mut buf)?,
+                    entity: buf.get_u64(),
+                    key: get_str(buf, 0)?,
                 }
             }
             TAG_KV => {
-                need(&buf, 9)?;
-                let key = buf.get_u64();
-                let enrichment = buf.get_u8() != 0;
-                let value = get_value(&mut buf, 0)
-                    .map_err(|e| CoreError::Recovery(format!("snapshot kv value: {e}")))?;
+                need(buf, 9, 0)?;
                 SnapshotRecord::Kv {
-                    key,
-                    value,
-                    enrichment,
+                    key: buf.get_u64(),
+                    enrichment: buf.get_u8() != 0,
+                    value: get_value(buf, 0)?,
                 }
             }
             TAG_META => {
-                need(&buf, 32)?;
+                need(buf, 32, 0)?;
                 SnapshotRecord::Meta {
                     records: buf.get_u64(),
                     merges: buf.get_u64(),
@@ -398,10 +317,10 @@ impl SnapshotRecord {
                 }
             }
             TAG_INDEX_DEF => {
-                let name = get_str(&mut buf)?;
-                let source = get_str(&mut buf)?;
-                let attr = get_str(&mut buf)?;
-                need(&buf, 1)?;
+                let name = get_str(buf, 0)?;
+                let source = get_str(buf, 0)?;
+                let attr = get_str(buf, 0)?;
+                need(buf, 1, 0)?;
                 SnapshotRecord::IndexDef {
                     name,
                     source,
@@ -410,32 +329,23 @@ impl SnapshotRecord {
                 }
             }
             TAG_TAIL => {
-                need(&buf, 8)?;
+                need(buf, 8, 0)?;
                 SnapshotRecord::Tail {
                     count: buf.get_u64(),
                 }
             }
             TAG_SHARD_STATE => {
-                need(&buf, 12)?;
+                need(buf, 8, 0)?;
                 let shard = buf.get_u32();
                 let shards = buf.get_u32();
-                let n = buf.get_u32() as usize;
-                let mut slots = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    need(&buf, 4)?;
-                    slots.push(buf.get_u32());
-                }
+                let n = get_count(buf, 4, 0)?;
                 SnapshotRecord::ShardState {
                     shard,
                     shards,
-                    slots,
+                    slots: (0..n).map(|_| buf.get_u32()).collect(),
                 }
             }
-            other => {
-                return Err(CoreError::Recovery(format!(
-                    "unknown snapshot record tag {other}"
-                )))
-            }
+            _ => return Err(TxnError::CorruptLog { offset: 0 }),
         };
         Ok(rec)
     }
@@ -443,95 +353,98 @@ impl SnapshotRecord {
 
 #[cfg(test)]
 mod tests {
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
     use super::*;
 
-    fn roundtrip(rec: SnapshotRecord) {
-        let bytes = rec.encode();
-        let back = SnapshotRecord::decode(Bytes::from(bytes)).unwrap();
-        assert_eq!(back, rec);
+    /// One record of every kind.
+    fn samples() -> Vec<SnapshotRecord> {
+        vec![
+            SnapshotRecord::Source {
+                name: "drugbank".into(),
+                identity_attr: Some("drug".into()),
+            },
+            SnapshotRecord::Source {
+                name: "feed".into(),
+                identity_attr: None,
+            },
+            SnapshotRecord::Row {
+                source: "drugbank".into(),
+                entity: 7,
+                attrs: vec![
+                    ("drug".into(), Value::str("Warfarin")),
+                    ("dose".into(), Value::Float(5.1)),
+                ],
+                text: Some("raw json".into()),
+            },
+            SnapshotRecord::Node {
+                entity: 7,
+                attrs: vec![("drug".into(), Value::str("Warfarin"))],
+                records: vec![(0, 0), (1, 3)],
+            },
+            SnapshotRecord::Edge {
+                from: 7,
+                to: 9,
+                role: "targets".into(),
+                source: 1,
+                tick: 42,
+            },
+            SnapshotRecord::Name {
+                key: "warfarin".into(),
+                entity: 7,
+            },
+            SnapshotRecord::Ident {
+                entity: 7,
+                key: "warfarin".into(),
+            },
+            SnapshotRecord::Kv {
+                key: 3,
+                value: Some(Value::Int(9)),
+                enrichment: true,
+            },
+            SnapshotRecord::Kv {
+                key: 4,
+                value: None,
+                enrichment: false,
+            },
+            SnapshotRecord::Meta {
+                records: 10,
+                merges: 2,
+                links: 3,
+                tick: 11,
+            },
+            SnapshotRecord::IndexDef {
+                name: "ix_drug".into(),
+                source: "drugbank".into(),
+                attr: "drug".into(),
+                kind: 1,
+            },
+            SnapshotRecord::Tail { count: 12 },
+            SnapshotRecord::ShardState {
+                shard: 2,
+                shards: 4,
+                slots: (0..64u32).map(|i| i % 4).collect(),
+            },
+        ]
     }
 
     #[test]
     fn all_variants_roundtrip() {
-        roundtrip(SnapshotRecord::Source {
-            name: "drugbank".into(),
-            identity_attr: Some("drug".into()),
-        });
-        roundtrip(SnapshotRecord::Source {
-            name: "feed".into(),
-            identity_attr: None,
-        });
-        roundtrip(SnapshotRecord::Row {
-            source: "drugbank".into(),
-            entity: 7,
-            attrs: vec![
-                ("drug".into(), Value::str("Warfarin")),
-                ("dose".into(), Value::Float(5.1)),
-            ],
-            text: Some("raw json".into()),
-        });
-        roundtrip(SnapshotRecord::Node {
-            entity: 7,
-            attrs: vec![("drug".into(), Value::str("Warfarin"))],
-            records: vec![(0, 0), (1, 3)],
-        });
-        roundtrip(SnapshotRecord::Edge {
-            from: 7,
-            to: 9,
-            role: "targets".into(),
-            source: 1,
-            tick: 42,
-        });
-        roundtrip(SnapshotRecord::Name {
-            key: "warfarin".into(),
-            entity: 7,
-        });
-        roundtrip(SnapshotRecord::Ident {
-            entity: 7,
-            key: "warfarin".into(),
-        });
-        roundtrip(SnapshotRecord::Kv {
-            key: 3,
-            value: Some(Value::Int(9)),
-            enrichment: true,
-        });
-        roundtrip(SnapshotRecord::Kv {
-            key: 4,
-            value: None,
-            enrichment: false,
-        });
-        roundtrip(SnapshotRecord::Meta {
-            records: 10,
-            merges: 2,
-            links: 3,
-            tick: 11,
-        });
-        roundtrip(SnapshotRecord::IndexDef {
-            name: "ix_drug".into(),
-            source: "drugbank".into(),
-            attr: "drug".into(),
-            kind: 1,
-        });
-        roundtrip(SnapshotRecord::Tail { count: 12 });
-        roundtrip(SnapshotRecord::ShardState {
-            shard: 2,
-            shards: 4,
-            slots: (0..64u32).map(|i| i % 4).collect(),
-        });
+        for rec in samples() {
+            let back = SnapshotRecord::decode(Bytes::from(rec.encode())).unwrap();
+            assert_eq!(back, rec);
+        }
     }
 
     #[test]
     fn truncated_payload_is_rejected() {
-        let bytes = SnapshotRecord::Row {
-            source: "s".into(),
-            entity: 1,
-            attrs: vec![("a".into(), Value::Int(1))],
-            text: None,
-        }
-        .encode();
-        for cut in 1..bytes.len() {
-            let res = SnapshotRecord::decode(Bytes::from(&bytes[..cut]));
-            assert!(res.is_err(), "cut at {cut} must not decode");
+        for rec in samples() {
+            let bytes = rec.encode();
+            for cut in 0..bytes.len() {
+                let res = SnapshotRecord::decode(Bytes::from(&bytes[..cut]));
+                assert!(res.is_err(), "{rec:?} cut at {cut} must not decode");
+            }
         }
     }
 
@@ -539,5 +452,37 @@ mod tests {
     fn unknown_tag_is_rejected() {
         let res = SnapshotRecord::decode(Bytes::from(vec![99u8, 0, 0]));
         assert!(matches!(res, Err(CoreError::Recovery(_))));
+    }
+
+    /// A count is bounded by the bytes left, as in the log: a claim of
+    /// `u32::MAX` elements is an error, not an allocation.
+    #[test]
+    fn counts_past_the_payload_are_rejected() {
+        let max: &[u8] = &u32::MAX.to_be_bytes();
+        let inputs: [&[&[u8]]; 3] = [
+            // A row (source "s", entity 0) claiming u32::MAX attributes.
+            &[&[TAG_ROW, 0, 0, 0, 1, b's'], &[0; 8], max, &[0; 16]],
+            // A node with no attributes claiming u32::MAX records.
+            &[&[TAG_NODE], &[0; 8], &[0; 4], max, &[0; 12]],
+            // A shard state claiming u32::MAX slots.
+            &[&[TAG_SHARD_STATE], &[0; 8], max, &[0; 8]],
+        ];
+        for parts in inputs {
+            let res = SnapshotRecord::decode(Bytes::from(parts.concat()));
+            assert!(matches!(res, Err(CoreError::Recovery(_))), "{parts:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random bytes behind every tag — each arm sees garbage, not
+        /// just the catch-all — decode or err, never panic.
+        #[test]
+        fn random_tails_never_panic(tag in 0u8..13, tail in vec(any::<u8>(), 0..64)) {
+            let mut bytes = vec![tag];
+            bytes.extend(&tail);
+            let _ = SnapshotRecord::decode(Bytes::from(bytes));
+        }
     }
 }

@@ -543,12 +543,9 @@ impl IncrementalResolver {
         self.records.is_empty()
     }
 
-    /// Number of distinct entities currently.
+    /// Number of distinct entities currently: one per union-find root.
     pub fn entity_count(&self) -> usize {
-        let roots: std::collections::HashSet<u64> = (0..self.records.len() as u64)
-            .map(|h| self.find(h))
-            .collect();
-        roots.len()
+        self.entity_of_root.len()
     }
 }
 
@@ -736,6 +733,46 @@ mod tests {
             );
             assert_eq!(r.entity_of(rid(0, 0)), r.entity_of(rid(0, 1)));
         }
+    }
+
+    /// Every record's distinct union-find root, counted the slow way.
+    fn distinct_roots(r: &IncrementalResolver) -> usize {
+        let roots: std::collections::HashSet<u64> =
+            (0..r.records.len() as u64).map(|h| r.find(h)).collect();
+        roots.len()
+    }
+
+    #[test]
+    fn entity_count_is_one_per_root() {
+        let mut syms = SymbolTable::new();
+        let cfg = ResolverConfig::default();
+        let mut r = IncrementalResolver::new(cfg.clone());
+        let names = [
+            "aspirin tablet",
+            "aspirin coated small pill",
+            "warfarin",
+            "heparin",
+        ];
+        for (off, name) in (0..).zip(names) {
+            r.add(rid(0, off), rec(&mut syms, "name", name), &syms);
+            assert_eq!(r.entity_count(), distinct_roots(&r));
+        }
+        assert_eq!(r.entity_count(), 4, "fresh adds");
+        let bridge = r.add(
+            rid(0, 4),
+            rec(&mut syms, "name", "aspirin tablet coated small pill"),
+            &syms,
+        );
+        assert!(!bridge.absorbed.is_empty(), "the bridge absorbs a cluster");
+        assert_eq!(r.entity_count(), 3);
+        assert_eq!(r.entity_count(), distinct_roots(&r));
+        let mut adopted = IncrementalResolver::new(cfg);
+        adopted.adopt_batch(
+            r.history()
+                .map(|(id, record)| (*id, record.clone(), r.entity_of(*id).unwrap())),
+        );
+        assert_eq!(adopted.entity_count(), 3);
+        assert_eq!(adopted.entity_count(), distinct_roots(&adopted));
     }
 
     #[test]

@@ -134,8 +134,12 @@ const TAG_SEAL: u8 = 9;
 const TAG_INDEX_CREATE: u8 = 10;
 const TAG_INDEX_DROP: u8 = 11;
 
-/// Serialize an optional [`Value`] in the WAL wire format (shared with
-/// the core crate's snapshot files).
+// The field codec below is shared with the core crate's snapshot files:
+// both formats are built from the same strings, values, counts and
+// attribute lists. Every decoder takes `at`, the offset its errors
+// report, and never reads or allocates past the bytes it was given.
+
+/// Serialize an optional [`Value`] in the WAL wire format.
 pub fn put_value(buf: &mut BytesMut, v: &Option<Value>) {
     match v {
         None => buf.put_u8(0),
@@ -173,53 +177,50 @@ pub fn put_value(buf: &mut BytesMut, v: &Option<Value>) {
 /// Decode an optional [`Value`] written by [`put_value`]. `at` is only
 /// used to report the offset in the error.
 pub fn get_value(buf: &mut Bytes, at: usize) -> Result<Option<Value>, TxnError> {
-    let corrupt = TxnError::CorruptLog { offset: at };
-    if buf.remaining() < 1 {
-        return Err(corrupt);
-    }
-    let need = |buf: &Bytes, n: usize| {
-        if buf.remaining() < n {
-            Err(TxnError::CorruptLog { offset: at })
-        } else {
-            Ok(())
-        }
-    };
+    need(buf, 1, at)?;
     match buf.get_u8() {
         0 => Ok(None),
         1 => Ok(Some(Value::Null)),
-        2 => need(buf, 1).map(|()| Some(Value::Bool(buf.get_u8() != 0))),
-        3 => need(buf, 8).map(|()| Some(Value::Int(buf.get_i64()))),
-        4 => need(buf, 8).map(|()| Some(Value::Float(buf.get_f64()))),
+        2 => need(buf, 1, at).map(|()| Some(Value::Bool(buf.get_u8() != 0))),
+        3 => need(buf, 8, at).map(|()| Some(Value::Int(buf.get_i64()))),
+        4 => need(buf, 8, at).map(|()| Some(Value::Float(buf.get_f64()))),
         5 => with_str(buf, at, |s| Some(Value::str(s))),
-        6 => need(buf, 8).map(|()| Some(Value::Timestamp(buf.get_i64()))),
-        _ => Err(corrupt),
+        6 => need(buf, 8, at).map(|()| Some(Value::Timestamp(buf.get_i64()))),
+        _ => Err(TxnError::CorruptLog { offset: at }),
     }
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+/// Error unless `buf` holds at least `n` more bytes.
+pub fn need(buf: &Bytes, n: usize, at: usize) -> Result<(), TxnError> {
+    if buf.remaining() < n {
+        Err(TxnError::CorruptLog { offset: at })
+    } else {
+        Ok(())
+    }
+}
+
+/// Serialize a length-prefixed UTF-8 string.
+pub fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_u32(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
 
 /// Decode a length-prefixed UTF-8 string and hand it to `f` borrowed.
 fn with_str<T>(buf: &mut Bytes, at: usize, f: impl FnOnce(&str) -> T) -> Result<T, TxnError> {
-    let corrupt = TxnError::CorruptLog { offset: at };
-    if buf.remaining() < 4 {
-        return Err(corrupt);
-    }
-    let len = buf.get_u32() as usize;
-    if buf.remaining() < len {
-        return Err(corrupt);
-    }
+    let len = get_count(buf, 1, at)?;
     let bytes = buf.copy_to_bytes(len);
-    std::str::from_utf8(&bytes).map(f).map_err(|_| corrupt)
+    std::str::from_utf8(&bytes)
+        .map(f)
+        .map_err(|_| TxnError::CorruptLog { offset: at })
 }
 
-fn get_str(buf: &mut Bytes, at: usize) -> Result<String, TxnError> {
+/// Decode a string written by [`put_str`].
+pub fn get_str(buf: &mut Bytes, at: usize) -> Result<String, TxnError> {
     with_str(buf, at, str::to_owned)
 }
 
-fn put_opt_str(buf: &mut BytesMut, s: &Option<String>) {
+/// Serialize an optional string: a presence byte, then the string.
+pub fn put_opt_str(buf: &mut BytesMut, s: &Option<String>) {
     match s {
         None => buf.put_u8(0),
         Some(s) => {
@@ -229,15 +230,36 @@ fn put_opt_str(buf: &mut BytesMut, s: &Option<String>) {
     }
 }
 
-fn get_opt_str(buf: &mut Bytes, at: usize) -> Result<Option<String>, TxnError> {
-    if buf.remaining() < 1 {
-        return Err(TxnError::CorruptLog { offset: at });
-    }
+/// Decode an optional string written by [`put_opt_str`].
+pub fn get_opt_str(buf: &mut Bytes, at: usize) -> Result<Option<String>, TxnError> {
+    need(buf, 1, at)?;
     match buf.get_u8() {
         0 => Ok(None),
         1 => Ok(Some(get_str(buf, at)?)),
         _ => Err(TxnError::CorruptLog { offset: at }),
     }
+}
+
+/// Serialize an attribute list: a count, then each name and value.
+pub fn put_attrs(buf: &mut BytesMut, attrs: &[(String, Value)]) {
+    buf.put_u32(attrs.len() as u32);
+    for (name, value) in attrs {
+        put_str(buf, name);
+        put_value(buf, &Some(value.clone()));
+    }
+}
+
+/// Decode an attribute list written by [`put_attrs`].
+pub fn get_attrs(buf: &mut Bytes, at: usize) -> Result<Vec<(String, Value)>, TxnError> {
+    // An attribute is at least a length prefix and a value tag.
+    let n = get_count(buf, 5, at)?;
+    let mut attrs = Vec::with_capacity(n);
+    for _ in 0..n {
+        let name = get_str(buf, at)?;
+        let value = get_value(buf, at)?.ok_or(TxnError::CorruptLog { offset: at })?;
+        attrs.push((name, value));
+    }
+    Ok(attrs)
 }
 
 /// Serialize one record into `buf` (no framing — the durable layer adds
@@ -288,11 +310,7 @@ pub fn encode_record(buf: &mut BytesMut, record: &LogRecord) {
             buf.put_u8(TAG_INGEST_ROW);
             buf.put_u64(*txn);
             put_str(buf, source);
-            buf.put_u32(attrs.len() as u32);
-            for (name, value) in attrs {
-                put_str(buf, name);
-                put_value(buf, &Some(value.clone()));
-            }
+            put_attrs(buf, attrs);
             put_opt_str(buf, text);
         }
         LogRecord::DiscoverLinks { txn } => {
@@ -326,10 +344,8 @@ pub fn encode_record(buf: &mut BytesMut, record: &LogRecord) {
 /// Read a `u32` count prefix for elements of at least `min_len` bytes
 /// each: errors unless the rest of `data` can hold that many, so no
 /// allocation is ever sized by an unchecked prefix.
-fn get_count(data: &mut Bytes, min_len: usize, at: usize) -> Result<usize, TxnError> {
-    if data.remaining() < 4 {
-        return Err(TxnError::CorruptLog { offset: at });
-    }
+pub fn get_count(data: &mut Bytes, min_len: usize, at: usize) -> Result<usize, TxnError> {
+    need(data, 4, at)?;
     let n = data.get_u32() as usize;
     if data.remaining() / min_len < n {
         return Err(TxnError::CorruptLog { offset: at });
@@ -387,14 +403,7 @@ pub fn decode_record(data: &mut Bytes, at: usize) -> Result<LogRecord, TxnError>
         TAG_INGEST_ROW => {
             let txn = data.get_u64();
             let source = get_str(data, at)?;
-            // An attribute is at least a length prefix and a value tag.
-            let n = get_count(data, 5, at)?;
-            let mut attrs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let name = get_str(data, at)?;
-                let value = get_value(data, at)?.ok_or_else(|| corrupt.clone())?;
-                attrs.push((name, value));
-            }
+            let attrs = get_attrs(data, at)?;
             let text = get_opt_str(data, at)?;
             Ok(LogRecord::IngestRow {
                 txn,
@@ -415,9 +424,7 @@ pub fn decode_record(data: &mut Bytes, at: usize) -> Result<LogRecord, TxnError>
             let name = get_str(data, at)?;
             let source = get_str(data, at)?;
             let attr = get_str(data, at)?;
-            if data.remaining() < 1 {
-                return Err(corrupt);
-            }
+            need(data, 1, at)?;
             let kind = data.get_u8();
             Ok(LogRecord::IndexCreate {
                 name,

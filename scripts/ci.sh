@@ -48,8 +48,7 @@ cargo run -q --offline --release -p scdb-bench --bin e_os3_semopt -- --smoke
 echo "== telemetry pipeline smoke (release)"
 # Asserts the enabled-sampler overhead stays within 5% (+ fixed slack)
 # of the telemetry-off loop, that samples/watches actually fired, and
-# that all five commit-stage histograms were observed. Also writes the
-# Prometheus exposition to target/experiments/telemetry.prom.
+# that all five commit-stage histograms were observed.
 cargo run -q --offline --release -p scdb-bench --bin e_telemetry -- --smoke
 
 echo "== storage-fault resilience smoke (release)"
@@ -73,71 +72,6 @@ echo "== system catalog smoke (release)"
 # a real acked batch's correlation id joins to its complete
 # flush -> append -> fsync -> apply journey in sys.events.
 cargo run -q --offline --release -p scdb-bench --bin e_syscat -- --smoke
-
-echo "== prometheus exposition format lint"
-# Every non-comment line must be `name[{labels}] value` with an
-# scdb_-prefixed metric name and a numeric value, and every metric
-# family must announce `# HELP` then `# TYPE` before its samples.
-python3 - target/experiments/telemetry.prom <<'PY'
-import re
-import sys
-
-path = sys.argv[1]
-name_re = re.compile(r"^scdb_[a-zA-Z0-9_]+(\{[^}]*\})?$")
-n = 0
-errors = []
-cur_help = None
-cur_type = None
-with open(path, encoding="utf-8") as fh:
-    for lineno, line in enumerate(fh, start=1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        if line.startswith("# HELP "):
-            rest = line[len("# HELP "):].split(" ", 1)
-            cur_help = rest[0]
-            cur_type = None
-            if len(rest) < 2 or not rest[1]:
-                errors.append(f"line {lineno}: HELP without help text")
-            continue
-        if line.startswith("# TYPE "):
-            rest = line[len("# TYPE "):].split(" ", 1)
-            if rest[0] != cur_help:
-                errors.append(
-                    f"line {lineno}: TYPE {rest[0]!r} does not follow its HELP"
-                )
-            cur_type = rest[0]
-            continue
-        if line.startswith("#"):
-            continue
-        parts = line.rsplit(" ", 1)
-        if len(parts) != 2:
-            errors.append(f"line {lineno}: not 'name value': {line!r}")
-            continue
-        name, value = parts
-        if not name_re.match(name):
-            errors.append(f"line {lineno}: bad metric name {name!r}")
-        bare = name.split("{", 1)[0]
-        fam = cur_type or ""
-        if bare != fam and bare not in (f"{fam}_sum", f"{fam}_count"):
-            errors.append(
-                f"line {lineno}: sample {bare!r} outside its announced family {fam!r}"
-            )
-        try:
-            float(value)
-        except ValueError:
-            errors.append(f"line {lineno}: non-numeric value {value!r}")
-        n += 1
-
-if n == 0:
-    errors.append("no samples in exposition")
-for e in errors[:20]:
-    print(f"check_prom: {e}", file=sys.stderr)
-if errors:
-    print(f"check_prom: {len(errors)} problem(s) in {n} samples", file=sys.stderr)
-    sys.exit(1)
-print(f"check_prom: {n} samples ok")
-PY
 
 echo "== benchmark package gate (release)"
 # perf/ is a package of its own (it builds into .bench_build/): format,

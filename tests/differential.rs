@@ -16,6 +16,10 @@
 //! the multi-pass normalizer and the saturation's fact accessors select,
 //! at one scan worker and at four (with equal [`ExecStats`]), and an
 //! index-driven scan returns the rows of a forced full scan.
+//!
+//! Sweep ≡ per-row: the `discover_links` sweep over rows loaded
+//! reference-first finds exactly the links that per-row curation finds
+//! when the same rows arrive target-first.
 
 use std::collections::HashMap;
 
@@ -188,6 +192,127 @@ fn reopened_equals_never_closed_at_the_default_realign_interval() {
     for shards in [1, 2] {
         reopened_equals_never_closed(shards, ResolverConfig::default());
     }
+}
+
+/// A random eight-letter name: no two share enough letters for the
+/// resolver to merge them.
+fn random_name(state: &mut u64) -> String {
+    (0..8)
+        .map(|_| {
+            *state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            char::from(b'a' + ((*state >> 33) % 26) as u8)
+        })
+        .collect()
+}
+
+/// Three tiers of sources whose rows name rows of the tier below:
+/// trials name drugs, drugs name genes. Returned target-first (genes,
+/// drugs, trials); every row is its own entity.
+fn link_corpus() -> Vec<(&'static str, Vec<(String, Value)>)> {
+    let mut state = 0x5EED;
+    let genes: Vec<String> = (0..24).map(|_| random_name(&mut state)).collect();
+    let drugs: Vec<String> = (0..48).map(|_| random_name(&mut state)).collect();
+    let mut rows = Vec::new();
+    for g in &genes {
+        let function = Value::str(format!("{} binding", random_name(&mut state)));
+        rows.push((
+            "genes",
+            vec![
+                ("gene".to_string(), Value::str(g)),
+                ("function".to_string(), function),
+            ],
+        ));
+    }
+    for (i, d) in drugs.iter().enumerate() {
+        rows.push((
+            "drugs",
+            vec![
+                ("drug".to_string(), Value::str(d)),
+                ("target".to_string(), Value::str(&genes[i % genes.len()])),
+                ("dose".to_string(), Value::Int(i as i64)),
+            ],
+        ));
+    }
+    for i in 0..36 {
+        rows.push((
+            "trials",
+            vec![
+                ("trial".to_string(), Value::str(random_name(&mut state))),
+                ("arm".to_string(), Value::str(&drugs[(i * 7) % drugs.len()])),
+                (
+                    "control".to_string(),
+                    Value::str(&drugs[(i * 11 + 3) % drugs.len()]),
+                ),
+            ],
+        ));
+    }
+    rows
+}
+
+/// Every edge of `db`'s graph as `(from name, to name, role)`, names
+/// being the identity values of the corpus rows.
+fn named_edges(
+    db: &Db,
+    rows: &[(&str, Vec<(String, Value)>)],
+) -> std::collections::BTreeSet<(String, String, String)> {
+    let name_of: HashMap<EntityId, String> = rows
+        .iter()
+        .map(|(_, attrs)| attrs[0].1.render().into_owned())
+        .map(|name| (db.entity_named(&name).expect("registered name"), name))
+        .collect();
+    let graph = db.graph();
+    let symbols = db.symbols_ref();
+    graph
+        .node_ids()
+        .flat_map(|v| graph.edges(v).iter().map(move |e| (v, e)))
+        .map(|(v, e)| {
+            (
+                name_of[&v].clone(),
+                name_of[&e.to].clone(),
+                symbols.resolve(e.role).to_string(),
+            )
+        })
+        .collect()
+}
+
+/// The `discover_links` sweep ≡ per-row linking: loading targets before
+/// the rows that name them links every reference at ingest; loading the
+/// references first links none of them until the sweep, which must then
+/// find exactly the same `(from, to, role)` edges and link count. A
+/// sweep after the target-first load finds nothing new.
+#[test]
+fn discover_links_sweep_equals_per_row_linking() {
+    let rows = link_corpus();
+    let load = |order: &mut dyn Iterator<Item = &(&str, Vec<(String, Value)>)>| {
+        let db = Db::new();
+        db.register_source("genes", Some("gene"));
+        db.register_source("drugs", Some("drug"));
+        db.register_source("trials", Some("trial"));
+        for (source, attrs) in order {
+            let record = Record::from_pairs(attrs.iter().map(|(a, v)| (db.intern(a), v.clone())));
+            db.ingest(source, record, None).expect("ingest");
+        }
+        assert_eq!(db.stats().merges, 0, "every row is its own entity");
+        db
+    };
+
+    let target_first = load(&mut rows.iter());
+    let per_row = named_edges(&target_first, &rows);
+    assert_eq!(
+        per_row.len(),
+        48 + 2 * 36,
+        "every reference linked at ingest"
+    );
+    assert_eq!(target_first.discover_links().expect("sweep"), 0);
+
+    let reference_first = load(&mut rows.iter().rev());
+    assert_eq!(reference_first.stats().links, 0, "no target existed yet");
+    let swept = reference_first.discover_links().expect("sweep");
+    assert_eq!(swept as u64, reference_first.stats().links);
+    assert_eq!(named_edges(&reference_first, &rows), per_row);
+    assert_eq!(reference_first.stats().links, target_first.stats().links);
 }
 
 /// `normalize` as three passes — strip bracketed text, tokenize, join —

@@ -737,39 +737,144 @@ fn telemetry_jsonl_sink_appends_tagged_lines() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Prometheus exposition over the live registry: names sanitized into
-/// the Prometheus charset, every non-comment line `name value`.
+/// The Prometheus text-format rules the exposition must keep: every
+/// sample `name[{labels}] value` with an `scdb_`-prefixed name in the
+/// Prometheus charset and a numeric value, inside the family its last
+/// `# TYPE` announced (or that family's `_sum` / `_count`); every
+/// `# HELP` carrying text and directly followed by its family's
+/// `# TYPE`; at least one sample. Returns the sample count, or every
+/// problem found.
+fn lint_prometheus(text: &str) -> Result<usize, Vec<String>> {
+    let mut problems = Vec::new();
+    let mut samples = 0usize;
+    let mut help: Option<&str> = None;
+    let mut family: Option<&str> = None;
+    for (lineno, line) in (1..).zip(text.lines()) {
+        if line.is_empty() {
+            continue;
+        }
+        if let Some(rest) = line.strip_prefix("# HELP ") {
+            let (name, text) = rest.split_once(' ').unwrap_or((rest, ""));
+            if text.is_empty() {
+                problems.push(format!("line {lineno}: HELP without help text"));
+            }
+            help = Some(name);
+            family = None;
+            continue;
+        }
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let name = rest.split(' ').next().unwrap_or("");
+            if help != Some(name) {
+                problems.push(format!(
+                    "line {lineno}: TYPE {name:?} does not follow its HELP"
+                ));
+            }
+            family = Some(name);
+            continue;
+        }
+        if line.starts_with('#') {
+            continue;
+        }
+        samples += 1;
+        let Some((name, value)) = line.rsplit_once(' ') else {
+            problems.push(format!("line {lineno}: not `name value`: {line:?}"));
+            continue;
+        };
+        let (bare, labels) = name.split_once('{').unwrap_or((name, "}"));
+        let charset = |c: char| c.is_ascii_alphanumeric() || c == '_';
+        let well_formed = bare
+            .strip_prefix("scdb_")
+            .is_some_and(|rest| !rest.is_empty() && rest.chars().all(charset))
+            && labels.ends_with('}')
+            && !labels[..labels.len() - 1].contains('}');
+        if !well_formed {
+            problems.push(format!("line {lineno}: bad metric name {name:?}"));
+        }
+        let fam = family.unwrap_or("");
+        if bare != fam && bare != format!("{fam}_sum") && bare != format!("{fam}_count") {
+            problems.push(format!(
+                "line {lineno}: sample {bare:?} outside its announced family {fam:?}"
+            ));
+        }
+        if value.parse::<f64>().is_err() {
+            problems.push(format!("line {lineno}: non-numeric value {value:?}"));
+        }
+    }
+    if samples == 0 {
+        problems.push("no samples in exposition".to_string());
+    }
+    if problems.is_empty() {
+        Ok(samples)
+    } else {
+        Err(problems)
+    }
+}
+
+/// Prometheus exposition over the live registry after a durable ingest,
+/// link sweep, checkpoint and query pass: every line keeps the text
+/// format (see [`lint_prometheus`]), and the lint itself catches each
+/// kind of break.
 #[test]
 fn prometheus_exposition_parses() {
     let _g = obs_lock();
     scdb_obs::metrics().set_enabled(true);
 
-    let db = Db::new();
+    let dir = scratch_dir("prom");
+    let db = Db::builder()
+        .durability_config(DurabilityConfig::dir(&dir).fsync(FsyncPolicy::EveryN(64)))
+        .ingest_config(IngestConfig::queued(16))
+        .open()
+        .expect("open");
     db.register_source("prom", Some("k"));
     let k = db.intern("k");
-    db.ingest("prom", Record::from_pairs([(k, Value::str("x"))]), None)
-        .expect("ingest");
+    let r = db.intern("ref");
+    let batch: Vec<Record> = (0..200i64)
+        .map(|i| {
+            Record::from_pairs([
+                (k, Value::str(format!("k-{i}"))),
+                (r, Value::str(format!("k-{}", (i + 1) % 200))),
+            ])
+        })
+        .collect();
+    db.ingest_batch("prom", batch).expect("batch");
+    db.discover_links().expect("sweep");
+    db.checkpoint().expect("checkpoint");
+    db.query("SELECT k FROM prom WHERE ref = 'k-7'")
+        .expect("query");
     let text = db.export_prometheus();
     assert!(
         text.contains("scdb_core_ingest_stage_apply_ns"),
         "stage histograms exported"
     );
-    let mut lines = 0;
-    for line in text.lines() {
-        if line.starts_with('#') || line.is_empty() {
-            continue;
-        }
-        let (name, value) = line.rsplit_once(' ').expect("name value pair");
-        assert!(value.parse::<f64>().is_ok(), "numeric value in {line:?}");
-        let bare = name.split('{').next().unwrap();
+    let samples = lint_prometheus(&text).unwrap_or_else(|problems| panic!("{problems:#?}"));
+    assert!(
+        samples > 10,
+        "exposition is non-trivial ({samples} samples)"
+    );
+
+    let help = "# HELP scdb_x A counter.\n";
+    for broken in [
+        String::new(),
+        format!("{help}# TYPE scdb_x counter\nscdb_x one\n"),
+        format!("{help}# TYPE scdb_x counter\nx 1\n"),
+        format!("{help}# TYPE scdb_x counter\nscdb_y 1\n"),
+        "# HELP scdb_x\n# TYPE scdb_x counter\nscdb_x 1\n".to_string(),
+        format!("{help}# TYPE scdb_z counter\nscdb_z 1\n"),
+    ] {
         assert!(
-            bare.starts_with("scdb_")
-                && bare.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'),
-            "prometheus-charset name in {line:?}"
+            lint_prometheus(&broken).is_err(),
+            "{broken:?} passes the lint"
         );
-        lines += 1;
     }
-    assert!(lines > 10, "exposition is non-trivial ({lines} lines)");
+    assert_eq!(
+        lint_prometheus(&format!(
+            "{help}# TYPE scdb_x summary\nscdb_x{{q=\"0.5\"}} 2\nscdb_x_sum 3.5\nscdb_x_count 2\n"
+        )),
+        Ok(3)
+    );
+
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Satellite: health reports carry a monotone sequence number and the

@@ -372,20 +372,29 @@ fn decoded_segments(log: &FailpointLog) -> Vec<(String, Vec<String>)> {
         .collect()
 }
 
-/// `(file name, byte length, FNV-1a hash)` of every segment on `log`,
-/// in file-name order: pins the bytes, not just the decoded records.
-fn segment_digests(log: &FailpointLog) -> Vec<(String, usize, u64)> {
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// `(file name, byte length, FNV-1a hash)` of every file on `log` that
+/// `keep` selects, in file-name order: pins the bytes, not just the
+/// decoded records.
+fn file_digests(log: &FailpointLog, keep: impl Fn(&str) -> bool) -> Vec<(String, usize, u64)> {
     log.file_names()
         .into_iter()
-        .filter(|name| name.ends_with(".seg"))
+        .filter(|name| keep(name))
         .map(|name| {
-            let data = WalStore::read(log, &name).expect("read segment");
-            let hash = data.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-            });
+            let data = WalStore::read(log, &name).expect("read file");
+            let hash = fnv1a(&data);
             (name, data.len(), hash)
         })
         .collect()
+}
+
+fn segment_digests(log: &FailpointLog) -> Vec<(String, usize, u64)> {
+    file_digests(log, |name| name.ends_with(".seg"))
 }
 
 fn segment_records(log: &FailpointLog) -> Vec<(String, Vec<LogRecord>)> {
@@ -557,5 +566,108 @@ fn one_shards_slice_equals_the_unsharded_database() {
     assert!(
         shard0.contains("rows=0") && !shard0.contains("\nrow "),
         "nothing routed to shard 0: {shard0}"
+    );
+}
+
+/// The curation schedule of the digest pin: sources with and without a
+/// designated identity, a reference ingested before its target and then
+/// swept, a bridging row that absorbs an entity, a JSON document with
+/// its text, and rows after a checkpoint.
+fn run_curation_schedule(db: &Db) {
+    let gene = |g: &str, f: &str| {
+        Record::from_pairs([
+            (db.intern("gene"), Value::str(g)),
+            (db.intern("function"), Value::str(f)),
+        ])
+    };
+    let drug = |n: &str, t: &str, dose: i64| {
+        Record::from_pairs([
+            (db.intern("name"), Value::str(n)),
+            (db.intern("target"), Value::str(t)),
+            (db.intern("dose"), Value::Int(dose)),
+        ])
+    };
+    let note = |title: &str| Record::from_pairs([(db.intern("title"), Value::str(title))]);
+    db.register_source("drugs", Some("name"));
+    db.register_source("genes", Some("gene"));
+    db.register_source("notes", None);
+    db.ingest("genes", gene("TP53", "tumor suppressor"), None)
+        .unwrap();
+    db.ingest("drugs", drug("Warfarin", "VKORC1", 5), None)
+        .unwrap();
+    db.ingest("drugs", drug("Nutlin", "TP53", 2), None).unwrap();
+    db.ingest("genes", gene("VKORC1", "vitamin k epoxide reductase"), None)
+        .unwrap();
+    db.discover_links().unwrap();
+    let a = db.ingest("notes", note("aspirin tablet"), None).unwrap();
+    let b = db
+        .ingest("notes", note("aspirin coated small pill"), None)
+        .unwrap();
+    assert_ne!(a.entity, b.entity, "two entities before the bridge");
+    let bridge = db
+        .ingest("notes", note("aspirin tablet coated small pill"), None)
+        .unwrap();
+    assert!(!bridge.absorbed.is_empty(), "the bridge absorbs an entity");
+    db.ingest_json("drugs", r#"{"name":"Aspirin","target":"PTGS2","dose":81}"#)
+        .unwrap();
+    db.checkpoint().unwrap();
+    db.ingest("genes", gene("PTGS2", "cyclooxygenase"), None)
+        .unwrap();
+    db.ingest("drugs", drug("warfarin", "VKORC1", 3), None)
+        .unwrap();
+    db.ingest_batch(
+        "drugs",
+        vec![
+            drug("Celecoxib", "PTGS2", 200),
+            drug("Idasanutlin", "TP53", 1),
+        ],
+    )
+    .unwrap();
+}
+
+/// Run [`run_curation_schedule`] on `shards` write shards and check
+/// its outputs against their pins: the `(length, FNV-1a)` digest of
+/// `state_dump`, and the digest of every file on the medium. A reopen
+/// lands on the same dump.
+fn assert_curation_digests(shards: u32, dump_digest: (usize, u64), files: &[(&str, usize, u64)]) {
+    let log = FailpointLog::new();
+    let db = open_with(&log, shards).unwrap();
+    run_curation_schedule(&db);
+    let dump = db.state_dump();
+    drop(db);
+    assert_eq!(
+        (dump.len(), fnv1a(dump.as_bytes())),
+        dump_digest,
+        "{shards}-shard state dump:\n{dump}"
+    );
+    let files: Vec<(String, usize, u64)> = files
+        .iter()
+        .map(|&(name, len, hash)| (name.to_string(), len, hash))
+        .collect();
+    assert_eq!(file_digests(&log, |_| true), files, "{shards}-shard medium");
+    assert_eq!(open_with(&log, shards).unwrap().state_dump(), dump);
+}
+
+/// Curation is pinned by its outputs — the state dump, the log segments
+/// and the snapshot — on one shard and on two.
+#[test]
+fn curation_digests_are_pinned_for_one_and_two_shards() {
+    assert_curation_digests(
+        1,
+        (2049, 0xda74_2b39_8490_1760),
+        &[
+            ("snap-00000002.scdb", 0x77e, 0x9a47_bbd8_5c66_4dd5),
+            ("wal-00000002.seg", 0x19e, 0x3be1_e702_a4d1_1685),
+        ],
+    );
+    assert_curation_digests(
+        2,
+        (2090, 0x8cf3_eab6_361e_45ba),
+        &[
+            ("snap-s0-00000002.scdb", 0x667, 0xdbbd_4576_2cc6_adfa),
+            ("snap-s1-00000002.scdb", 0x366, 0x7103_7691_ac65_b149),
+            ("wal-s0-00000002.seg", 0xd2, 0xa36b_0d08_e723_6c4e),
+            ("wal-s1-00000002.seg", 0xcc, 0x2711_65cb_ffc1_5297),
+        ],
     );
 }
