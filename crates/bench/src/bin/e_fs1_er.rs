@@ -5,6 +5,12 @@
 //! from scratch at checkpoints (the "all-to-all" regime §3.2 warns
 //! about). Reported: cumulative comparisons (cost) and pairwise F1
 //! (quality) — plus the blocking ablation.
+//!
+//! `--smoke` runs part 3's first 2 000-row window alone and asserts by
+//! counts (stable on a 1-core box): the comparisons and context
+//! evaluations equal the constants below, and the character-multiset
+//! ceiling settles at least 90 % of the comparisons the identity
+//! ceiling prunes without an exact Jaro–Winkler.
 
 use std::collections::HashMap;
 
@@ -45,12 +51,65 @@ fn corpus(
     (symbols, records, truth)
 }
 
+/// Part 3's counts over its first 2 000-row window, captured before
+/// identity scoring gained the multiset ceiling: the ceiling must not
+/// move a decision, so neither count may move.
+const SMOKE_COMPARISONS: u64 = 32_847;
+const SMOKE_CONTEXT_EVALS: u64 = 1_708;
+
+/// The least share of pruned comparisons the multiset ceiling must
+/// settle in the `--smoke` window.
+const SMOKE_MIN_BOUNDED_SHARE: f64 = 0.90;
+
+/// Count-only gate over part 3's first window.
+fn smoke() -> i32 {
+    let counts = streaming_rate(1);
+    let pruned = counts.comparisons - counts.context_evals;
+    let share = counts.bounded as f64 / pruned.max(1) as f64;
+    let mut failures = Vec::new();
+    if (counts.comparisons, counts.context_evals) != (SMOKE_COMPARISONS, SMOKE_CONTEXT_EVALS) {
+        failures.push(format!(
+            "{} comparisons and {} context evaluations (want {SMOKE_COMPARISONS} and \
+             {SMOKE_CONTEXT_EVALS})",
+            counts.comparisons, counts.context_evals
+        ));
+    }
+    if share < SMOKE_MIN_BOUNDED_SHARE {
+        failures.push(format!(
+            "the multiset ceiling settled {} of {pruned} pruned comparisons ({:.1}%, want \
+             >= {:.0}%)",
+            counts.bounded,
+            100.0 * share,
+            100.0 * SMOKE_MIN_BOUNDED_SHARE
+        ));
+    }
+    for f in &failures {
+        println!("SMOKE FAIL: {f}");
+    }
+    if failures.is_empty() {
+        println!(
+            "smoke: {} comparisons, {} context evaluations, {} of {pruned} pruned \
+             comparisons bounded ({:.1}%) OK",
+            counts.comparisons,
+            counts.context_evals,
+            counts.bounded,
+            100.0 * share
+        );
+        0
+    } else {
+        1
+    }
+}
+
 fn main() {
     banner(
         "E-T1-FS1",
         "Table 1 row FS.1 (continuous incremental entity resolution)",
         "incremental ER matches batch quality at a fraction of the comparisons",
     );
+    if std::env::args().any(|a| a == "--smoke") {
+        std::process::exit(smoke());
+    }
 
     // Part 1: incremental vs periodic batch, growing corpus.
     let mut table = Table::new(&[
@@ -143,15 +202,25 @@ fn main() {
     println!("candidates regularize against chained false merges) at far fewer comparisons;");
     println!("blocking preserves F1 at a fraction of all-pairs comparisons.");
 
-    streaming_rate();
+    streaming_rate(usize::MAX);
+}
+
+/// What one part-3 run counted.
+struct StreamCounts {
+    comparisons: u64,
+    context_evals: u64,
+    /// Comparisons the character-multiset ceiling settled without an
+    /// exact Jaro–Winkler (`er.identity_bounded`).
+    bounded: u64,
 }
 
 /// Part 3: does the curator keep up as the store grows? A 20k-row load
 /// (10 000 drugs, identity attributes designated as `Db::register_source`
 /// does, sources interleaved row by row) timed per 2k-row window, with
 /// the comparisons made and how many of them needed the context
-/// similarity (the rest the identity ceiling settled).
-fn streaming_rate() {
+/// similarity (the rest the identity ceiling settled). Runs the first
+/// `windows` windows.
+fn streaming_rate(windows: usize) -> StreamCounts {
     const WINDOW: usize = 2_000;
     let cfg = ScaledConfig {
         n_drugs: 10_000,
@@ -185,7 +254,7 @@ fn streaming_rate() {
             })
         })
         .collect();
-    let rows = &rows[..rows.len() / WINDOW * WINDOW];
+    let rows = &rows[..(rows.len() / WINDOW).min(windows) * WINDOW];
 
     scdb_obs::metrics().reset();
     println!(
@@ -233,4 +302,20 @@ fn streaming_rate() {
         stage_us("score"),
         stage_us("union")
     );
+    let counts = StreamCounts {
+        comparisons: r.comparisons(),
+        context_evals: r.context_evals(),
+        bounded: snap
+            .counters
+            .get("er.identity_bounded")
+            .copied()
+            .unwrap_or(0),
+    };
+    let pruned = counts.comparisons - counts.context_evals;
+    println!(
+        "pruned comparisons settled by the multiset ceiling: {} of {pruned} ({:.1}%)",
+        counts.bounded,
+        100.0 * counts.bounded as f64 / pruned.max(1) as f64
+    );
+    counts
 }

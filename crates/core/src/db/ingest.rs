@@ -9,12 +9,14 @@ use std::time::Instant;
 
 use parking_lot::RwLockWriteGuard;
 use scdb_er::normalize::normalize;
-use scdb_obs::{metrics, FieldValue as F};
+use scdb_obs::{metrics, FieldValue as F, Histogram};
 use scdb_storage::{IndexSet, RowStore};
 use scdb_txn::{DurableWal, LogRecord, TxnError};
 use scdb_types::{Record, SourceId, Symbol, SymbolTable, Value, ValueKind};
 
-use super::{Db, DbInner, DbMode, IngestReport, InstanceShard, RelationShard, SourceState};
+use super::{
+    Db, DbInner, DbMode, IngestReport, InstanceShard, RelationShard, SourceState, StageHistograms,
+};
 use crate::error::CoreError;
 use crate::group_commit::{CommitTicket, IngestItem, IngestQueue, TicketState};
 
@@ -472,9 +474,10 @@ impl Db {
         // Phase 3: apply, per participant in log order.
         let apply_start = Instant::now();
         let mut applied = false;
+        let split = staged.then_some(stages);
         let out = collect_slots(total, &mut parts, |inst, rel, p| {
             applied |= p.is_ok();
-            curate_one(inst, rel, &symbols, p?)
+            curate_one(inst, rel, &symbols, p?, split)
         });
         // Curation changed the world: invalidate the semantic cache once
         // per batch, before the participants' locks release (semantic
@@ -707,16 +710,46 @@ fn first_string(record: &Record) -> Option<&Value> {
         .find(|v| v.kind() == ValueKind::Str)
 }
 
+/// Times consecutive steps of [`curate_one`] into the
+/// `core.ingest.apply.*` histograms; without histograms (metrics off) it
+/// reads no clock.
+struct ApplyClock<'a> {
+    stages: Option<&'a StageHistograms>,
+    last: Option<Instant>,
+}
+
+impl<'a> ApplyClock<'a> {
+    fn start(stages: Option<&'a StageHistograms>) -> Self {
+        ApplyClock {
+            stages,
+            last: stages.map(|_| Instant::now()),
+        }
+    }
+
+    /// Record the time since the previous lap into `step`'s histogram.
+    fn lap(&mut self, step: fn(&StageHistograms) -> &Histogram) {
+        if let (Some(stages), Some(last)) = (self.stages, self.last) {
+            let now = Instant::now();
+            step(stages).record(now.duration_since(last).as_nanos() as u64);
+            self.last = Some(now);
+        }
+    }
+}
+
 /// Run the per-record curation pipeline (store → stats → text → ER →
 /// graph → link discovery) under the caller's shard write locks. The row
 /// is cloned exactly once: the store keeps the clone, the resolver
 /// consumes the original, and every later step reads the store's copy.
+/// With `split`, each step's time goes to its `core.ingest.apply.*`
+/// histogram.
 fn curate_one(
     inst: &mut InstanceShard,
     rel: &mut RelationShard,
     symbols: &SymbolTable,
     p: Prepared,
+    split: Option<&StageHistograms>,
 ) -> Result<IngestReport, CoreError> {
+    let mut clock = ApplyClock::start(split);
     let Prepared {
         source_id,
         identity_attr,
@@ -733,9 +766,11 @@ fn curate_one(
     if let Some(t) = &text {
         inst.text.index(record_id, t);
     }
+    clock.lap(|s| &s.apply_instance);
     // 2. Relation layer: entity resolution, then the entity's graph
     // node (absorbing every entity the row bridged).
     let event = rel.resolver.add(record_id, record, symbols);
+    clock.lap(|s| &s.apply_er);
     let entity = event.entity;
     rel.stats.records += 1;
     if !event.fresh {
@@ -761,9 +796,11 @@ fn curate_one(
     if let Some(v) = identity {
         rel.register_identity(entity, v);
     }
+    clock.lap(|s| &s.apply_graph);
     // 3. Link discovery: non-identity values referencing other
     // entities become edges labelled by the attribute.
     let links = rel.link(entity, record, source_id, tick)?;
+    clock.lap(|s| &s.apply_links);
     scdb_obs::event(
         "core",
         "ingest",

@@ -551,7 +551,7 @@ struct DbInner {
     mode: Mutex<mode::ModeState>,
     /// Monotone health-report sequence ([`Db::health_report`]).
     health_seq: AtomicU64,
-    /// Pre-resolved handles for the five commit-stage histograms, so the
+    /// Pre-resolved handles for the commit-stage histograms, so the
     /// per-ingest decomposition skips the registry name lookup on the
     /// hot path. `Metrics::reset` zeroes histograms in place, so these
     /// stay registered for the lifetime of the process.
@@ -559,13 +559,18 @@ struct DbInner {
 }
 
 /// Cached `core.ingest.stage.*` histogram handles (commit-latency
-/// decomposition, DESIGN.md §7).
+/// decomposition, DESIGN.md §7), and the per-row split of the apply
+/// stage (`core.ingest.apply.*`).
 struct StageHistograms {
     queue_wait: Arc<Histogram>,
     batch_build: Arc<Histogram>,
     wal_append: Arc<Histogram>,
     fsync: Arc<Histogram>,
     apply: Arc<Histogram>,
+    apply_instance: Arc<Histogram>,
+    apply_er: Arc<Histogram>,
+    apply_graph: Arc<Histogram>,
+    apply_links: Arc<Histogram>,
 }
 
 impl StageHistograms {
@@ -577,6 +582,10 @@ impl StageHistograms {
             wal_append: m.histogram("core.ingest.stage.wal_append_ns"),
             fsync: m.histogram("core.ingest.stage.fsync_ns"),
             apply: m.histogram("core.ingest.stage.apply_ns"),
+            apply_instance: m.histogram("core.ingest.apply.instance_ns"),
+            apply_er: m.histogram("core.ingest.apply.er_ns"),
+            apply_graph: m.histogram("core.ingest.apply.graph_ns"),
+            apply_links: m.histogram("core.ingest.apply.links_ns"),
         }
     }
 }

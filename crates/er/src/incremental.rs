@@ -8,13 +8,15 @@
 //! re-resolution ([`BatchResolver`]).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
+use scdb_obs::{Counter, Histogram};
 use scdb_types::{EntityId, IdGen, Record, RecordId, SourceId, Symbol, SymbolTable};
 
 use crate::align::{AlignmentMap, SchemaAligner};
 use crate::blocking::{Blocker, BlockingStrategy};
-use crate::features::{IdentityKey, Probe, StrFeatures};
+use crate::features::{IdSim, IdentityKey, Probe, Scratch};
 use crate::similarity::{
     record_similarity, record_similarity_same_schema, record_similarity_weighted,
 };
@@ -42,7 +44,7 @@ fn combine(id_sim: f64, context_sim: f64) -> f64 {
 /// float operation in it rounds monotonically) and no context
 /// similarity exceeds 1.0, so a candidate whose ceiling is below the
 /// threshold cannot match, whatever its context.
-fn identity_ceiling(id_sim: f64) -> f64 {
+pub(crate) fn identity_ceiling(id_sim: f64) -> f64 {
     combine(id_sim, 1.0)
 }
 
@@ -109,7 +111,7 @@ enum Identity {
     Unfilled,
     /// No designated identity attribute, or no non-null value for it.
     Absent,
-    /// The value's normalized rendering and numeric reading.
+    /// The value's normalized rendering, numeric reading and 3-grams.
     Key(IdentityKey),
 }
 
@@ -134,10 +136,49 @@ pub struct IncrementalResolver {
     /// a snapshot reopen derives nothing it does not score.
     identities: Vec<Identity>,
     /// A candidate's identity views, refilled per comparison.
-    scratch: StrFeatures,
+    scratch: Scratch,
     comparisons: u64,
     context_evals: u64,
+    /// Comparisons settled by the multiset ceiling, without an exact
+    /// Jaro–Winkler.
+    identity_bounded: u64,
     added: u64,
+    metrics: ResolverMetrics,
+}
+
+/// The resolver's `er.*` metric handles, resolved once so that `add`
+/// skips the registry's by-name lookups. `MetricsRegistry::reset`
+/// zeroes metrics in place, so the handles stay live.
+#[derive(Debug)]
+struct ResolverMetrics {
+    comparisons: Arc<Counter>,
+    context_evals: Arc<Counter>,
+    identity_bounded: Arc<Counter>,
+    fresh_entities: Arc<Counter>,
+    matches: Arc<Counter>,
+    entities_absorbed: Arc<Counter>,
+    adopted: Arc<Counter>,
+    block_ns: Arc<Histogram>,
+    score_ns: Arc<Histogram>,
+    union_ns: Arc<Histogram>,
+}
+
+impl ResolverMetrics {
+    fn resolve() -> ResolverMetrics {
+        let m = scdb_obs::metrics();
+        ResolverMetrics {
+            comparisons: m.counter("er.comparisons"),
+            context_evals: m.counter("er.context_evals"),
+            identity_bounded: m.counter("er.identity_bounded"),
+            fresh_entities: m.counter("er.fresh_entities"),
+            matches: m.counter("er.matches"),
+            entities_absorbed: m.counter("er.entities_absorbed"),
+            adopted: m.counter("er.adopted"),
+            block_ns: m.histogram("er.stage.block_ns"),
+            score_ns: m.histogram("er.stage.score_ns"),
+            union_ns: m.histogram("er.stage.union_ns"),
+        }
+    }
 }
 
 impl IncrementalResolver {
@@ -156,10 +197,12 @@ impl IncrementalResolver {
             alignments: HashMap::new(),
             identity_attrs: HashMap::new(),
             identities: Vec::new(),
-            scratch: StrFeatures::default(),
+            scratch: Scratch::default(),
             comparisons: 0,
             context_evals: 0,
+            identity_bounded: 0,
             added: 0,
+            metrics: ResolverMetrics::resolve(),
         }
     }
 
@@ -269,7 +312,9 @@ impl IncrementalResolver {
                     };
                 }
                 match &self.identities[b] {
-                    Identity::Key(key) => Some(probe.similarity(key, &mut self.scratch)),
+                    Identity::Key(key) => {
+                        Some(probe.similarity(key, self.config.match_threshold, &mut self.scratch))
+                    }
                     _ => None,
                 }
             }
@@ -282,12 +327,21 @@ impl IncrementalResolver {
         // Realign on schedule even when the context is skipped below: when
         // a rebuild happens decides what every later comparison sees.
         let alignment = (sa != sb).then(|| self.refresh_alignment(sa, sb, symbols));
-        if let Some(id_sim) = identity_sim {
-            let ceiling = identity_ceiling(id_sim);
-            if ceiling < self.config.match_threshold {
-                return ceiling;
+        let identity_sim = match identity_sim {
+            // An upper bound already rules the candidate out.
+            Some(IdSim::Bounded(bound)) => {
+                self.identity_bounded += 1;
+                return identity_ceiling(bound);
             }
-        }
+            Some(IdSim::Exact(id_sim)) => {
+                let ceiling = identity_ceiling(id_sim);
+                if ceiling < self.config.match_threshold {
+                    return ceiling;
+                }
+                Some(id_sim)
+            }
+            None => None,
+        };
         self.context_evals += 1;
         let (ra, rb) = (
             &self.records[a_idx as usize].1,
@@ -316,6 +370,7 @@ impl IncrementalResolver {
         self.added += 1;
         let comparisons_before = self.comparisons;
         let context_evals_before = self.context_evals;
+        let bounded_before = self.identity_bounded;
         self.aligners
             .entry(id.source)
             .or_insert_with(|| SchemaAligner::new(self.config.align_sample_cap))
@@ -358,24 +413,20 @@ impl IncrementalResolver {
         };
         let united = Instant::now();
 
-        let m = scdb_obs::metrics();
-        m.add("er.comparisons", self.comparisons - comparisons_before);
-        m.add(
-            "er.context_evals",
-            self.context_evals - context_evals_before,
-        );
-        m.observe(
-            "er.stage.block_ns",
-            blocked.duration_since(started).as_nanos() as u64,
-        );
-        m.observe(
-            "er.stage.score_ns",
-            scored.duration_since(blocked).as_nanos() as u64,
-        );
-        m.observe(
-            "er.stage.union_ns",
-            united.duration_since(scored).as_nanos() as u64,
-        );
+        if scdb_obs::metrics().enabled() {
+            let m = &self.metrics;
+            m.comparisons.add(self.comparisons - comparisons_before);
+            m.context_evals
+                .add(self.context_evals - context_evals_before);
+            m.identity_bounded
+                .add(self.identity_bounded - bounded_before);
+            m.block_ns
+                .record(blocked.duration_since(started).as_nanos() as u64);
+            m.score_ns
+                .record(scored.duration_since(blocked).as_nanos() as u64);
+            m.union_ns
+                .record(united.duration_since(scored).as_nanos() as u64);
+        }
         event
     }
 
@@ -383,7 +434,9 @@ impl IncrementalResolver {
     fn mint(&mut self, id: RecordId, handle: u64) -> MergeEvent {
         let entity = self.idgen.next_entity();
         self.entity_of_root.insert(handle, entity);
-        scdb_obs::metrics().inc("er.fresh_entities");
+        if scdb_obs::metrics().enabled() {
+            self.metrics.fresh_entities.inc();
+        }
         MergeEvent {
             record: id,
             entity,
@@ -404,8 +457,6 @@ impl IncrementalResolver {
         matched_roots: &[u64],
         best_sim: f64,
     ) -> MergeEvent {
-        let m = scdb_obs::metrics();
-        m.inc("er.matches");
         let mut entities: Vec<EntityId> = matched_roots
             .iter()
             .filter_map(|r| self.entity_of_root.get(r).copied())
@@ -427,7 +478,10 @@ impl IncrementalResolver {
         self.parent[handle as usize] = final_root;
         self.entity_of_root.insert(final_root, survivor);
 
-        m.add("er.entities_absorbed", absorbed.len() as u64);
+        if scdb_obs::metrics().enabled() {
+            self.metrics.matches.inc();
+            self.metrics.entities_absorbed.add(absorbed.len() as u64);
+        }
         if !absorbed.is_empty() {
             // A record bridged previously-distinct entities — rare and
             // curation-critical, so it earns a flight-recorder event.
@@ -491,7 +545,9 @@ impl IncrementalResolver {
             }
             self.idgen.advance_past(entity);
         }
-        scdb_obs::metrics().add("er.adopted", adopted as u64);
+        if scdb_obs::metrics().enabled() {
+            self.metrics.adopted.add(adopted as u64);
+        }
         adopted
     }
 
@@ -655,7 +711,69 @@ mod tests {
                     );
                 }
             }
+            // The bounded path: the multiset ceiling prunes without the
+            // exact identity. Thresholds one and two ulps above the
+            // bound's ceiling are the tightest at which it does.
+            let (Some(ka), Some(kb)) = (IdentityKey::of(ia), IdentityKey::of(ib)) else {
+                return;
+            };
+            let probe = Probe::new(ka);
+            let mut scratch = Scratch::default();
+            let IdSim::Bounded(bound) = probe.similarity(&kb, f64::INFINITY, &mut scratch) else {
+                return;
+            };
+            let bound_ceiling = identity_ceiling(bound);
+            for t in [
+                threshold,
+                ceiling.next_up(),
+                bound_ceiling.next_up(),
+                bound_ceiling.next_up().next_up(),
+            ] {
+                if let IdSim::Bounded(_) = probe.similarity(&kb, t, &mut scratch) {
+                    prop_assert!(ceiling < t, "bounded at {t}, exact ceiling {ceiling}");
+                    for ctx in contexts {
+                        prop_assert!(
+                            combine(id_sim, ctx) < t,
+                            "bounded at {t} (bound {bound}), but context {ctx} scores {}",
+                            combine(id_sim, ctx)
+                        );
+                    }
+                }
+            }
         }
+    }
+
+    #[test]
+    fn adopted_records_derive_no_key_until_compared() {
+        let mut syms = SymbolTable::new();
+        let cfg = ResolverConfig::default();
+        let mut live = IncrementalResolver::new(cfg.clone());
+        live.designate_identity(SourceId(0), syms.intern("name"));
+        for (off, name) in (0..).zip(["warfarin", "warfarin sodium", "heparin", "aspirin"]) {
+            live.add(rid(0, off), rec(&mut syms, "name", name), &syms);
+        }
+        let mut adopted = IncrementalResolver::new(cfg);
+        adopted.designate_identity(SourceId(0), syms.intern("name"));
+        adopted.adopt_batch(
+            live.history()
+                .map(|(id, record)| (*id, record.clone(), live.entity_of(*id).unwrap())),
+        );
+        let filled = |r: &IncrementalResolver| {
+            r.identities
+                .iter()
+                .filter(|i| !matches!(i, Identity::Unfilled))
+                .count()
+        };
+        assert_eq!(filled(&adopted), 0, "adopt_batch derives no key");
+        adopted.add(rid(0, 4), rec(&mut syms, "name", "warfarin"), &syms);
+        let compared = adopted.comparisons() as usize;
+        assert!(compared > 0, "the new row meets adopted candidates");
+        // The new row's own key, plus one per adopted record compared.
+        assert_eq!(filled(&adopted), 1 + compared);
+        assert!(
+            matches!(adopted.identities[2], Identity::Unfilled),
+            "heparin is never a candidate"
+        );
     }
 
     fn rec(syms: &mut SymbolTable, attr: &str, name: &str) -> Record {

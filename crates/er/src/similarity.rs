@@ -6,14 +6,14 @@
 //! matched — the mechanism FS.1 demands ("work across different schemata
 //! without requiring prior knowledge").
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 use scdb_types::{Record, Symbol, Value};
 
 use crate::align::AlignmentMap;
-use crate::normalize::{
-    norm_tokens, normalize, qgrams, qgrams_of_normalized, token_set, token_set_of_normalized,
-};
+use crate::features::StrFeatures;
+use crate::normalize::{norm_tokens, normalize_into, qgrams, token_set};
 
 /// Levenshtein edit distance (iterative two-row DP).
 pub fn levenshtein(a: &str, b: &str) -> usize {
@@ -55,7 +55,8 @@ pub fn jaro(a: &str, b: &str) -> f64 {
 }
 
 /// Jaro similarity over already-decoded characters: the core [`jaro`]
-/// wraps, for callers that keep `Vec<char>` features.
+/// wraps, for callers that keep `Vec<char>` features. Allocation-free
+/// when `b` has at most 64 characters.
 pub fn jaro_chars(a: &[char], b: &[char]) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
@@ -63,7 +64,68 @@ pub fn jaro_chars(a: &[char], b: &[char]) -> f64 {
     if a.is_empty() || b.is_empty() {
         return 0.0;
     }
-    let window = (a.len().max(b.len()) / 2).saturating_sub(1);
+    let (matches, transpositions) = if b.len() <= 64 {
+        jaro_matches_small(a, b)
+    } else {
+        jaro_matches_heap(a, b)
+    };
+    jaro_from(matches, transpositions, a.len(), b.len())
+}
+
+/// The Jaro formula over `matches` matched characters, of which
+/// `transpositions` sit out of order, between strings of `la` and `lb`
+/// characters. [`jaro_chars`] and the resolver's multiset ceiling
+/// (`features.rs`) share it, so equal inputs give equal bits.
+pub(crate) fn jaro_from(matches: usize, transpositions: usize, la: usize, lb: usize) -> f64 {
+    if matches == 0 {
+        return 0.0;
+    }
+    let t = transpositions as f64 / 2.0;
+    let m = matches as f64;
+    (m / la as f64 + m / lb as f64 + (m - t) / m) / 3.0
+}
+
+/// The match window of [`jaro_chars`].
+fn jaro_window(a: &[char], b: &[char]) -> usize {
+    (a.len().max(b.len()) / 2).saturating_sub(1)
+}
+
+/// Jaro's `(matches, transpositions)` for `b.len() <= 64`: the used
+/// positions of `b` are a bitset and the match order a stack buffer.
+fn jaro_matches_small(a: &[char], b: &[char]) -> (usize, usize) {
+    let window = jaro_window(a, b);
+    let mut b_used = 0u64;
+    // The b position each matched a-char took, in a order.
+    let mut b_order = [0u8; 64];
+    let mut matches = 0;
+    for (i, ca) in a.iter().enumerate() {
+        let lo = i.saturating_sub(window);
+        let hi = (i + window + 1).min(b.len());
+        for (j, cb) in b.iter().enumerate().take(hi).skip(lo) {
+            if b_used & (1 << j) == 0 && cb == ca {
+                b_used |= 1 << j;
+                b_order[matches] = j as u8;
+                matches += 1;
+                break;
+            }
+        }
+    }
+    // Transpositions: matched b positions out of order — compared with
+    // the same positions ascending, which is the bitset low to high.
+    let mut ascending = b_used;
+    let mut transpositions = 0;
+    for &j in &b_order[..matches] {
+        if u32::from(j) != ascending.trailing_zeros() {
+            transpositions += 1;
+        }
+        ascending &= ascending - 1;
+    }
+    (matches, transpositions)
+}
+
+/// [`jaro_matches_small`] for any length, on the heap.
+fn jaro_matches_heap(a: &[char], b: &[char]) -> (usize, usize) {
+    let window = jaro_window(a, b);
     let mut b_used = vec![false; b.len()];
     // The b position each matched a-char took, in a order.
     let mut b_order = Vec::with_capacity(a.len().min(b.len()));
@@ -78,10 +140,6 @@ pub fn jaro_chars(a: &[char], b: &[char]) -> f64 {
             }
         }
     }
-    let matches = b_order.len();
-    if matches == 0 {
-        return 0.0;
-    }
     // Transpositions: matched b positions out of order — compared with
     // the same positions ascending, which is `b_used` read left to right.
     let ascending = b_used
@@ -94,9 +152,7 @@ pub fn jaro_chars(a: &[char], b: &[char]) -> f64 {
         .zip(ascending)
         .filter(|(x, y)| **x != *y)
         .count();
-    let t = transpositions as f64 / 2.0;
-    let m = matches as f64;
-    (m / a.len() as f64 + m / b.len() as f64 + (m - t) / m) / 3.0
+    (b_order.len(), transpositions)
 }
 
 /// Jaro–Winkler similarity (prefix bonus up to 4 chars, scale 0.1).
@@ -109,9 +165,14 @@ pub fn jaro_winkler(a: &str, b: &str) -> f64 {
 /// Jaro–Winkler over already-decoded characters: the core
 /// [`jaro_winkler`] wraps.
 pub fn jaro_winkler_chars(a: &[char], b: &[char]) -> f64 {
-    let j = jaro_chars(a, b);
-    let prefix = a.iter().zip(b).take(4).take_while(|(x, y)| x == y).count() as f64;
-    j + prefix * 0.1 * (1.0 - j)
+    let prefix = a.iter().zip(b).take(4).take_while(|(x, y)| x == y).count();
+    winkler(jaro_chars(a, b), prefix)
+}
+
+/// Jaro similarity `j` with the Winkler bonus for a common prefix of
+/// `prefix` (at most 4) characters.
+pub(crate) fn winkler(j: f64, prefix: usize) -> f64 {
+    j + prefix as f64 * 0.1 * (1.0 - j)
 }
 
 /// Jaccard similarity of two sorted, deduplicated slices.
@@ -134,16 +195,12 @@ pub(crate) fn jaccard_by(
     let mut i = 0;
     let mut j = 0;
     let mut inter = 0usize;
+    // Branch-free steps: which side advances is data, not control flow.
     while i < la && j < lb {
-        match cmp(i, j) {
-            std::cmp::Ordering::Equal => {
-                inter += 1;
-                i += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-        }
+        let order = cmp(i, j);
+        inter += usize::from(order.is_eq());
+        i += usize::from(order.is_le());
+        j += usize::from(order.is_ge());
     }
     let union = la + lb - inter;
     if union == 0 {
@@ -193,26 +250,39 @@ pub fn tf_vector(s: &str) -> HashMap<String, f64> {
     m
 }
 
+/// The buffers [`string_similarity`] normalizes and derives views into,
+/// one set per thread, reused across calls.
+#[derive(Default)]
+struct Kernel {
+    norm: [String; 2],
+    views: [StrFeatures; 2],
+}
+
+thread_local! {
+    static KERNEL: RefCell<Kernel> = RefCell::new(Kernel::default());
+}
+
 /// A blended string similarity: the maximum of token Jaccard, Jaro–Winkler
 /// (on the normalized strings), and 3-gram Jaccard. Robust across the
 /// typo/reorder/abbreviation variation the datagen corruptions produce.
+///
+/// Both sides are normalized into this thread's reused buffers and
+/// scored through `StrFeatures`, the views the resolver caches, so a
+/// call allocates nothing once the buffers have grown.
 pub fn string_similarity(a: &str, b: &str) -> f64 {
-    let na = normalize(a);
-    let nb = normalize(b);
-    if na.is_empty() && nb.is_empty() {
-        return 1.0;
-    }
-    if na == nb {
-        return 1.0;
-    }
-    // `token_jaccard(a, b)` and `qgram_jaccard(a, b, 3)`, from the
-    // strings normalized once.
-    let tokens = jaccard(&token_set_of_normalized(&na), &token_set_of_normalized(&nb));
-    let grams = jaccard(
-        &gram_set(qgrams_of_normalized(&na, 3)),
-        &gram_set(qgrams_of_normalized(&nb, 3)),
-    );
-    tokens.max(jaro_winkler(&na, &nb)).max(grams)
+    KERNEL.with(|kernel| {
+        let Kernel { norm, views } = &mut *kernel.borrow_mut();
+        let [na, nb] = norm;
+        normalize_into(a, na);
+        normalize_into(b, nb);
+        if na == nb {
+            return 1.0;
+        }
+        let [fa, fb] = views;
+        fa.fill(na);
+        fb.fill(nb);
+        fa.similarity(fb)
+    })
 }
 
 /// Similarity between two values of possibly different kinds.
@@ -308,13 +378,129 @@ pub fn record_similarity_weighted(a: &Record, b: &Record, weight: impl Fn(Symbol
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arbitrary::{attr, cells, record, ATTRS};
+    use crate::arbitrary::{attr, cells, edit, record, text, ALPHABET, ATTRS};
+    use crate::normalize::{normalize, qgrams_of_normalized, token_set_of_normalized};
     use proptest::collection::vec;
     use proptest::prelude::*;
     use scdb_types::SymbolTable;
 
+    /// The multi-pass `string_similarity` the reused-buffer kernel
+    /// replaced: `String` normalizations, token and q-gram `Vec<String>`
+    /// sets. Kept as the reference.
+    fn multi_pass_string_similarity(a: &str, b: &str) -> f64 {
+        let na = normalize(a);
+        let nb = normalize(b);
+        if na.is_empty() && nb.is_empty() {
+            return 1.0;
+        }
+        if na == nb {
+            return 1.0;
+        }
+        let tokens = jaccard(&token_set_of_normalized(&na), &token_set_of_normalized(&nb));
+        let grams = jaccard(
+            &gram_set(qgrams_of_normalized(&na, 3)),
+            &gram_set(qgrams_of_normalized(&nb, 3)),
+        );
+        tokens.max(jaro_winkler(&na, &nb)).max(grams)
+    }
+
+    #[test]
+    fn kernel_equals_multi_pass_on_edge_cases() {
+        let cases = [
+            "",
+            " ",
+            "İstanbul",
+            "istanbul",
+            "i\u{307}stanbul",
+            "STRASSE",
+            "straße",
+            "Straße (Weg)",
+            "e\u{301}te\u{301}",
+            "été",
+            "\u{301}x",
+            "Ibuprofen (Advil)",
+            "ibuprofen",
+            "Methotrexate sodium",
+            "aa aa",
+            "a#b",
+        ];
+        for a in cases {
+            for b in cases {
+                assert_eq!(
+                    string_similarity(a, b).to_bits(),
+                    multi_pass_string_similarity(a, b).to_bits(),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+    }
+
+    /// `a` of length `la` over `ALPHABET`, and `b` a copy with every
+    /// `stride`-th char replaced and a swapped pair, so the Jaro match
+    /// and transposition paths both run.
+    fn long_pair(la: usize, lb: usize, stride: usize) -> (Vec<char>, Vec<char>) {
+        let pick = |i: usize| ALPHABET[(i * 7 + i / 3) % ALPHABET.len()];
+        let a: Vec<char> = (0..la).map(pick).collect();
+        let mut b: Vec<char> = (0..lb)
+            .map(|i| if i % stride == 0 { 'q' } else { pick(i) })
+            .collect();
+        if lb > 3 {
+            b.swap(1, 2);
+        }
+        (a, b)
+    }
+
+    #[test]
+    fn stack_jaro_equals_heap_jaro_at_the_boundary() {
+        for lb in [63, 64, 65, 200] {
+            for la in [1, lb / 2, lb - 1, lb, lb + 1, 3 * lb] {
+                for stride in [2, 5, 1000] {
+                    let (a, b) = long_pair(la, lb, stride);
+                    let (m, t) = jaro_matches_heap(&a, &b);
+                    let heap = jaro_from(m, t, a.len(), b.len());
+                    assert_eq!(jaro_chars(&a, &b).to_bits(), heap.to_bits(), "{la} x {lb}");
+                    if lb <= 64 {
+                        assert_eq!(jaro_matches_small(&a, &b), (m, t), "{la} x {lb}");
+                    }
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The reused-buffer kernel is the multi-pass metric, bit for
+        /// bit, over brackets, `İ`, `ß`, combining marks and repeats.
+        #[test]
+        fn string_similarity_equals_multi_pass(a in text(), b in text()) {
+            prop_assert_eq!(
+                string_similarity(&a, &b).to_bits(),
+                multi_pass_string_similarity(&a, &b).to_bits()
+            );
+        }
+
+        #[test]
+        fn string_similarity_equals_multi_pass_on_near_duplicates(
+            a in text(),
+            at in 0usize..14,
+            with in 0..ALPHABET.len(),
+        ) {
+            let b = edit(&a, at, with);
+            prop_assert_eq!(
+                string_similarity(&a, &b).to_bits(),
+                multi_pass_string_similarity(&a, &b).to_bits()
+            );
+        }
+
+        /// The bitset path is the heap path, bit for bit.
+        #[test]
+        fn stack_jaro_equals_heap_jaro(a in text(), b in text()) {
+            let (a, b): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
+            if !b.is_empty() {
+                prop_assert_eq!(jaro_matches_small(&a, &b), jaro_matches_heap(&a, &b));
+            }
+        }
 
         /// The resolver's exact pruning rests on this: no context
         /// similarity exceeds 1.0, for any records and any finite

@@ -65,6 +65,14 @@ echo "== checkpointed recovery smoke (release)"
 # live row count (a raw-replay control proves the counter is live).
 cargo run -q --offline --release -p scdb-bench --bin e_recovery -- --smoke
 
+echo "== incremental entity resolution smoke (release)"
+# Pins E-T1-FS1 part 3's first 2k-row window by counts: comparisons and
+# context evaluations equal constants captured before identity scoring
+# gained its character-multiset ceiling (no decision may move), and that
+# ceiling settles >= 90% of the pruned comparisons without an exact
+# Jaro-Winkler.
+cargo run -q --offline --release -p scdb-bench --bin e_fs1_er -- --smoke
+
 echo "== system catalog smoke (release)"
 # Asserts the fully-observed loop (metrics + events + monitoring-cadence
 # sys.* polling) stays within 5% (+ fixed slack) of the unobserved loop,

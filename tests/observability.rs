@@ -366,19 +366,24 @@ fn metric_names_follow_design_convention() {
         offenders.is_empty(),
         "metric names violating the DESIGN.md \u{a7}7 convention: {offenders:?}"
     );
-    // The resolver's sub-stage split, and context evaluations beside
-    // comparisons, are part of the vocabulary the pass must mint.
+    // The resolver's sub-stage split, the apply stage's per-row split,
+    // and context evaluations beside comparisons, are part of the
+    // vocabulary the pass must mint.
     for name in [
         "er.stage.block_ns",
         "er.stage.score_ns",
         "er.stage.union_ns",
+        "core.ingest.apply.instance_ns",
+        "core.ingest.apply.er_ns",
+        "core.ingest.apply.graph_ns",
+        "core.ingest.apply.links_ns",
     ] {
         assert!(
             snap.histograms.contains_key(name),
             "missing histogram {name}"
         );
     }
-    for name in ["er.comparisons", "er.context_evals"] {
+    for name in ["er.comparisons", "er.context_evals", "er.identity_bounded"] {
         assert!(snap.counters.contains_key(name), "missing counter {name}");
     }
     let recorded = scdb_obs::events().select(&EventFilter::new().seq_min(seq0));
