@@ -17,7 +17,12 @@
 //! 10k point query only and *asserts* the index win by row counts —
 //! the index path must return identical rows while touching only the
 //! matching candidates instead of every row — so it is stable on a
-//! 1-core CI box (no wall-clock gate).
+//! 1-core CI box (no wall-clock gate). It also asserts by counts that
+//! the query path's metric handles are written: k indexed point queries
+//! advance `query.index.scans` by k, `query.index.candidates` and
+//! `query.rows_out` by the summed counts, `query.index.fallbacks` by 0
+//! and `core.query` by k observations — and, with metrics disabled, move
+//! none of them.
 //!
 //! Qualitative shape to expect: the point query's index scan touches
 //! 3 orders of magnitude fewer rows and wins wall-clock accordingly.
@@ -136,6 +141,70 @@ fn create_indexes(db: &Db) -> (usize, usize) {
     (defs.len(), 2)
 }
 
+/// The query-path metrics the smoke pins:
+/// `[index.scans, index.candidates, index.fallbacks, rows_out, core.query observations]`.
+fn query_counts() -> [u64; 5] {
+    let snap = scdb_obs::metrics().snapshot();
+    let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    [
+        counter("query.index.scans"),
+        counter("query.index.candidates"),
+        counter("query.index.fallbacks"),
+        counter("query.rows_out"),
+        snap.histograms.get("core.query").map_or(0, |h| h.count),
+    ]
+}
+
+/// Run `k` indexed point queries over distinct tags; returns the
+/// movement of [`query_counts`] and what the outcomes report:
+/// `(delta, candidates, rows_out)`.
+fn point_query_deltas(db: &Db, k: usize) -> ([u64; 5], u64, u64) {
+    let before = query_counts();
+    let (mut candidates, mut rows_out) = (0, 0);
+    for i in 0..k {
+        let sql = format!("SELECT name FROM events WHERE tag = 't{i:05}'");
+        let out = db.query(&sql).expect("query");
+        candidates += out.stats.rows_scanned;
+        rows_out += out.rows.len() as u64;
+    }
+    let after = query_counts();
+    (
+        std::array::from_fn(|i| after[i] - before[i]),
+        candidates,
+        rows_out,
+    )
+}
+
+/// The metric-handle gate: every handle on the indexed point-query path
+/// is written once per query, and none is written while disabled.
+fn smoke_metrics(db: &Db) -> bool {
+    const K: u64 = 16;
+    let mut ok = true;
+    let (delta, candidates, rows_out) = point_query_deltas(db, K as usize);
+    let want = [K, candidates, 0, rows_out, K];
+    if delta != want || rows_out != 10 * K {
+        println!(
+            "SMOKE FAIL: {K} point queries moved [index.scans, index.candidates, \
+             index.fallbacks, rows_out, core.query] by {delta:?}, want {want:?} \
+             ({rows_out} rows out)"
+        );
+        ok = false;
+    }
+    scdb_obs::metrics().set_enabled(false);
+    let (delta, _, _) = point_query_deltas(db, K as usize);
+    scdb_obs::metrics().set_enabled(true);
+    if delta != [0; 5] {
+        println!("SMOKE FAIL: with metrics disabled, {K} point queries moved {delta:?}");
+        ok = false;
+    }
+    if ok {
+        println!(
+            "smoke: {K} point queries wrote every query-path metric once, none while disabled OK"
+        );
+    }
+    ok
+}
+
 fn smoke() -> i32 {
     let mut table = new_table();
     let db = build(SMOKE_SIZE);
@@ -173,6 +242,7 @@ fn smoke() -> i32 {
         );
         ok = false;
     }
+    ok &= smoke_metrics(&db);
     if ok {
         println!(
             "smoke: index scan {} rows vs full scan {} rows, identical 10-row result OK",

@@ -60,13 +60,12 @@ impl Db {
             ("sys.slow_queries", "slow_queries.jsonl"),
             ("sys.watches", "watches.jsonl"),
         ] {
-            let query = Query {
+            let out = self.run_sys_query(Query {
                 select: Vec::new(),
                 from: rel.to_string(),
                 atoms: Vec::new(),
                 limit: None,
-            };
-            let out = self.run_sys_query(&query)?;
+            })?;
             let mut text = String::new();
             {
                 let symbols = self.inner.symbols.read();

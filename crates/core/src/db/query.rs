@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use scdb_obs::{metrics, FieldValue as F, ProfileBuilder, QueryProfile};
+use scdb_obs::{metrics, FieldValue as F, HistogramHandle, ProfileBuilder, QueryProfile};
 use scdb_query::exec::{EvalEnv, Executor, SemanticEnv, StoreSource};
 use scdb_query::optimizer::{Optimizer, OptimizerConfig, SemanticContext};
 use scdb_query::plan::LogicalPlan;
@@ -20,6 +20,12 @@ use crate::error::CoreError;
 
 /// Capacity of the slow-query ring ([`Db::slow_queries`]).
 pub const SLOW_QUERY_RING: usize = 32;
+
+/// `query.{plan,optimize,execute}_ns`, one observation per query each,
+/// resolved at their first write instead of by name per query.
+static PLAN_NS: HistogramHandle = HistogramHandle::new("query.plan_ns");
+static OPTIMIZE_NS: HistogramHandle = HistogramHandle::new("query.optimize_ns");
+static EXECUTE_NS: HistogramHandle = HistogramHandle::new("query.execute_ns");
 
 /// One slow-query capture: a query whose wall time crossed
 /// [`DbBuilder::slow_query_threshold`](crate::DbBuilder::slow_query_threshold),
@@ -70,7 +76,7 @@ impl Db {
     /// Parse, optimize, and execute an ScQL query.
     pub fn query(&self, sql: &str) -> Result<QueryOutcome, CoreError> {
         let query = parse(sql)?;
-        self.run_query_inner(&query, Some(sql))
+        self.run_query_inner(query, &|| sql.to_owned())
     }
 
     /// Execute an already-parsed query. The returned outcome carries an
@@ -84,10 +90,17 @@ impl Db {
     /// atoms evaluate against a saturation snapshot taken at prep time;
     /// a concurrent ingest does not invalidate it mid-query.
     pub fn run_query(&self, query: &Query) -> Result<QueryOutcome, CoreError> {
-        self.run_query_inner(query, None)
+        self.run_query_inner(query.clone(), &|| query.to_string())
     }
 
-    fn run_query_inner(&self, query: &Query, sql: Option<&str>) -> Result<QueryOutcome, CoreError> {
+    /// Plan, optimize and execute `query`, which the plan takes over.
+    /// `text` renders the query for the slow-query ring; it runs only
+    /// when the query is slow.
+    fn run_query_inner(
+        &self,
+        query: Query,
+        text: &dyn Fn() -> String,
+    ) -> Result<QueryOutcome, CoreError> {
         let _span = scdb_obs::span!("core.query");
         // System-catalog queries divert to their own path: same plan →
         // optimize → execute pipeline (full EXPLAIN ANALYZE), but the
@@ -113,14 +126,14 @@ impl Db {
             None
         };
         let (optimizer_config, executor) = self.query_config();
+        let (n_atoms, limit) = (query.atoms.len(), query.limit);
         let plan_start = Instant::now();
-        let plan = LogicalPlan::from_query(query);
+        let plan = LogicalPlan::new(query);
         let plan_elapsed = plan_start.elapsed();
-        profile.stage("plan", plan_elapsed).notes.push(format!(
-            "{} atom(s), {} node(s)",
-            query.atoms.len(),
-            plan.nodes.len()
-        ));
+        profile
+            .stage("plan", plan_elapsed)
+            .notes
+            .push(format!("{n_atoms} atom(s), {} node(s)", plan.nodes.len()));
         // Execution under read guards, acquired in lock order. The
         // query fans out: sources are broadcast to every shard and each
         // shard holds a disjoint key-range slice of the rows, so the
@@ -134,20 +147,20 @@ impl Db {
         let mut all_rows: Vec<Record> = Vec::new();
         let mut stats = ExecStats::default();
         let mut reported_plan = None;
-        let mut scratch = ProfileBuilder::new();
+        let mut scratch = None;
         let (mut optimize_ns, mut execute_ns) = (0u64, 0u64);
         for (shard, plan) in shards.iter().zip(std::iter::repeat_n(plan, shards.len())) {
             let prof = if reported_plan.is_none() {
                 &mut profile
             } else {
-                &mut scratch
+                scratch.get_or_insert_with(ProfileBuilder::new)
             };
             let symbols = self.inner.symbols.read();
             let instance = shard.instance.read();
             let relation = shard.relation.read();
             let semantic = self.inner.semantic.read();
 
-            let state = instance.source_state(&query.from)?;
+            let state = instance.source_state(plan.source().unwrap_or_default())?;
             // The taxonomy cache may have been invalidated by a concurrent
             // ontology edit between prep and here; fall back to a local
             // build from the guarded ontology (consistent, just uncached).
@@ -183,7 +196,7 @@ impl Db {
             }
 
             let source = StoreSource::with_indexes(
-                query.from.clone(),
+                plan.source().unwrap_or_default(),
                 &state.store,
                 &symbols,
                 &state.indexes,
@@ -218,7 +231,11 @@ impl Db {
             let exec_start = Instant::now();
             let (rows, shard_stats) = executor.execute_profiled(&plan, &source, &env, prof)?;
             execute_ns += exec_start.elapsed().as_nanos() as u64;
-            all_rows.extend(rows);
+            if all_rows.is_empty() {
+                all_rows = rows;
+            } else {
+                all_rows.extend(rows);
+            }
             stats.rows_scanned += shard_stats.rows_scanned;
             stats.atom_evals += shard_stats.atom_evals;
             stats.rows_out += shard_stats.rows_out;
@@ -226,19 +243,18 @@ impl Db {
         }
         // Each shard honoured the LIMIT on its own slice; re-apply it to
         // the concatenation.
-        if let Some(limit) = query.limit {
+        if let Some(limit) = limit {
             all_rows.truncate(limit);
         }
         stats.rows_out = all_rows.len() as u64;
         // One observation per query and stage, summed over the shards.
-        let m = metrics();
-        m.observe("query.plan_ns", plan_elapsed.as_nanos() as u64);
-        m.observe("query.optimize_ns", optimize_ns);
-        m.observe("query.execute_ns", execute_ns);
+        PLAN_NS.observe(plan_elapsed.as_nanos() as u64);
+        OPTIMIZE_NS.observe(optimize_ns);
+        EXECUTE_NS.observe(execute_ns);
         let profile = profile.finish();
         let total = started.elapsed();
         if total >= self.inner.slow_threshold {
-            self.capture_slow_query(query, sql, total, all_rows.len(), &profile);
+            self.capture_slow_query(text(), total, all_rows.len(), &profile);
         }
         Ok(QueryOutcome {
             rows: all_rows,
@@ -260,13 +276,11 @@ impl Db {
     /// emit a `("query", "slow")` event carrying the query text.
     fn capture_slow_query(
         &self,
-        query: &Query,
-        sql: Option<&str>,
+        text: String,
         total: Duration,
         rows_out: usize,
         profile: &QueryProfile,
     ) {
-        let text = sql.map(str::to_owned).unwrap_or_else(|| query.to_string());
         metrics().inc("query.slow_queries");
         // Attach the stage split so the event alone says where the time
         // went (missing stages — profiling disabled — read as 0).
@@ -318,7 +332,7 @@ impl Db {
     /// shows the materialization cost), and the run is *never* captured
     /// into the slow-query ring — a sys query must not amplify the very
     /// signal it reads.
-    pub(super) fn run_sys_query(&self, query: &Query) -> Result<QueryOutcome, CoreError> {
+    pub(super) fn run_sys_query(&self, query: Query) -> Result<QueryOutcome, CoreError> {
         let mut profile = ProfileBuilder::new();
         let (optimizer_config, executor) = self.query_config();
         // Refresh: snapshots from read locks, leaf mutexes, and
@@ -344,29 +358,34 @@ impl Db {
         }
         let indexes = IndexSet::new();
         let base_rows = store.len() as u64;
+        let n_atoms = query.atoms.len();
         let plan_start = Instant::now();
-        let plan = LogicalPlan::from_query(query);
+        let plan = LogicalPlan::new(query);
         let plan_elapsed = plan_start.elapsed();
-        metrics().observe("query.plan_ns", plan_elapsed.as_nanos() as u64);
-        profile.stage("plan", plan_elapsed).notes.push(format!(
-            "{} atom(s), {} node(s)",
-            query.atoms.len(),
-            plan.nodes.len()
-        ));
+        PLAN_NS.observe(plan_elapsed.as_nanos() as u64);
+        profile
+            .stage("plan", plan_elapsed)
+            .notes
+            .push(format!("{n_atoms} atom(s), {} node(s)", plan.nodes.len()));
         let optimizer = Optimizer::new(optimizer_config);
         let opt_start = Instant::now();
         let plan = optimizer.optimize_with_indexes(plan, None, None, base_rows, &indexes.defs());
         let opt_elapsed = opt_start.elapsed();
-        metrics().observe("query.optimize_ns", opt_elapsed.as_nanos() as u64);
+        OPTIMIZE_NS.observe(opt_elapsed.as_nanos() as u64);
         profile.stage("optimize", opt_elapsed);
         for rewrite in &plan.rewrites {
             profile.decision(rewrite.clone());
         }
-        let source = StoreSource::with_indexes(query.from.clone(), &store, &symbols, &indexes);
+        let source = StoreSource::with_indexes(
+            plan.source().unwrap_or_default(),
+            &store,
+            &symbols,
+            &indexes,
+        );
         let env = EvalEnv::default();
         let exec_start = Instant::now();
         let (rows, stats) = executor.execute_profiled(&plan, &source, &env, &mut profile)?;
-        metrics().observe("query.execute_ns", exec_start.elapsed().as_nanos() as u64);
+        EXECUTE_NS.observe(exec_start.elapsed().as_nanos() as u64);
         let profile = profile.finish();
         Ok(QueryOutcome {
             rows,
@@ -470,13 +489,17 @@ mod tests {
         }
         db.with_ontology(|o| o.subclass("ApprovedDrug", "Drug"));
         db.assert_entity_type("Warfarin", "ApprovedDrug").unwrap();
+        // The IS atom resolves its attribute: an absent one passes no row.
         let out = db
             .query("SELECT * FROM drugbank WHERE Drug_Name IS 'Drug'")
             .unwrap();
-        // Attribute name with space can't be written in ScQL; the IS atom
-        // resolves the attribute, absent attr ⇒ no rows. Use the
-        // identity-attribute-free fallback instead: query by equality.
         assert_eq!(out.rows.len(), 0);
+        // A name with a space is written as a quoted identifier; Warfarin
+        // is an ApprovedDrug, so a Drug.
+        let out = db
+            .query(r#"SELECT * FROM drugbank WHERE "Drug Name" IS 'Drug'"#)
+            .unwrap();
+        assert_eq!(out.rows.len(), 1);
         let out = db
             .query("SELECT * FROM drugbank WHERE LINKED BY none >= 0.0")
             .err();
@@ -486,6 +509,42 @@ mod tests {
             db.assert_entity_type("Nope", "Drug"),
             Err(CoreError::UnknownEntity(_))
         ));
+    }
+
+    #[test]
+    fn quoted_identifiers_query_figure_2_names() {
+        let db = Db::builder()
+            .slow_query_threshold(Duration::ZERO)
+            .open()
+            .unwrap();
+        db.register_source("drugbank", Some("Drug Name"));
+        for (d, g) in [("Warfarin", "TP53"), ("Methotrexate", "DHFR")] {
+            let r = drug_record(&db, d, g);
+            db.ingest("drugbank", r, None).unwrap();
+        }
+        let name = db.intern("Drug Name");
+        let out = db
+            .query(r#"SELECT "Drug Name" FROM drugbank WHERE "Drug Name" = 'Warfarin'"#)
+            .unwrap();
+        assert_eq!(out.rows.len(), 1);
+        assert_eq!(out.rows[0].get(name), Some(&Value::str("Warfarin")));
+        assert_eq!(out.rows[0].len(), 1, "projected to the quoted column");
+        // A slow run_query is captured as its rendering, which quotes the
+        // name, so the advisor re-parses it and proposes the column.
+        let q = parse(r#"SELECT * FROM drugbank WHERE "Drug Targets (Genes)" = 'DHFR'"#).unwrap();
+        assert_eq!(db.run_query(&q).unwrap().rows.len(), 1);
+        let captured = db.slow_queries().last().unwrap().text.clone();
+        assert_eq!(
+            captured,
+            r#"SELECT * FROM drugbank WHERE "Drug Targets (Genes)" = 'DHFR'"#
+        );
+        let proposals = db.advise_indexes(false).unwrap();
+        assert!(
+            proposals
+                .iter()
+                .any(|p| p.source == "drugbank" && p.attr == "Drug Targets (Genes)"),
+            "{proposals:?}"
+        );
     }
 
     #[test]

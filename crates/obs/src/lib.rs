@@ -399,6 +399,69 @@ pub fn metrics() -> &'static MetricsRegistry {
     GLOBAL.get_or_init(MetricsRegistry::new)
 }
 
+/// A counter of the global registry, looked up by name at its first
+/// write and held after, for a hot path that would otherwise pay a
+/// by-name lookup on every write. Handles live in `static`s; one never
+/// written registers nothing, so the exported families are exactly the
+/// metrics written. [`MetricsRegistry::reset`] zeroes in place, so a
+/// resolved handle stays live.
+#[derive(Debug)]
+pub struct CounterHandle {
+    name: &'static str,
+    resolved: OnceLock<Arc<Counter>>,
+}
+
+impl CounterHandle {
+    /// Handle for counter `name`.
+    pub const fn new(name: &'static str) -> Self {
+        CounterHandle {
+            name,
+            resolved: OnceLock::new(),
+        }
+    }
+
+    /// Increment by one (no-op when disabled).
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// Increment by `n` (no-op when disabled).
+    pub fn add(&self, n: u64) {
+        let m = metrics();
+        if m.enabled() {
+            self.resolved.get_or_init(|| m.counter(self.name)).add(n);
+        }
+    }
+}
+
+/// A histogram of the global registry, resolved like a
+/// [`CounterHandle`].
+#[derive(Debug)]
+pub struct HistogramHandle {
+    name: &'static str,
+    resolved: OnceLock<Arc<Histogram>>,
+}
+
+impl HistogramHandle {
+    /// Handle for histogram `name`.
+    pub const fn new(name: &'static str) -> Self {
+        HistogramHandle {
+            name,
+            resolved: OnceLock::new(),
+        }
+    }
+
+    /// Record `v` (no-op when disabled).
+    pub fn observe(&self, v: u64) {
+        let m = metrics();
+        if m.enabled() {
+            self.resolved
+                .get_or_init(|| m.histogram(self.name))
+                .record(v);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Warnings
 // ---------------------------------------------------------------------------
@@ -557,15 +620,16 @@ thread_local! {
 #[must_use = "a span records on drop; binding to _ discards it immediately"]
 #[derive(Debug)]
 pub struct SpanGuard {
-    name: &'static str,
     parent: Option<&'static str>,
     start: Option<Instant>,
+    /// The call site's cached histogram, named after the span.
+    site: &'static HistogramHandle,
 }
 
 impl SpanGuard {
     /// The span's own name.
     pub fn name(&self) -> &'static str {
-        self.name
+        self.site.name
     }
 
     /// Name of the enclosing span at open time, if any.
@@ -574,25 +638,27 @@ impl SpanGuard {
     }
 }
 
-/// Open a span. Prefer the [`span!`] macro at call sites.
-pub fn span(name: &'static str) -> SpanGuard {
+/// Open a span recording into `site`, the histogram [`span!`] caches for
+/// its call site.
+#[doc(hidden)]
+pub fn open_span(site: &'static HistogramHandle) -> SpanGuard {
     if !metrics().enabled() {
         return SpanGuard {
-            name,
             parent: None,
             start: None,
+            site,
         };
     }
     let parent = SPAN_STACK.with(|s| {
         let mut s = s.borrow_mut();
         let parent = s.last().copied();
-        s.push(name);
+        s.push(site.name);
         parent
     });
     SpanGuard {
-        name,
         parent,
         start: Some(Instant::now()),
+        site,
     }
 }
 
@@ -600,28 +666,31 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(start) = self.start else { return };
         let ns = start.elapsed().as_nanos() as u64;
+        let name = self.site.name;
         SPAN_STACK.with(|s| {
             let mut s = s.borrow_mut();
-            if s.last() == Some(&self.name) {
+            if s.last() == Some(&name) {
                 s.pop();
             }
         });
-        let m = metrics();
-        m.observe(self.name, ns);
+        self.site.observe(ns);
         if let Some(parent) = self.parent {
             // Edge histograms are few (one per static parent/child pair),
             // so the format! only runs while a span is actually nested.
-            m.observe(&format!("{parent}/{}", self.name), ns);
+            metrics().observe(&format!("{parent}/{name}"), ns);
         }
     }
 }
 
-/// Open a named span guard: `let _s = span!("er.block");`
+/// Open a named span guard: `let _s = span!("er.block");`. The name is
+/// a literal, and its histogram is cached in a `static` at the call
+/// site, so the span makes no by-name lookup.
 #[macro_export]
 macro_rules! span {
-    ($name:expr) => {
-        $crate::span($name)
-    };
+    ($name:literal) => {{
+        static SITE: $crate::HistogramHandle = $crate::HistogramHandle::new($name);
+        $crate::open_span(&SITE)
+    }};
 }
 
 // ---------------------------------------------------------------------------
@@ -764,6 +833,42 @@ mod tests {
         }
         metrics().set_enabled(true);
         assert_eq!(metrics().histogram("t.quiet").count(), 0);
+    }
+
+    #[test]
+    fn handles_register_at_first_write_and_survive_reset() {
+        let _guard = TEST_LOCK.lock();
+        static C: CounterHandle = CounterHandle::new("t.handle.count");
+        static H: HistogramHandle = HistogramHandle::new("t.handle_ns");
+        let m = metrics();
+        assert!(!m.snapshot().counters.contains_key("t.handle.count"));
+        m.set_enabled(false);
+        C.inc();
+        H.observe(5);
+        m.set_enabled(true);
+        assert!(!m.snapshot().counters.contains_key("t.handle.count"));
+        assert!(!m.snapshot().histograms.contains_key("t.handle_ns"));
+        C.add(3);
+        H.observe(7);
+        assert_eq!(m.counter("t.handle.count").get(), 3);
+        m.reset();
+        C.inc();
+        H.observe(9);
+        assert_eq!(m.counter("t.handle.count").get(), 1);
+        assert_eq!(m.histogram("t.handle_ns").count(), 1);
+    }
+
+    #[test]
+    fn span_sites_share_the_named_histogram() {
+        let _guard = TEST_LOCK.lock();
+        metrics().reset();
+        for _ in 0..2 {
+            let _first = span!("t.shared");
+        }
+        {
+            let _second = span!("t.shared");
+        }
+        assert_eq!(metrics().histogram("t.shared").count(), 3);
     }
 
     #[test]

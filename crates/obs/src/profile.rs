@@ -6,14 +6,16 @@
 //! decisions fired. Executors assemble it through [`ProfileBuilder`]
 //! and attach it to the query outcome.
 
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 /// One profiled stage or operator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageProfile {
     /// Stage name (`plan`, `optimize`, `execute`) or operator name
-    /// (`scan`, `filter`, `project`, `limit`).
-    pub name: String,
+    /// (`scan`, `filter`, `project`, `limit`). Fixed names are borrowed
+    /// `'static` text; only generated ones (`scan.w<i>`) are owned.
+    pub name: Cow<'static, str>,
     /// Nesting depth for rendering: 0 for stages, 1+ for operators.
     pub depth: usize,
     /// Wall time spent in this stage.
@@ -58,7 +60,7 @@ impl QueryProfile {
             .iter()
             .map(|s| {
                 let mut m = serde_json::Map::new();
-                m.insert("name".into(), serde_json::Value::from(s.name.as_str()));
+                m.insert("name".into(), serde_json::Value::from(s.name.as_ref()));
                 m.insert("depth".into(), serde_json::Value::from(s.depth));
                 m.insert(
                     "ns".into(),
@@ -168,19 +170,33 @@ impl ProfileBuilder {
     pub fn new() -> Self {
         ProfileBuilder {
             started: Instant::now(),
-            profile: QueryProfile::default(),
+            profile: QueryProfile {
+                // Room for a query's stages and operators in one
+                // allocation.
+                stages: Vec::with_capacity(8),
+                ..QueryProfile::default()
+            },
         }
     }
 
     /// Record a completed stage (depth 0).
-    pub fn stage(&mut self, name: &str, duration: Duration) -> &mut StageProfile {
+    pub fn stage(
+        &mut self,
+        name: impl Into<Cow<'static, str>>,
+        duration: Duration,
+    ) -> &mut StageProfile {
         self.stage_at(name, 0, duration)
     }
 
     /// Record a completed stage/operator at an explicit depth.
-    pub fn stage_at(&mut self, name: &str, depth: usize, duration: Duration) -> &mut StageProfile {
+    pub fn stage_at(
+        &mut self,
+        name: impl Into<Cow<'static, str>>,
+        depth: usize,
+        duration: Duration,
+    ) -> &mut StageProfile {
         self.profile.stages.push(StageProfile {
-            name: name.to_string(),
+            name: name.into(),
             depth,
             duration,
             rows_in: None,
@@ -191,7 +207,7 @@ impl ProfileBuilder {
     }
 
     /// Time `f` as stage `name`, returning its output.
-    pub fn timed<T>(&mut self, name: &str, f: impl FnOnce() -> T) -> T {
+    pub fn timed<T>(&mut self, name: impl Into<Cow<'static, str>>, f: impl FnOnce() -> T) -> T {
         let start = Instant::now();
         let out = f();
         self.stage(name, start.elapsed());

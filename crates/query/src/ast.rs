@@ -1,8 +1,10 @@
 //! The ScQL abstract syntax tree.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use scdb_types::Value;
+
+use crate::parser::KEYWORDS;
 
 /// A literal constant.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,7 +39,7 @@ impl fmt::Display for Literal {
         match self {
             Literal::Int(i) => write!(f, "{i}"),
             Literal::Float(x) => write!(f, "{x}"),
-            Literal::Str(s) => write!(f, "'{s}'"),
+            Literal::Str(s) => write!(f, "{}", Quoted('\'', s)),
             Literal::Bool(b) => write!(f, "{b}"),
             Literal::Null => write!(f, "NULL"),
         }
@@ -128,18 +130,56 @@ pub enum Atom {
 impl fmt::Display for Atom {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Atom::Compare { attr, op, value } => write!(f, "{attr} {op} {value}"),
+            Atom::Compare { attr, op, value } => write!(f, "{} {op} {value}", Name(attr)),
             Atom::CloseTo {
                 attr,
                 center,
                 width,
-            } => write!(f, "{attr} CLOSE TO {center} WITHIN {width}"),
-            Atom::IsConcept { attr, concept } => write!(f, "{attr} IS '{concept}'"),
-            Atom::HasSome { attr, role } => write!(f, "{attr} HAS SOME {role}"),
+            } => write!(f, "{} CLOSE TO {center} WITHIN {width}", Name(attr)),
+            Atom::IsConcept { attr, concept } => {
+                write!(f, "{} IS {}", Name(attr), Quoted('\'', concept))
+            }
+            Atom::HasSome { attr, role } => write!(f, "{} HAS SOME {}", Name(attr), Name(role)),
             Atom::ModelAtom { model, threshold } => {
-                write!(f, "LINKED BY {model} >= {threshold}")
+                write!(f, "LINKED BY {} >= {threshold}", Name(model))
             }
         }
+    }
+}
+
+/// A name as ScQL spells it: bare when it lexes back as one identifier
+/// that is no keyword, double-quoted otherwise.
+struct Name<'a>(&'a str);
+
+impl fmt::Display for Name<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut chars = self.0.chars();
+        let bare = chars.next().is_some_and(|c| c.is_alphabetic() || c == '_')
+            && chars.all(|c| c.is_alphanumeric() || c == '_' || c == '.')
+            && !KEYWORDS.iter().any(|k| k.eq_ignore_ascii_case(self.0));
+        if bare {
+            f.write_str(self.0)
+        } else {
+            Quoted('"', self.0).fmt(f)
+        }
+    }
+}
+
+/// `text` between `quote`s, a quote inside doubled.
+struct Quoted<'a>(char, &'a str);
+
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Quoted(q, text) = *self;
+        f.write_char(q)?;
+        for (i, part) in text.split(q).enumerate() {
+            if i > 0 {
+                f.write_char(q)?;
+                f.write_char(q)?;
+            }
+            f.write_str(part)?;
+        }
+        f.write_char(q)
     }
 }
 
@@ -158,16 +198,18 @@ pub struct Query {
 
 impl fmt::Display for Query {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SELECT ")?;
+        f.write_str("SELECT ")?;
         if self.select.is_empty() {
-            write!(f, "*")?;
-        } else {
-            write!(f, "{}", self.select.join(", "))?;
+            f.write_str("*")?;
         }
-        write!(f, " FROM {}", self.from)?;
-        if !self.atoms.is_empty() {
-            let atoms: Vec<String> = self.atoms.iter().map(|a| a.to_string()).collect();
-            write!(f, " WHERE {}", atoms.join(" AND "))?;
+        for (i, attr) in self.select.iter().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            write!(f, "{sep}{}", Name(attr))?;
+        }
+        write!(f, " FROM {}", Name(&self.from))?;
+        for (i, atom) in self.atoms.iter().enumerate() {
+            let sep = if i == 0 { " WHERE " } else { " AND " };
+            write!(f, "{sep}{atom}")?;
         }
         if let Some(l) = self.limit {
             write!(f, " LIMIT {l}")?;

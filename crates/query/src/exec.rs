@@ -17,9 +17,11 @@
 //! so its error is raised by the first row that evaluates it, exactly as
 //! when every row resolved its names.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use scdb_er::normalize::normalize_into;
+use scdb_obs::CounterHandle;
 use scdb_semantic::{Ontology, Saturation, TrainedModel};
 use scdb_storage::index::{IndexPredicate, IndexSet};
 use scdb_storage::RowStore;
@@ -29,6 +31,14 @@ use scdb_uncertain::FuzzyPredicate;
 use crate::ast::{Atom, CompareOp};
 use crate::error::QueryError;
 use crate::plan::{LogicalPlan, PlanNode};
+
+static INDEX_SCANS: CounterHandle = CounterHandle::new("query.index.scans");
+static INDEX_CANDIDATES: CounterHandle = CounterHandle::new("query.index.candidates");
+static INDEX_FALLBACKS: CounterHandle = CounterHandle::new("query.index.fallbacks");
+static ROWS_SCANNED: CounterHandle = CounterHandle::new("query.rows_scanned");
+static ATOM_EVALS: CounterHandle = CounterHandle::new("query.atom_evals");
+static ROWS_OUT: CounterHandle = CounterHandle::new("query.rows_out");
+static PARALLEL_SCANS: CounterHandle = CounterHandle::new("query.parallel_scans");
 
 /// A scannable source of records.
 pub trait RowSource {
@@ -110,7 +120,7 @@ impl RowSource for VecSource {
 
 /// A source over a [`RowStore`] (the instance layer).
 pub struct StoreSource<'a> {
-    name: String,
+    name: Cow<'a, str>,
     store: &'a RowStore,
     symbols: &'a SymbolTable,
     indexes: Option<&'a IndexSet>,
@@ -118,7 +128,11 @@ pub struct StoreSource<'a> {
 
 impl<'a> StoreSource<'a> {
     /// Wrap a row store.
-    pub fn new(name: impl Into<String>, store: &'a RowStore, symbols: &'a SymbolTable) -> Self {
+    pub fn new(
+        name: impl Into<Cow<'a, str>>,
+        store: &'a RowStore,
+        symbols: &'a SymbolTable,
+    ) -> Self {
         StoreSource {
             name: name.into(),
             store,
@@ -130,7 +144,7 @@ impl<'a> StoreSource<'a> {
     /// Wrap a row store together with its secondary indexes, enabling
     /// the [`PlanNode::IndexScan`] access path.
     pub fn with_indexes(
-        name: impl Into<String>,
+        name: impl Into<Cow<'a, str>>,
         store: &'a RowStore,
         symbols: &'a SymbolTable,
         indexes: &'a IndexSet,
@@ -238,15 +252,15 @@ pub struct WorkerScan {
 /// How the scan stage was executed: one entry per worker. A sequential
 /// run has exactly one entry.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ScanBreakdown {
+pub struct ScanBreakdown<'p> {
     /// Per-worker counters in chunk order.
     pub per_worker: Vec<WorkerScan>,
     /// Name of the index used, when the scan went through the
     /// [`PlanNode::IndexScan`] access path.
-    pub index: Option<String>,
+    pub index: Option<&'p str>,
 }
 
-impl ScanBreakdown {
+impl ScanBreakdown<'_> {
     /// True when more than one worker participated.
     pub fn parallel(&self) -> bool {
         self.per_worker.len() > 1
@@ -320,12 +334,12 @@ impl Executor {
             .map(|(rows, stats, _)| (rows, stats))
     }
 
-    fn execute_inner(
+    fn execute_inner<'p>(
         &self,
-        plan: &LogicalPlan,
+        plan: &'p LogicalPlan,
         source: &(dyn RowSource + Sync),
         env: &EvalEnv<'_>,
-    ) -> Result<(Vec<Record>, ExecStats, ScanBreakdown), QueryError> {
+    ) -> Result<(Vec<Record>, ExecStats, ScanBreakdown<'p>), QueryError> {
         if plan.empty {
             return Ok((Vec::new(), ExecStats::default(), ScanBreakdown::default()));
         }
@@ -350,8 +364,7 @@ impl Executor {
                 if let Some(candidates) = source.index_candidates(attr, &pred) {
                     let t0 = std::time::Instant::now();
                     let n_candidates = candidates.len() as u64;
-                    let (mut out, w) =
-                        scan_chunk_filtered(Box::new(candidates.into_iter()), &scan, t0)?;
+                    let (mut out, w) = scan_chunk_filtered(candidates.into_iter(), &scan, t0)?;
                     if let Some(l) = limit {
                         out.truncate(l);
                     }
@@ -360,12 +373,11 @@ impl Executor {
                         atom_evals: w.atom_evals,
                         rows_out: out.len() as u64,
                     };
-                    let m = scdb_obs::metrics();
-                    m.inc("query.index.scans");
-                    m.add("query.index.candidates", n_candidates);
-                    m.add("query.rows_scanned", stats.rows_scanned);
-                    m.add("query.atom_evals", stats.atom_evals);
-                    m.add("query.rows_out", stats.rows_out);
+                    INDEX_SCANS.inc();
+                    INDEX_CANDIDATES.add(n_candidates);
+                    ROWS_SCANNED.add(stats.rows_scanned);
+                    ATOM_EVALS.add(stats.atom_evals);
+                    ROWS_OUT.add(stats.rows_out);
                     scdb_obs::event(
                         "query",
                         "index.scan",
@@ -377,11 +389,11 @@ impl Executor {
                     );
                     let breakdown = ScanBreakdown {
                         per_worker: vec![w],
-                        index: Some(index_name.to_string()),
+                        index: Some(index_name),
                     };
                     return Ok((out, stats, breakdown));
                 }
-                scdb_obs::metrics().inc("query.index.fallbacks");
+                INDEX_FALLBACKS.inc();
             }
         }
 
@@ -412,12 +424,11 @@ impl Executor {
             out.truncate(l);
         }
         stats.rows_out = out.len() as u64;
-        let m = scdb_obs::metrics();
-        m.add("query.rows_scanned", stats.rows_scanned);
-        m.add("query.atom_evals", stats.atom_evals);
-        m.add("query.rows_out", stats.rows_out);
+        ROWS_SCANNED.add(stats.rows_scanned);
+        ATOM_EVALS.add(stats.atom_evals);
+        ROWS_OUT.add(stats.rows_out);
         if breakdown.parallel() {
-            m.inc("query.parallel_scans");
+            PARALLEL_SCANS.inc();
             scdb_obs::event(
                 "query",
                 "scan.parallel",
@@ -493,7 +504,7 @@ impl Executor {
             }
             if breakdown.parallel() {
                 for (i, w) in breakdown.per_worker.iter().enumerate() {
-                    let s = profile.stage_at(&format!("scan.w{i}"), 2, w.duration);
+                    let s = profile.stage_at(format!("scan.w{i}"), 2, w.duration);
                     s.rows_in = Some(w.rows_scanned);
                     s.rows_out = Some(w.rows_out);
                     s.notes.push(format!("{} eval(s)", w.atom_evals));
@@ -549,10 +560,7 @@ impl<'e> CompiledScan<'e> {
             }
             _ => None,
         });
-        let limit = plan.nodes.iter().find_map(|n| match n {
-            PlanNode::Limit { n } => Some(*n),
-            _ => None,
-        });
+        let limit = plan.limit();
         CompiledScan {
             atoms: plan
                 .filter_atoms()
@@ -712,7 +720,7 @@ fn scan_parallel(
     workers: usize,
     scan: &CompiledScan<'_>,
     source: &(dyn RowSource + Sync),
-) -> Result<(Vec<Record>, ExecStats, ScanBreakdown), QueryError> {
+) -> Result<(Vec<Record>, ExecStats, ScanBreakdown<'static>), QueryError> {
     type ChunkResult = Result<(Vec<Record>, WorkerScan), QueryError>;
     let mut results: Vec<Option<ChunkResult>> = Vec::new();
     results.resize_with(workers, || None);
@@ -757,7 +765,7 @@ fn scan_parallel(
 /// sequential, parallel and index paths — identical short-circuit and
 /// limit semantics in all three.
 fn scan_chunk_filtered<'r>(
-    rows: Box<dyn Iterator<Item = &'r Record> + 'r>,
+    rows: impl Iterator<Item = &'r Record>,
     scan: &CompiledScan<'_>,
     started: std::time::Instant,
 ) -> Result<(Vec<Record>, WorkerScan), QueryError> {

@@ -25,12 +25,15 @@
 
 use std::collections::HashMap;
 
+use scdb_obs::CounterHandle;
 use scdb_semantic::{Ontology, Saturation, Taxonomy};
 use scdb_storage::index::{IndexDef, IndexKind};
 use scdb_storage::stats::AttrStatistics;
 
 use crate::ast::{Atom, CompareOp, Literal};
 use crate::plan::{LogicalPlan, PlanNode};
+
+static REWRITES: CounterHandle = CounterHandle::new("query.rewrites");
 
 /// Semantic knowledge available to the optimizer.
 pub struct SemanticContext<'a> {
@@ -131,10 +134,7 @@ impl Optimizer {
     ) -> LogicalPlan {
         let rewrites_before = plan.rewrites.len();
         let plan = self.optimize_inner(plan, semantic, stats, base_rows, indexes);
-        scdb_obs::metrics().add(
-            "query.rewrites",
-            (plan.rewrites.len() - rewrites_before) as u64,
-        );
+        REWRITES.add((plan.rewrites.len() - rewrites_before) as u64);
         plan
     }
 
@@ -146,19 +146,19 @@ impl Optimizer {
         base_rows: u64,
         indexes: &[IndexDef],
     ) -> LogicalPlan {
-        let mut atoms: Vec<Atom> = plan.filter_atoms().to_vec();
+        let mut atoms = plan.take_filter_atoms();
 
         if self.config.drop_duplicates {
             let before = atoms.len();
-            let mut seen = Vec::new();
-            atoms.retain(|a| {
-                if seen.contains(a) {
-                    false
+            // Keep each atom's first occurrence.
+            let mut i = 0;
+            while i < atoms.len() {
+                if atoms[..i].contains(&atoms[i]) {
+                    atoms.remove(i);
                 } else {
-                    seen.push(a.clone());
-                    true
+                    i += 1;
                 }
-            });
+            }
             if atoms.len() < before {
                 plan.rewrites.push(format!(
                     "dropped {} duplicate atom(s)",
@@ -217,14 +217,14 @@ impl Optimizer {
             self.choose_access_path(&mut plan, &atoms, &sels, base_rows, indexes);
         }
 
-        if self.config.reorder_by_selectivity && atoms.len() > 1 {
-            let mut order: Vec<usize> = (0..atoms.len()).collect();
-            order.sort_by(|&i, &j| sels[i].total_cmp(&sels[j]));
-            if order.windows(2).any(|w| w[0] > w[1]) {
-                plan.rewrites
-                    .push("reordered atoms by estimated selectivity".into());
-            }
-            atoms = order.into_iter().map(|i| atoms[i].clone()).collect();
+        // A stable sort by selectivity moves something exactly when the
+        // selectivities are not already in order.
+        if self.config.reorder_by_selectivity && !sels.is_sorted_by(|a, b| a.total_cmp(b).is_le()) {
+            plan.rewrites
+                .push("reordered atoms by estimated selectivity".into());
+            let mut keyed: Vec<(f64, Atom)> = sels.into_iter().zip(atoms).collect();
+            keyed.sort_by(|a, b| a.0.total_cmp(&b.0));
+            atoms = keyed.into_iter().map(|(_, atom)| atom).collect();
         }
 
         plan.set_filter_atoms(atoms);
@@ -245,7 +245,10 @@ impl Optimizer {
         base_rows: u64,
         indexes: &[IndexDef],
     ) {
-        let Some(source) = plan.source().map(str::to_string) else {
+        let Some((pos, source)) = plan.nodes.iter().enumerate().find_map(|(i, n)| match n {
+            PlanNode::Scan { source } | PlanNode::IndexScan { source, .. } => Some((i, source)),
+            _ => None,
+        }) else {
             return;
         };
         let mut best: Option<(usize, &IndexDef, f64)> = None;
@@ -254,7 +257,7 @@ impl Optimizer {
                 continue;
             };
             for def in indexes {
-                if def.source != source || def.attr != *attr {
+                if def.source != *source || def.attr != *attr {
                     continue;
                 }
                 let usable = match op {
@@ -277,15 +280,13 @@ impl Optimizer {
         };
         let est = sel * base_rows as f64;
         if sel <= INDEX_SELECTIVITY_THRESHOLD {
-            let Some(pos) = plan
-                .nodes
-                .iter()
-                .position(|n| matches!(n, PlanNode::Scan { .. }))
-            else {
+            // The scan node's name moves into the index scan replacing it;
+            // a plan that already scans through an index keeps it.
+            let PlanNode::Scan { source } = &mut plan.nodes[pos] else {
                 return;
             };
             plan.nodes[pos] = PlanNode::IndexScan {
-                source,
+                source: std::mem::take(source),
                 index: def.name.clone(),
                 atom: atoms[i].clone(),
             };
@@ -325,6 +326,14 @@ fn merge_ranges(atoms: &mut Vec<Atom>) -> RangeOutcome {
         lo: Option<(f64, bool)>, // (bound, inclusive)
         hi: Option<(f64, bool)>,
         eq: Option<f64>,
+    }
+    // A merge or a contradiction takes two numeric comparisons.
+    let numeric = atoms
+        .iter()
+        .filter(|a| matches!(a, Atom::Compare { value, .. } if literal_num(value).is_some()))
+        .count();
+    if numeric < 2 {
+        return RangeOutcome::Nothing;
     }
     let mut ranges: HashMap<String, Range> = HashMap::new();
     let mut numeric_compare_count: HashMap<String, usize> = HashMap::new();

@@ -8,28 +8,43 @@
 //!         | ident IS (string | ident)
 //!         | ident HAS SOME ident
 //!         | LINKED BY ident (>= | >) number
+//! ident  := bare | '"' (any char, '""' for '"')* '"'
 //! ```
+//!
+//! A bare identifier that spells a keyword is that keyword; a quoted one
+//! is always a name, so `"Drug Name"` and `"limit"` are columns.
 
 use crate::ast::{Atom, CompareOp, Literal, Query};
 use crate::error::QueryError;
 use crate::lexer::{lex, Token, TokenKind};
 
-struct Parser {
-    tokens: Vec<Token>,
+/// The words the parser reads as keywords (case-insensitively) when
+/// they stand bare; a name spelling one is written quoted.
+pub(crate) const KEYWORDS: &[&str] = &[
+    "SELECT", "FROM", "WHERE", "AND", "LIMIT", "CLOSE", "TO", "WITHIN", "IS", "HAS", "SOME",
+    "LINKED", "BY", "TRUE", "FALSE", "NULL",
+];
+
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+impl<'a> Parser<'a> {
+    fn peek(&self) -> &Token<'a> {
+        &self.tokens[self.pos]
     }
 
-    fn advance(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
+    /// Step past the current token, handing its payload over: a token is
+    /// consumed once, so it is moved out, not cloned. `Eof` is never
+    /// stepped past.
+    fn advance(&mut self) -> TokenKind<'a> {
+        if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
+            std::mem::replace(&mut self.tokens[self.pos - 1].kind, TokenKind::Eof)
+        } else {
+            TokenKind::Eof
         }
-        t
     }
 
     fn error(&self, expected: &str) -> QueryError {
@@ -41,14 +56,14 @@ impl Parser {
         }
     }
 
-    /// Consume an identifier matching `kw` case-insensitively.
+    /// Consume an identifier matching `kw` case-insensitively. A quoted
+    /// identifier is never a keyword.
     fn keyword(&mut self, kw: &str) -> Result<(), QueryError> {
-        match &self.peek().kind {
-            TokenKind::Ident(s) if s.eq_ignore_ascii_case(kw) => {
-                self.advance();
-                Ok(())
-            }
-            _ => Err(self.error(kw)),
+        if self.is_keyword(kw) {
+            self.advance();
+            Ok(())
+        } else {
+            Err(self.error(kw))
         }
     }
 
@@ -56,13 +71,16 @@ impl Parser {
         matches!(&self.peek().kind, TokenKind::Ident(s) if s.eq_ignore_ascii_case(kw))
     }
 
+    /// Step past the current token and hand it over when `accept` takes
+    /// its kind.
+    fn take_if(&mut self, accept: impl FnOnce(&TokenKind<'a>) -> bool) -> Option<TokenKind<'a>> {
+        accept(&self.peek().kind).then(|| self.advance())
+    }
+
     fn ident(&mut self) -> Result<String, QueryError> {
-        match &self.peek().kind {
-            TokenKind::Ident(s) => {
-                let s = s.clone();
-                self.advance();
-                Ok(s)
-            }
+        match self.take_if(|k| matches!(k, TokenKind::Ident(_) | TokenKind::QuotedIdent(_))) {
+            Some(TokenKind::Ident(s)) => Ok(s.to_owned()),
+            Some(TokenKind::QuotedIdent(s)) => Ok(s.into_owned()),
             _ => Err(self.error("identifier")),
         }
     }
@@ -78,32 +96,21 @@ impl Parser {
     }
 
     fn literal(&mut self) -> Result<Literal, QueryError> {
-        let t = self.peek().kind.clone();
-        match t {
-            TokenKind::Number(n) => {
-                self.advance();
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    Ok(Literal::Int(n as i64))
-                } else {
-                    Ok(Literal::Float(n))
-                }
+        let is = |s: &str, kw: &str| s.eq_ignore_ascii_case(kw);
+        let token = self.take_if(|k| match k {
+            TokenKind::Number(_) | TokenKind::Str(_) => true,
+            TokenKind::Ident(s) => is(s, "true") || is(s, "false") || is(s, "null"),
+            _ => false,
+        });
+        match token {
+            Some(TokenKind::Number(n)) if n.fract() == 0.0 && n.abs() < 9e15 => {
+                Ok(Literal::Int(n as i64))
             }
-            TokenKind::Str(s) => {
-                self.advance();
-                Ok(Literal::Str(s))
-            }
-            TokenKind::Ident(s) if s.eq_ignore_ascii_case("true") => {
-                self.advance();
-                Ok(Literal::Bool(true))
-            }
-            TokenKind::Ident(s) if s.eq_ignore_ascii_case("false") => {
-                self.advance();
-                Ok(Literal::Bool(false))
-            }
-            TokenKind::Ident(s) if s.eq_ignore_ascii_case("null") => {
-                self.advance();
-                Ok(Literal::Null)
-            }
+            Some(TokenKind::Number(n)) => Ok(Literal::Float(n)),
+            Some(TokenKind::Str(s)) => Ok(Literal::Str(s.into_owned())),
+            Some(TokenKind::Ident(s)) if is(s, "true") => Ok(Literal::Bool(true)),
+            Some(TokenKind::Ident(s)) if is(s, "false") => Ok(Literal::Bool(false)),
+            Some(TokenKind::Ident(_)) => Ok(Literal::Null),
             _ => Err(self.error("literal")),
         }
     }
@@ -154,15 +161,15 @@ impl Parser {
         }
         if self.is_keyword("IS") {
             self.advance();
-            let concept = match self.peek().kind.clone() {
-                TokenKind::Str(s) => {
-                    self.advance();
-                    s
-                }
-                TokenKind::Ident(s) => {
-                    self.advance();
-                    s
-                }
+            let name = self.take_if(|k| {
+                matches!(
+                    k,
+                    TokenKind::Str(_) | TokenKind::Ident(_) | TokenKind::QuotedIdent(_)
+                )
+            });
+            let concept = match name {
+                Some(TokenKind::Str(s) | TokenKind::QuotedIdent(s)) => s.into_owned(),
+                Some(TokenKind::Ident(s)) => s.to_owned(),
                 _ => return Err(self.error("concept name")),
             };
             return Ok(Atom::IsConcept { attr, concept });
@@ -349,6 +356,26 @@ mod tests {
     }
 
     #[test]
+    fn error_offsets_are_byte_offsets() {
+        // `é` and `ü` are two bytes each: a char index would be one short.
+        assert_eq!(
+            parse("SELECT * FROM t WHERE a = 'é' ;"),
+            Err(QueryError::Lex { at: 31, ch: ';' })
+        );
+        match parse("SELECT * FROM t WHERE a = 'Müller' garbage") {
+            Err(QueryError::Parse { at, expected, .. }) => {
+                assert_eq!((at, expected.as_str()), (36, "end of query"));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        let sql = "SELECT * FROM t WHERE a = 'é'";
+        match parse(&format!("{sql} AND")) {
+            Err(QueryError::Parse { at, .. }) => assert_eq!(at, sql.len() + 4),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
     fn trailing_garbage_rejected() {
         assert!(parse("SELECT * FROM t LIMIT 1 LIMIT 2").is_err());
     }
@@ -361,5 +388,128 @@ mod tests {
         .unwrap();
         let q2 = parse(&q.to_string()).unwrap();
         assert_eq!(q, q2);
+    }
+
+    #[test]
+    fn quoted_identifiers_are_names_never_keywords() {
+        let q = parse(
+            r#"SELECT "Drug Name", "limit" FROM "my src" WHERE "Drug Name" = 'Warfarin' AND "and" IS "Drug" LIMIT 3"#,
+        )
+        .unwrap();
+        assert_eq!(q.select, vec!["Drug Name", "limit"]);
+        assert_eq!(q.from, "my src");
+        assert_eq!(
+            q.atoms,
+            vec![
+                Atom::Compare {
+                    attr: "Drug Name".into(),
+                    op: CompareOp::Eq,
+                    value: Literal::Str("Warfarin".into()),
+                },
+                Atom::IsConcept {
+                    attr: "and".into(),
+                    concept: "Drug".into(),
+                },
+            ]
+        );
+        assert_eq!(
+            q.to_string(),
+            r#"SELECT "Drug Name", "limit" FROM "my src" WHERE "Drug Name" = 'Warfarin' AND "and" IS 'Drug' LIMIT 3"#
+        );
+        // A quoted keyword cannot stand in for the keyword.
+        assert!(parse(r#""SELECT" * FROM t"#).is_err());
+        assert!(parse(r#"SELECT * "FROM" t"#).is_err());
+    }
+
+    #[test]
+    fn display_quotes_only_what_needs_it() {
+        let q = parse("SELECT drug.name, _x FROM src1 WHERE é = 'it''s' AND w HAS SOME r").unwrap();
+        assert_eq!(
+            q.to_string(),
+            "SELECT drug.name, _x FROM src1 WHERE é = 'it''s' AND w HAS SOME r"
+        );
+    }
+
+    use proptest::prelude::*;
+
+    /// Names of every shape: bare, keywords in any case, and text that
+    /// only a quoted identifier can carry.
+    fn name() -> impl Strategy<Value = String> {
+        prop_oneof![
+            "[a-zA-Z_][a-z0-9_.]{0,6}",
+            "[a-z \"'.,*=é-]{0,6}",
+            "[éß中_][a-z²]{0,3}",
+            "[0-9][a-z]{0,2}",
+            (0..KEYWORDS.len(), any::<bool>()).prop_map(|(i, lower)| if lower {
+                KEYWORDS[i].to_lowercase()
+            } else {
+                KEYWORDS[i].to_string()
+            }),
+            Just(String::new()),
+            Just("Drug Name".to_string()),
+        ]
+    }
+
+    /// Literals in the form `parse` produces: integers below 2^53 as
+    /// `Int`, a float as `Float` only when it is not integral or too
+    /// large for `Int`.
+    fn literal() -> impl Strategy<Value = Literal> {
+        prop_oneof![
+            (-9_000_000_000_000_000i64..9_000_000_000_000_000).prop_map(Literal::Int),
+            (-1e6f64..1e6).prop_map(|x| Literal::Float(if x.fract() == 0.0 { x + 0.5 } else { x })),
+            Just(Literal::Float(1e20)),
+            "[a-z '\"é]{0,6}".prop_map(Literal::Str),
+            any::<bool>().prop_map(Literal::Bool),
+            Just(Literal::Null),
+        ]
+    }
+
+    fn compare_op() -> impl Strategy<Value = CompareOp> {
+        prop_oneof![
+            Just(CompareOp::Eq),
+            Just(CompareOp::Ne),
+            Just(CompareOp::Lt),
+            Just(CompareOp::Le),
+            Just(CompareOp::Gt),
+            Just(CompareOp::Ge),
+        ]
+    }
+
+    fn atom() -> impl Strategy<Value = Atom> {
+        prop_oneof![
+            (name(), compare_op(), literal()).prop_map(|(attr, op, value)| Atom::Compare {
+                attr,
+                op,
+                value
+            }),
+            (name(), -1e3f64..1e3, 0.0f64..10.0).prop_map(|(attr, center, width)| {
+                Atom::CloseTo {
+                    attr,
+                    center,
+                    width,
+                }
+            }),
+            (name(), "[A-Za-z '\"]{0,6}")
+                .prop_map(|(attr, concept)| Atom::IsConcept { attr, concept }),
+            (name(), name()).prop_map(|(attr, role)| Atom::HasSome { attr, role }),
+            (name(), 0.0f64..1.0)
+                .prop_map(|(model, threshold)| Atom::ModelAtom { model, threshold }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        #[test]
+        fn display_round_trips(
+            select in proptest::collection::vec(name(), 0..4),
+            from in name(),
+            atoms in proptest::collection::vec(atom(), 0..4),
+            limit in proptest::option::of(0usize..1_000_000),
+        ) {
+            let q = Query { select, from, atoms, limit };
+            let text = q.to_string();
+            prop_assert_eq!(parse(&text), Ok(q), "{}", text);
+        }
     }
 }

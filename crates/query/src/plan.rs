@@ -66,22 +66,24 @@ pub struct LogicalPlan {
 
 impl LogicalPlan {
     /// Naive plan straight from the AST: scan → filter (atom order as
-    /// written) → project → limit.
-    pub fn from_query(query: &Query) -> Self {
-        let mut nodes = vec![PlanNode::Scan {
-            source: query.from.clone(),
-        }];
-        if !query.atoms.is_empty() {
-            nodes.push(PlanNode::Filter {
-                atoms: query.atoms.clone(),
-            });
+    /// written) → project → limit. The plan takes the query's names and
+    /// atoms over instead of copying them.
+    pub fn new(query: Query) -> Self {
+        let Query {
+            select,
+            from,
+            atoms,
+            limit,
+        } = query;
+        let mut nodes = Vec::with_capacity(4);
+        nodes.push(PlanNode::Scan { source: from });
+        if !atoms.is_empty() {
+            nodes.push(PlanNode::Filter { atoms });
         }
-        if !query.select.is_empty() {
-            nodes.push(PlanNode::Project {
-                attrs: query.select.clone(),
-            });
+        if !select.is_empty() {
+            nodes.push(PlanNode::Project { attrs: select });
         }
-        if let Some(n) = query.limit {
+        if let Some(n) = limit {
             nodes.push(PlanNode::Limit { n });
         }
         LogicalPlan {
@@ -90,6 +92,11 @@ impl LogicalPlan {
             empty: false,
             rewrites: Vec::new(),
         }
+    }
+
+    /// [`LogicalPlan::new`] over a copy of `query`.
+    pub fn from_query(query: &Query) -> Self {
+        Self::new(query.clone())
     }
 
     /// The filter atoms, if a filter stage exists.
@@ -101,6 +108,26 @@ impl LogicalPlan {
                 _ => None,
             })
             .unwrap_or(&[])
+    }
+
+    /// Move the filter atoms out, leaving the filter stage empty until
+    /// [`LogicalPlan::set_filter_atoms`] puts atoms back.
+    pub fn take_filter_atoms(&mut self) -> Vec<Atom> {
+        self.nodes
+            .iter_mut()
+            .find_map(|n| match n {
+                PlanNode::Filter { atoms } => Some(std::mem::take(atoms)),
+                _ => None,
+            })
+            .unwrap_or_default()
+    }
+
+    /// The row limit, if a limit stage exists.
+    pub fn limit(&self) -> Option<usize> {
+        self.nodes.iter().find_map(|n| match n {
+            PlanNode::Limit { n } => Some(*n),
+            _ => None,
+        })
     }
 
     /// Replace the filter atoms (inserting a filter stage after the scan

@@ -1072,3 +1072,149 @@ fn telemetry_sampler_overhead_under_budget() {
     }
     panic!("sampler overhead out of budget in every round (enabled, disabled): {pairs:?}");
 }
+
+/// Set in the child process of `prometheus_families_are_pinned`.
+const FAMILY_CHILD: &str = "SCDB_PROMETHEUS_FAMILY_CHILD";
+
+/// Every `# TYPE` family the Prometheus exposition carries after a
+/// fixed pass in a fresh process: durable ingest, an index, a link
+/// sweep, point / range / semantic / unsatisfiable / `sys.*` queries
+/// (each one slow, so captured), the index advisor, a checkpoint and a
+/// reopen. Resolving metric handles once instead of by name must
+/// neither lose nor add a family.
+const PINNED_FAMILIES: &[&str] = &[
+    "scdb_core_checkpoint summary",
+    "scdb_core_checkpoint_serialize_ns summary",
+    "scdb_core_discover_links summary",
+    "scdb_core_inferred_facts gauge",
+    "scdb_core_ingest summary",
+    "scdb_core_ingest_apply_er_ns summary",
+    "scdb_core_ingest_apply_graph_ns summary",
+    "scdb_core_ingest_apply_instance_ns summary",
+    "scdb_core_ingest_apply_links_ns summary",
+    "scdb_core_ingest_stage_apply_ns summary",
+    "scdb_core_ingest_stage_batch_build_ns summary",
+    "scdb_core_ingest_stage_fsync_ns summary",
+    "scdb_core_ingest_stage_queue_wait_ns summary",
+    "scdb_core_ingest_stage_wal_append_ns summary",
+    "scdb_core_links_discovered_total counter",
+    "scdb_core_mode gauge",
+    "scdb_core_query summary",
+    "scdb_core_query_core_reason summary",
+    "scdb_core_reason summary",
+    "scdb_core_reason_runs_total counter",
+    "scdb_core_recovery_records_replayed gauge",
+    "scdb_core_recovery_snapshot_rows gauge",
+    "scdb_core_recovery_txns_discarded gauge",
+    "scdb_er_adopted_total counter",
+    "scdb_er_comparisons_total counter",
+    "scdb_er_context_evals_total counter",
+    "scdb_er_entities_absorbed_total counter",
+    "scdb_er_fresh_entities_total counter",
+    "scdb_er_identity_bounded_total counter",
+    "scdb_er_matches_total counter",
+    "scdb_er_stage_block_ns summary",
+    "scdb_er_stage_score_ns summary",
+    "scdb_er_stage_union_ns summary",
+    "scdb_obs_events_dropped_total counter",
+    "scdb_query_atom_evals_total counter",
+    "scdb_query_execute_ns summary",
+    "scdb_query_index_candidates_total counter",
+    "scdb_query_index_scans_total counter",
+    "scdb_query_optimize_ns summary",
+    "scdb_query_plan_ns summary",
+    "scdb_query_rewrites_total counter",
+    "scdb_query_rows_out_total counter",
+    "scdb_query_rows_scanned_total counter",
+    "scdb_query_slow_queries_total counter",
+    "scdb_query_sys_queries_total counter",
+    "scdb_query_sys_refresh_ns summary",
+    "scdb_storage_bytes_written_total counter",
+    "scdb_storage_rows_appended_total counter",
+    "scdb_txn_append_ns summary",
+    "scdb_txn_checkpoint_prune_ns summary",
+    "scdb_txn_checkpoint_rename_ns summary",
+    "scdb_txn_checkpoint_snapshot_bytes_total counter",
+    "scdb_txn_checkpoint_sync_ns summary",
+    "scdb_txn_checkpoint_write_ns summary",
+    "scdb_txn_checkpoints_total counter",
+    "scdb_txn_fsync_ns summary",
+    "scdb_txn_group_commit_batch_records summary",
+    "scdb_txn_group_commit_flush_ns summary",
+    "scdb_txn_group_commit_flushes_total counter",
+    "scdb_txn_group_commit_fsyncs_saved_total counter",
+    "scdb_txn_wal_bytes_total counter",
+    "scdb_txn_wal_fsyncs_total counter",
+    "scdb_txn_wal_records_total counter",
+    "scdb_txn_wal_segments_total counter",
+];
+
+#[test]
+fn prometheus_families_are_pinned() {
+    if std::env::var_os(FAMILY_CHILD).is_some() {
+        let dir = scratch_dir("families");
+        {
+            let db = Db::builder()
+                .durability_config(DurabilityConfig::dir(&dir).fsync(FsyncPolicy::EveryN(8)))
+                .slow_query_threshold(Duration::ZERO)
+                .open()
+                .expect("open");
+            db.register_source("fam", Some("drug"));
+            let drug = db.intern("drug");
+            let tag = db.intern("tag");
+            let dose = db.intern("dose");
+            let rows: Vec<Record> = (0..100i64)
+                .map(|i| {
+                    Record::from_pairs([
+                        (drug, Value::str(format!("Drug-{i}"))),
+                        (tag, Value::str(format!("t{}", i / 10))),
+                        (dose, Value::Float(i as f64 / 10.0)),
+                    ])
+                })
+                .collect();
+            db.ingest_batch("fam", rows).expect("batch");
+            db.create_index("ix_tag", "fam", "tag", scdb_core::IndexKind::Hash)
+                .expect("index");
+            db.discover_links().expect("links");
+            db.with_ontology(|o| o.subclass("Anticoagulant", "Drug"));
+            db.assert_entity_type("Drug-1", "Anticoagulant").ok();
+            for sql in [
+                "SELECT drug FROM fam WHERE tag = 't3'",
+                "SELECT drug FROM fam WHERE dose >= 2.5 AND dose < 4.5",
+                "SELECT drug FROM fam WHERE drug IS 'Drug'",
+                "SELECT drug FROM fam WHERE dose = 1 AND dose = 2",
+                "SELECT name FROM sys.metrics WHERE kind = 'counter'",
+            ] {
+                db.query(sql).expect("query");
+            }
+            db.advise_indexes(false).expect("advise");
+            db.checkpoint().expect("checkpoint");
+        }
+        let db = Db::open(&dir).expect("reopen");
+        for line in db.export_prometheus().lines() {
+            if let Some(family) = line.strip_prefix("# TYPE ") {
+                println!("FAMILY {family}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        return;
+    }
+    let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+        .args([
+            "prometheus_families_are_pinned",
+            "--exact",
+            "--nocapture",
+            "--test-threads=1",
+        ])
+        .env(FAMILY_CHILD, "1")
+        .output()
+        .expect("run the child pass");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "child pass failed:\n{stdout}");
+    let mut families: Vec<&str> = stdout
+        .lines()
+        .filter_map(|l| l.strip_prefix("FAMILY "))
+        .collect();
+    families.sort_unstable();
+    assert_eq!(families, PINNED_FAMILIES);
+}
