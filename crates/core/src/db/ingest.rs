@@ -27,11 +27,18 @@ impl Db {
     ///
     /// # Panics
     ///
-    /// On a durable database, panics if the registration cannot be
-    /// logged; use [`Db::try_register_source`] to handle log I/O errors.
+    /// Panics where [`Db::try_register_source`] returns an error, which
+    /// it returns to handle instead:
+    ///
+    /// - `name` is in the reserved `sys.` namespace
+    ///   ([`CoreError::ReservedNamespace`]);
+    /// - the database is degraded to read-only mode
+    ///   ([`CoreError::Degraded`]);
+    /// - on a durable database, the registration cannot be logged
+    ///   ([`CoreError::Txn`]).
     pub fn register_source(&self, name: &str, identity_attr: Option<&str>) -> SourceId {
         self.try_register_source(name, identity_attr)
-            .expect("failed to log source registration")
+            .unwrap_or_else(|e| panic!("source registration failed: {e}"))
     }
 
     /// [`Db::register_source`], surfacing WAL append failures.

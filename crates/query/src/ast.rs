@@ -165,6 +165,20 @@ impl fmt::Display for Name<'_> {
     }
 }
 
+/// Names separated by `, `, each spelled as [`Name`] spells it: how a
+/// query, a plan and a profile print a projection.
+pub(crate) struct NameList<'a>(pub(crate) &'a [String]);
+
+impl fmt::Display for NameList<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, name) in self.0.iter().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            write!(f, "{sep}{}", Name(name))?;
+        }
+        Ok(())
+    }
+}
+
 /// `text` between `quote`s, a quote inside doubled.
 struct Quoted<'a>(char, &'a str);
 
@@ -202,10 +216,7 @@ impl fmt::Display for Query {
         if self.select.is_empty() {
             f.write_str("*")?;
         }
-        for (i, attr) in self.select.iter().enumerate() {
-            let sep = if i == 0 { "" } else { ", " };
-            write!(f, "{sep}{}", Name(attr))?;
-        }
+        NameList(&self.select).fmt(f)?;
         write!(f, " FROM {}", Name(&self.from))?;
         for (i, atom) in self.atoms.iter().enumerate() {
             let sep = if i == 0 { " WHERE " } else { " AND " };

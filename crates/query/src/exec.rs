@@ -11,8 +11,14 @@
 //! Each scan compiles the plan's atoms once, before its first row:
 //! attribute names become symbols, literals values, concepts and roles
 //! the saturation's sorted posting lists, models their trained weights.
-//! A row then pays a symbol lookup per atom, and a semantic atom one
-//! normalization into a reused buffer, a name probe and a binary search.
+//! A comparison or `CLOSE TO` on an attribute the source keeps a numeric
+//! column for ([`RowSource::numeric_column`]) reads its operand from that
+//! column by row offset, when its literal is numeric and exact as an
+//! `f64` ([`exact_f64`]). Any other atom pays a symbol lookup in the
+//! row's record, and a semantic atom one normalization into a reused
+//! buffer, a name probe and a binary search. A row's record is fetched
+//! only when an atom or the projection reads it, so a range filter
+//! answered from a column touches only the records it returns.
 //! A name the environment cannot resolve compiles to an atom that fails,
 //! so its error is raised by the first row that evaluates it, exactly as
 //! when every row resolved its names.
@@ -24,11 +30,12 @@ use scdb_er::normalize::normalize_into;
 use scdb_obs::CounterHandle;
 use scdb_semantic::{Ontology, Saturation, TrainedModel};
 use scdb_storage::index::{IndexPredicate, IndexSet};
+use scdb_storage::row::{exact_f64, NumericColumn};
 use scdb_storage::RowStore;
-use scdb_types::{EntityId, Record, RecordId, Symbol, SymbolTable, Value};
+use scdb_types::{EntityId, Record, Symbol, SymbolTable, Value};
 use scdb_uncertain::FuzzyPredicate;
 
-use crate::ast::{Atom, CompareOp};
+use crate::ast::{Atom, CompareOp, NameList};
 use crate::error::QueryError;
 use crate::plan::{LogicalPlan, PlanNode};
 
@@ -44,31 +51,35 @@ static PARALLEL_SCANS: CounterHandle = CounterHandle::new("query.parallel_scans"
 pub trait RowSource {
     /// Source name (matched against the plan's scan).
     fn name(&self) -> &str;
+    /// The rows in scan (arrival) order; a row's offset is its index.
+    fn rows(&self) -> &[Record];
+    /// The record at `offset`: where the executor reads every record it
+    /// filters or projects.
+    fn record(&self, offset: usize) -> &Record {
+        &self.rows()[offset]
+    }
     /// Number of rows (for optimizer base cardinality).
-    fn len(&self) -> usize;
+    fn len(&self) -> usize {
+        self.rows().len()
+    }
     /// True when the source has no rows.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-    /// Scan all rows.
-    fn scan(&self) -> Box<dyn Iterator<Item = &Record> + '_>;
-    /// Scan the `chunk`-th of `of` contiguous, equal-width chunks — the
-    /// unit of work one parallel-scan worker processes. Chunks partition
-    /// the scan: concatenating chunks `0..of` in order yields exactly
-    /// `scan()`. The default skips into the full scan; stores with
-    /// cheaper positional access may override.
-    fn scan_chunk(&self, chunk: usize, of: usize) -> Box<dyn Iterator<Item = &Record> + '_> {
-        let (start, end) = chunk_bounds(self.len(), chunk, of);
-        Box::new(self.scan().skip(start).take(end - start))
-    }
     /// Resolve an attribute name to its symbol.
     fn attr(&self, name: &str) -> Option<Symbol>;
-    /// Candidate rows for an indexed predicate on `attr`, in scan
-    /// (arrival) order, when a usable secondary index exists. `None`
-    /// means "no index" — the executor falls back to a full scan, so a
-    /// plan carrying a stale [`PlanNode::IndexScan`] still answers
+    /// `attr`'s values as a column indexed by row offset, when the source
+    /// keeps one ([`RowStore::numeric_column`]). The default keeps every
+    /// atom on the records.
+    fn numeric_column(&self, _attr: Symbol) -> Option<&NumericColumn> {
+        None
+    }
+    /// Offsets of the candidate rows for an indexed predicate on `attr`,
+    /// ascending (scan order), when a usable secondary index exists.
+    /// `None` means "no index" — the executor falls back to a full scan,
+    /// so a plan carrying a stale [`PlanNode::IndexScan`] still answers
     /// correctly.
-    fn index_candidates(&self, _attr: &str, _pred: &IndexPredicate) -> Option<Vec<&Record>> {
+    fn index_candidates(&self, _attr: &str, _pred: &IndexPredicate) -> Option<Vec<u64>> {
         None
     }
 }
@@ -107,11 +118,8 @@ impl RowSource for VecSource {
     fn name(&self) -> &str {
         &self.name
     }
-    fn len(&self) -> usize {
-        self.rows.len()
-    }
-    fn scan(&self) -> Box<dyn Iterator<Item = &Record> + '_> {
-        Box::new(self.rows.iter())
+    fn rows(&self) -> &[Record] {
+        &self.rows
     }
     fn attr(&self, name: &str) -> Option<Symbol> {
         self.attrs.get(name).copied()
@@ -162,27 +170,21 @@ impl RowSource for StoreSource<'_> {
     fn name(&self) -> &str {
         &self.name
     }
-    fn len(&self) -> usize {
-        self.store.len()
-    }
-    fn scan(&self) -> Box<dyn Iterator<Item = &Record> + '_> {
-        Box::new(self.store.scan().map(|(_, r)| r))
+    fn rows(&self) -> &[Record] {
+        self.store.rows()
     }
     fn attr(&self, name: &str) -> Option<Symbol> {
         self.symbols.get(name)
     }
-    fn index_candidates(&self, attr: &str, pred: &IndexPredicate) -> Option<Vec<&Record>> {
-        let offsets = self.indexes?.lookup(attr, pred)?;
+    fn numeric_column(&self, attr: Symbol) -> Option<&NumericColumn> {
+        self.store.numeric_column(attr)
+    }
+    fn index_candidates(&self, attr: &str, pred: &IndexPredicate) -> Option<Vec<u64>> {
         // Offsets are sorted ascending, i.e. arrival order — the same
         // order a full scan yields, so downstream limit/merge semantics
         // are unchanged. Rows are never removed, so every offset the
         // index holds names a stored row.
-        Some(
-            offsets
-                .into_iter()
-                .filter_map(|off| self.store.get(RecordId::new(self.store.source(), off)).ok())
-                .collect(),
-        )
+        self.indexes?.lookup(attr, pred)
     }
 }
 
@@ -278,10 +280,9 @@ pub const DEFAULT_PARALLEL_THRESHOLD: usize = 1024;
 /// The executor.
 ///
 /// Scans fan out across `workers` std threads once the source holds at
-/// least `parallel_threshold` rows: the row space is split into
-/// contiguous chunks (see [`RowSource::scan_chunk`]), each worker
-/// filters and projects its chunk independently, and partial results
-/// merge back in chunk order — output ordering and [`ExecStats`] totals
+/// least `parallel_threshold` rows: the row offsets are split into
+/// contiguous chunks, each worker filters and projects its chunk
+/// independently, and partial results merge back in chunk order — output ordering and [`ExecStats`] totals
 /// are identical to a sequential run (modulo `LIMIT`, which each worker
 /// applies locally before the merge truncates globally, so a parallel
 /// limited scan may scan more rows than a sequential one).
@@ -364,7 +365,8 @@ impl Executor {
                 if let Some(candidates) = source.index_candidates(attr, &pred) {
                     let t0 = std::time::Instant::now();
                     let n_candidates = candidates.len() as u64;
-                    let (mut out, w) = scan_chunk_filtered(candidates.into_iter(), &scan, t0)?;
+                    let offsets = candidates.into_iter().map(|off| off as usize);
+                    let (mut out, w) = scan_chunk_filtered(source, offsets, &scan, t0)?;
                     if let Some(l) = limit {
                         out.truncate(l);
                     }
@@ -405,7 +407,7 @@ impl Executor {
             scan_parallel(workers, &scan, source)?
         } else {
             let t0 = std::time::Instant::now();
-            let (rows, w) = scan_chunk_filtered(source.scan(), &scan, t0)?;
+            let (rows, w) = scan_chunk_filtered(source, 0..source.len(), &scan, t0)?;
             let stats = ExecStats {
                 rows_scanned: w.rows_scanned,
                 atom_evals: w.atom_evals,
@@ -527,7 +529,7 @@ impl Executor {
                         let s = profile.stage_at("project", 1, std::time::Duration::ZERO);
                         s.rows_in = Some(stats.rows_out);
                         s.rows_out = Some(stats.rows_out);
-                        s.notes.push(attrs.join(", "));
+                        s.notes.push(NameList(attrs).to_string());
                     }
                     PlanNode::Limit { n } => {
                         let s = profile.stage_at("limit", 1, std::time::Duration::ZERO);
@@ -553,7 +555,7 @@ struct CompiledScan<'e> {
 }
 
 impl<'e> CompiledScan<'e> {
-    fn compile(plan: &'e LogicalPlan, source: &dyn RowSource, env: &'e EvalEnv<'_>) -> Self {
+    fn compile(plan: &'e LogicalPlan, source: &'e dyn RowSource, env: &'e EvalEnv<'_>) -> Self {
         let project = plan.nodes.iter().find_map(|n| match n {
             PlanNode::Project { attrs } => {
                 Some(attrs.iter().filter_map(|a| source.attr(a)).collect())
@@ -575,11 +577,38 @@ impl<'e> CompiledScan<'e> {
 
 /// One filter atom with its names resolved.
 enum CompiledAtom<'e> {
+    /// Reads no record and cannot fail.
+    Pure(PureAtom<'e>),
+    /// Reads the row's record.
+    Record(RecordAtom<'e>),
+}
+
+/// An atom answered without the row's record.
+enum PureAtom<'e> {
     /// The source has no such attribute: no row passes.
     Never,
+    /// A comparison read from the attribute's numeric column; `rhs` is
+    /// the literal's [`exact_f64`] image, `accepts` the orderings the
+    /// operator passes ([`accepted`]).
+    Compare {
+        column: &'e NumericColumn,
+        accepts: u8,
+        rhs: f64,
+    },
+    /// `CLOSE TO` read from the attribute's numeric column.
+    CloseTo {
+        column: &'e NumericColumn,
+        pred: FuzzyPredicate,
+        alpha: f64,
+    },
+}
+
+/// An atom that reads the row's record.
+enum RecordAtom<'e> {
+    /// A comparison; `accepts` as in [`PureAtom::Compare`].
     Compare {
         attr: Symbol,
-        op: CompareOp,
+        accepts: u8,
         rhs: Value,
     },
     CloseTo {
@@ -605,46 +634,61 @@ enum CompiledAtom<'e> {
 }
 
 impl<'e> CompiledAtom<'e> {
-    fn compile(atom: &'e Atom, source: &dyn RowSource, env: &'e EvalEnv<'_>) -> Self {
+    fn compile(atom: &'e Atom, source: &'e dyn RowSource, env: &'e EvalEnv<'_>) -> Self {
         // The semantic environment is checked before the attribute, so an
         // unknown concept or role fails even on an unknown attribute.
         let names = |attr: &str, entities: Option<&'e [EntityId]>, unknown: &str| {
             let (Some(sem), Some(entities)) = (&env.semantic, entities) else {
-                return CompiledAtom::Fail(QueryError::UnknownConcept(unknown.to_string()));
+                return Self::Record(RecordAtom::Fail(QueryError::UnknownConcept(
+                    unknown.to_string(),
+                )));
             };
             match source.attr(attr) {
-                Some(attr) => CompiledAtom::Names {
+                Some(attr) => Self::Record(RecordAtom::Names {
                     attr,
                     entities,
                     entity_by_name: sem.entity_by_name,
-                },
-                None => CompiledAtom::Never,
+                }),
+                None => Self::Pure(PureAtom::Never),
             }
         };
         match atom {
-            Atom::Compare { attr, op, value } => match source.attr(attr) {
-                Some(attr) => CompiledAtom::Compare {
-                    attr,
-                    op: *op,
-                    rhs: value.to_value(),
-                },
-                None => CompiledAtom::Never,
-            },
+            Atom::Compare { attr, op, value } => {
+                let Some(attr) = source.attr(attr) else {
+                    return Self::Pure(PureAtom::Never);
+                };
+                let (accepts, rhs) = (accepted(*op), value.to_value());
+                match (source.numeric_column(attr), exact_f64(&rhs)) {
+                    (Some(column), Some(rhs)) => Self::Pure(PureAtom::Compare {
+                        column,
+                        accepts,
+                        rhs,
+                    }),
+                    _ => Self::Record(RecordAtom::Compare { attr, accepts, rhs }),
+                }
+            }
             Atom::CloseTo {
                 attr,
                 center,
                 width,
-            } => match source.attr(attr) {
-                Some(attr) => CompiledAtom::CloseTo {
-                    attr,
-                    pred: FuzzyPredicate::CloseTo {
-                        center: *center,
-                        width: *width,
-                    },
-                    alpha: env.alpha,
-                },
-                None => CompiledAtom::Never,
-            },
+            } => {
+                let Some(attr) = source.attr(attr) else {
+                    return Self::Pure(PureAtom::Never);
+                };
+                let pred = FuzzyPredicate::CloseTo {
+                    center: *center,
+                    width: *width,
+                };
+                let alpha = env.alpha;
+                match source.numeric_column(attr) {
+                    Some(column) => Self::Pure(PureAtom::CloseTo {
+                        column,
+                        pred,
+                        alpha,
+                    }),
+                    None => Self::Record(RecordAtom::CloseTo { attr, pred, alpha }),
+                }
+            }
             Atom::IsConcept { attr, concept } => {
                 let members = env.semantic.as_ref().and_then(|sem| {
                     let c = sem.ontology.find_concept(concept).ok()?;
@@ -660,30 +704,56 @@ impl<'e> CompiledAtom<'e> {
                 names(attr, subjects, role)
             }
             Atom::ModelAtom { model, threshold } => match env.models.get(model) {
-                Some((trained, features)) => CompiledAtom::Model {
+                Some((trained, features)) => Self::Record(RecordAtom::Model {
                     model,
                     trained,
                     features: features.as_ref(),
                     threshold: *threshold,
-                },
-                None => CompiledAtom::Fail(QueryError::UnknownModel(model.clone())),
+                }),
+                None => Self::Record(RecordAtom::Fail(QueryError::UnknownModel(model.clone()))),
             },
         }
     }
+}
 
+impl PureAtom<'_> {
+    /// Does the row at `offset` pass? Inlined: a range filter does
+    /// nothing else per row.
+    #[inline(always)]
+    fn eval(&self, offset: usize) -> bool {
+        match self {
+            PureAtom::Never => false,
+            PureAtom::Compare {
+                column,
+                accepts,
+                rhs,
+            } => column
+                .get(offset)
+                .is_some_and(|x| holds(*accepts, x.total_cmp(rhs))),
+            PureAtom::CloseTo {
+                column,
+                pred,
+                alpha,
+            } => column
+                .get(offset)
+                .is_some_and(|x| pred.membership(x) >= *alpha),
+        }
+    }
+}
+
+impl RecordAtom<'_> {
     /// Does `record` pass? `name` is the caller's buffer for the
     /// normalized entity name.
     fn eval(&self, record: &Record, name: &mut String) -> Result<bool, QueryError> {
         Ok(match self {
-            CompiledAtom::Never => false,
-            CompiledAtom::Compare { attr, op, rhs } => {
-                record.get(*attr).is_some_and(|v| compare(v, *op, rhs))
+            RecordAtom::Compare { attr, accepts, rhs } => {
+                record.get(*attr).is_some_and(|v| compare(v, *accepts, rhs))
             }
-            CompiledAtom::CloseTo { attr, pred, alpha } => record
+            RecordAtom::CloseTo { attr, pred, alpha } => record
                 .get(*attr)
                 .and_then(Value::as_float)
                 .is_some_and(|x| pred.membership(x) >= *alpha),
-            CompiledAtom::Names {
+            RecordAtom::Names {
                 attr,
                 entities,
                 entity_by_name,
@@ -696,7 +766,7 @@ impl<'e> CompiledAtom<'e> {
                     .get(name.as_str())
                     .is_some_and(|e| entities.binary_search(e).is_ok())
             }
-            CompiledAtom::Model {
+            RecordAtom::Model {
                 model,
                 trained,
                 features,
@@ -707,7 +777,7 @@ impl<'e> CompiledAtom<'e> {
                     .map_err(|_| QueryError::UnknownModel(model.to_string()))?;
                 p >= *threshold
             }
-            CompiledAtom::Fail(e) => return Err(e.clone()),
+            RecordAtom::Fail(e) => return Err(e.clone()),
         })
     }
 }
@@ -726,14 +796,18 @@ fn scan_parallel(
     results.resize_with(workers, || None);
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers - 1);
+        let offsets = move |chunk| {
+            let (start, end) = chunk_bounds(source.len(), chunk, workers);
+            start..end
+        };
         for chunk in 1..workers {
             handles.push(scope.spawn(move || {
                 let t0 = std::time::Instant::now();
-                scan_chunk_filtered(source.scan_chunk(chunk, workers), scan, t0)
+                scan_chunk_filtered(source, offsets(chunk), scan, t0)
             }));
         }
         let t0 = std::time::Instant::now();
-        results[0] = Some(scan_chunk_filtered(source.scan_chunk(0, workers), scan, t0));
+        results[0] = Some(scan_chunk_filtered(source, offsets(0), scan, t0));
         for (i, h) in handles.into_iter().enumerate() {
             // A worker that panicked (it should not: eval errors are
             // Results) surfaces as an executor-level worker error.
@@ -761,11 +835,12 @@ fn scan_parallel(
     Ok((out, stats, breakdown))
 }
 
-/// Filter + project one chunk of rows. The shared inner loop of the
+/// Filter + project the rows at `offsets`. The one inner loop of the
 /// sequential, parallel and index paths — identical short-circuit and
 /// limit semantics in all three.
-fn scan_chunk_filtered<'r>(
-    rows: impl Iterator<Item = &'r Record>,
+fn scan_chunk_filtered(
+    source: &dyn RowSource,
+    offsets: impl Iterator<Item = usize>,
     scan: &CompiledScan<'_>,
     started: std::time::Instant,
 ) -> Result<(Vec<Record>, WorkerScan), QueryError> {
@@ -777,24 +852,28 @@ fn scan_chunk_filtered<'r>(
     };
     let mut out = Vec::new();
     let mut name = String::new();
-    for record in rows {
+    'rows: for offset in offsets {
         if let Some(l) = scan.limit {
             if out.len() >= l {
                 break;
             }
         }
         w.rows_scanned += 1;
-        let mut pass = true;
+        let mut record = None;
         for atom in &scan.atoms {
             w.atom_evals += 1;
-            if !atom.eval(record, &mut name)? {
-                pass = false;
-                break;
+            let pass = match atom {
+                CompiledAtom::Pure(atom) => atom.eval(offset),
+                CompiledAtom::Record(atom) => {
+                    let record = *record.get_or_insert_with(|| source.record(offset));
+                    atom.eval(record, &mut name)?
+                }
+            };
+            if !pass {
+                continue 'rows;
             }
         }
-        if !pass {
-            continue;
-        }
+        let record = record.unwrap_or_else(|| source.record(offset));
         let projected = match &scan.project {
             None => record.clone(),
             Some(attrs) => {
@@ -843,25 +922,36 @@ fn index_predicate(atom: &Atom) -> Option<IndexPredicate> {
     }
 }
 
-fn compare(v: &Value, op: CompareOp, rhs: &Value) -> bool {
+fn compare(v: &Value, accepts: u8, rhs: &Value) -> bool {
     if v.is_null() || rhs.is_null() {
         // Codd three-valued logic: unknown never passes a filter.
         return false;
     }
-    let ord = v.cmp(rhs);
+    holds(accepts, v.cmp(rhs))
+}
+
+/// The orderings of a left operand against a right one that pass `op`:
+/// bit 0 `Less`, bit 1 `Equal`, bit 2 `Greater`.
+fn accepted(op: CompareOp) -> u8 {
     match op {
-        CompareOp::Eq => ord == std::cmp::Ordering::Equal,
-        CompareOp::Ne => ord != std::cmp::Ordering::Equal,
-        CompareOp::Lt => ord == std::cmp::Ordering::Less,
-        CompareOp::Le => ord != std::cmp::Ordering::Greater,
-        CompareOp::Gt => ord == std::cmp::Ordering::Greater,
-        CompareOp::Ge => ord != std::cmp::Ordering::Less,
+        CompareOp::Eq => 0b010,
+        CompareOp::Ne => 0b101,
+        CompareOp::Lt => 0b001,
+        CompareOp::Le => 0b011,
+        CompareOp::Gt => 0b100,
+        CompareOp::Ge => 0b110,
     }
+}
+
+/// Is `ord` among the orderings `accepts` ([`accepted`])?
+fn holds(accepts: u8, ord: std::cmp::Ordering) -> bool {
+    accepts >> (ord as i8 + 1) & 1 == 1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Literal;
     use crate::parser::parse;
     use crate::plan::LogicalPlan;
     use scdb_semantic::{ModelKind, ModelSpec};
@@ -1466,6 +1556,163 @@ mod tests {
             "scan stage names the index: {:?}",
             scan.notes
         );
+    }
+
+    /// A store source that counts the records the executor reads, and
+    /// can hide the store's numeric columns.
+    struct Counting<'a> {
+        inner: StoreSource<'a>,
+        columns: bool,
+        fetched: std::sync::atomic::AtomicUsize,
+    }
+
+    impl RowSource for Counting<'_> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn rows(&self) -> &[Record] {
+            self.inner.rows()
+        }
+        fn record(&self, offset: usize) -> &Record {
+            self.fetched
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.record(offset)
+        }
+        fn attr(&self, name: &str) -> Option<Symbol> {
+            self.inner.attr(name)
+        }
+        fn numeric_column(&self, attr: Symbol) -> Option<&NumericColumn> {
+            self.inner.numeric_column(attr).filter(|_| self.columns)
+        }
+    }
+
+    /// A numeric range scan answered from the column fetches only the
+    /// records it returns; the same scan on the records fetches every
+    /// row, and both answer the same rows with the same counters.
+    #[test]
+    fn column_scan_fetches_only_the_rows_it_returns() {
+        let (syms, store, _) = indexed_store(1000);
+        let sql = "SELECT name FROM trials WHERE score >= 100 AND score < 130";
+        let plan = LogicalPlan::from_query(&parse(sql).unwrap());
+        let par = Executor {
+            workers: 4,
+            parallel_threshold: 1,
+        };
+        let mut answers = Vec::new();
+        for ex in [Executor::sequential(), par] {
+            for columns in [true, false] {
+                let src = Counting {
+                    inner: StoreSource::new("trials", &store, &syms),
+                    columns,
+                    fetched: Default::default(),
+                };
+                let (rows, stats) = ex.execute(&plan, &src, &EvalEnv::default()).unwrap();
+                assert_eq!(rows.len(), 30);
+                assert_eq!(stats.rows_scanned, 1000);
+                let fetched = src.fetched.into_inner();
+                assert_eq!(fetched, if columns { 30 } else { 1000 }, "{columns}");
+                answers.push((rows, stats));
+            }
+        }
+        assert!(answers.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    /// Literals a column cannot compare exactly, and values that drop the
+    /// column, keep the record path and its answers.
+    #[test]
+    fn inexact_literals_and_mixed_attributes_read_the_records() {
+        let mut syms = SymbolTable::new();
+        let (n, m) = (syms.intern("n"), syms.intern("m"));
+        let edge = 1i64 << 53;
+        let mut store = scdb_storage::RowStore::new(scdb_types::SourceId(0));
+        for v in [edge - 1, edge, -edge, 0] {
+            store.append(Record::from_pairs([(n, Value::Int(v)), (m, Value::Int(v))]));
+        }
+        store.append(Record::from_pairs([(m, Value::str("x"))]));
+        assert!(store.numeric_column(n).is_some());
+        assert!(store.numeric_column(m).is_none());
+        let src = Counting {
+            inner: StoreSource::new("t", &store, &syms),
+            columns: true,
+            fetched: Default::default(),
+        };
+        // Built, not parsed: ScQL text spells no Int beyond ±9e15.
+        let count = |atom: Atom| {
+            let mut plan = LogicalPlan::from_query(&parse("SELECT * FROM t").unwrap());
+            plan.set_filter_atoms(vec![atom]);
+            let before = src.fetched.load(std::sync::atomic::Ordering::Relaxed);
+            let (rows, _) = Executor::sequential()
+                .execute(&plan, &src, &EvalEnv::default())
+                .unwrap();
+            let fetched = src.fetched.load(std::sync::atomic::Ordering::Relaxed) - before;
+            (rows.len(), fetched)
+        };
+        let cmp = |attr: &str, op, value| Atom::Compare {
+            attr: attr.into(),
+            op,
+            value,
+        };
+        // 2^53 + 1 is no f64; as an i64 it is above every stored value.
+        // The fifth row lacks `n`, and its `m` is a string, which orders
+        // above every number.
+        assert_eq!(
+            count(cmp("n", CompareOp::Lt, Literal::Int(edge + 1))),
+            (4, 5)
+        );
+        assert_eq!(count(cmp("n", CompareOp::Lt, Literal::Int(edge))), (3, 3));
+        assert_eq!(
+            count(cmp("n", CompareOp::Ge, Literal::Int(edge - 1))),
+            (2, 2)
+        );
+        assert_eq!(count(cmp("n", CompareOp::Ge, Literal::Float(-0.0))), (3, 3));
+        assert_eq!(
+            count(cmp("n", CompareOp::Eq, Literal::Str("x".into()))),
+            (0, 5)
+        );
+        assert_eq!(count(cmp("n", CompareOp::Ne, Literal::Null)), (0, 5));
+        assert_eq!(count(cmp("m", CompareOp::Ge, Literal::Int(0))), (4, 5));
+        let close = |attr: &str| Atom::CloseTo {
+            attr: attr.into(),
+            center: 0.0,
+            width: 1.0,
+        };
+        assert_eq!(count(close("n")), (1, 1));
+        assert_eq!(count(close("m")), (1, 5));
+    }
+
+    #[test]
+    fn profile_quotes_projected_names() {
+        let mut syms = SymbolTable::new();
+        let drug = syms.intern("Drug Name");
+        let rows = vec![Record::from_pairs([(drug, Value::str("Warfarin"))])];
+        let src = VecSource::new("trials", rows, &syms);
+        let plan =
+            LogicalPlan::from_query(&parse(r#"SELECT "Drug Name", dose FROM trials"#).unwrap());
+        let mut builder = scdb_obs::ProfileBuilder::new();
+        Executor::sequential()
+            .execute_profiled(&plan, &src, &EvalEnv::default(), &mut builder)
+            .unwrap();
+        let profile = builder.finish();
+        let project = profile.stages.iter().find(|s| s.name == "project").unwrap();
+        assert_eq!(project.notes, [r#""Drug Name", dose"#]);
+    }
+
+    /// `accepted` encodes each operator's orderings as `compare` always
+    /// read them.
+    #[test]
+    fn accepted_orderings_match_the_operators() {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        for (op, want) in [
+            (CompareOp::Eq, [false, true, false]),
+            (CompareOp::Ne, [true, false, true]),
+            (CompareOp::Lt, [true, false, false]),
+            (CompareOp::Le, [true, true, false]),
+            (CompareOp::Gt, [false, false, true]),
+            (CompareOp::Ge, [false, true, true]),
+        ] {
+            let got = [Less, Equal, Greater].map(|ord| holds(accepted(op), ord));
+            assert_eq!(got, want, "{op}");
+        }
     }
 
     #[test]

@@ -321,11 +321,16 @@ fn literal_num(l: &Literal) -> Option<f64> {
 
 /// Merge numeric comparison atoms per attribute; detect contradictions.
 fn merge_ranges(atoms: &mut Vec<Atom>) -> RangeOutcome {
-    #[derive(Default, Clone)]
-    struct Range {
+    /// One attribute's numeric comparisons, merged.
+    struct Range<'a> {
+        attr: &'a str,
         lo: Option<(f64, bool)>, // (bound, inclusive)
         hi: Option<(f64, bool)>,
         eq: Option<f64>,
+        /// Numeric comparisons on `attr`, `!=` included.
+        count: usize,
+        /// The merged atoms are in the rebuilt list.
+        emitted: bool,
     }
     // A merge or a contradiction takes two numeric comparisons.
     let numeric = atoms
@@ -335,54 +340,70 @@ fn merge_ranges(atoms: &mut Vec<Atom>) -> RangeOutcome {
     if numeric < 2 {
         return RangeOutcome::Nothing;
     }
-    let mut ranges: HashMap<String, Range> = HashMap::new();
-    let mut numeric_compare_count: HashMap<String, usize> = HashMap::new();
-
+    // In order of each attribute's first comparison, so the contradiction
+    // reported is the first attribute's on every run.
+    let mut ranges: Vec<Range<'_>> = Vec::new();
     for atom in atoms.iter() {
-        if let Atom::Compare { attr, op, value } = atom {
-            let Some(v) = literal_num(value) else {
-                continue;
-            };
-            *numeric_compare_count.entry(attr.clone()).or_insert(0) += 1;
-            let r = ranges.entry(attr.clone()).or_default();
-            match op {
-                CompareOp::Eq => {
-                    if let Some(prev) = r.eq {
-                        if prev != v {
-                            return RangeOutcome::Unsat(format!(
-                                "{attr} = {prev} contradicts {attr} = {v}"
-                            ));
-                        }
-                    }
-                    r.eq = Some(v);
-                }
-                CompareOp::Gt | CompareOp::Ge => {
-                    let inclusive = *op == CompareOp::Ge;
-                    let tighter = match r.lo {
-                        Some((b, _)) => v > b,
-                        None => true,
-                    };
-                    if tighter {
-                        r.lo = Some((v, inclusive));
-                    }
-                }
-                CompareOp::Lt | CompareOp::Le => {
-                    let inclusive = *op == CompareOp::Le;
-                    let tighter = match r.hi {
-                        Some((b, _)) => v < b,
-                        None => true,
-                    };
-                    if tighter {
-                        r.hi = Some((v, inclusive));
-                    }
-                }
-                CompareOp::Ne => {}
+        let Atom::Compare { attr, op, value } = atom else {
+            continue;
+        };
+        let Some(v) = literal_num(value) else {
+            continue;
+        };
+        let i = match ranges.iter().position(|r| r.attr == attr) {
+            Some(i) => i,
+            None => {
+                ranges.push(Range {
+                    attr,
+                    lo: None,
+                    hi: None,
+                    eq: None,
+                    count: 0,
+                    emitted: false,
+                });
+                ranges.len() - 1
             }
+        };
+        let r = &mut ranges[i];
+        r.count += 1;
+        match op {
+            CompareOp::Eq => {
+                if let Some(prev) = r.eq {
+                    if prev != v {
+                        return RangeOutcome::Unsat(format!(
+                            "{attr} = {prev} contradicts {attr} = {v}"
+                        ));
+                    }
+                }
+                r.eq = Some(v);
+            }
+            CompareOp::Gt | CompareOp::Ge => {
+                let inclusive = *op == CompareOp::Ge;
+                let tighter = match r.lo {
+                    Some((b, _)) => v > b,
+                    None => true,
+                };
+                if tighter {
+                    r.lo = Some((v, inclusive));
+                }
+            }
+            CompareOp::Lt | CompareOp::Le => {
+                let inclusive = *op == CompareOp::Le;
+                let tighter = match r.hi {
+                    Some((b, _)) => v < b,
+                    None => true,
+                };
+                if tighter {
+                    r.hi = Some((v, inclusive));
+                }
+            }
+            CompareOp::Ne => {}
         }
     }
 
     // Contradiction checks.
-    for (attr, r) in &ranges {
+    for r in &ranges {
+        let attr = r.attr;
         if let (Some((lo, lo_inc)), Some((hi, hi_inc))) = (r.lo, r.hi) {
             if lo > hi || (lo == hi && !(lo_inc && hi_inc)) {
                 return RangeOutcome::Unsat(format!("{attr} range [{lo}, {hi}] is empty"));
@@ -404,51 +425,49 @@ fn merge_ranges(atoms: &mut Vec<Atom>) -> RangeOutcome {
 
     // Rebuild: keep only the tightest atoms for attrs with multiple
     // numeric comparisons.
-    let multi: Vec<&String> = numeric_compare_count
-        .iter()
-        .filter(|(_, c)| **c > 1)
-        .map(|(a, _)| a)
-        .collect();
-    if multi.is_empty() {
+    if ranges.iter().all(|r| r.count < 2) {
         return RangeOutcome::Nothing;
     }
     let before = atoms.len();
     let mut rebuilt: Vec<Atom> = Vec::with_capacity(atoms.len());
-    let mut emitted: HashMap<String, bool> = HashMap::new();
     for atom in atoms.iter() {
-        match atom {
+        let merged = match atom {
             Atom::Compare { attr, op, value }
-                if literal_num(value).is_some()
-                    && multi.contains(&attr)
-                    && !matches!(op, CompareOp::Ne) =>
+                if literal_num(value).is_some() && !matches!(op, CompareOp::Ne) =>
             {
-                if emitted.insert(attr.clone(), true).is_none() {
-                    let r = &ranges[attr];
-                    if let Some(eq) = r.eq {
-                        rebuilt.push(Atom::Compare {
-                            attr: attr.clone(),
-                            op: CompareOp::Eq,
-                            value: Literal::Float(eq),
-                        });
-                    } else {
-                        if let Some((lo, inc)) = r.lo {
-                            rebuilt.push(Atom::Compare {
-                                attr: attr.clone(),
-                                op: if inc { CompareOp::Ge } else { CompareOp::Gt },
-                                value: Literal::Float(lo),
-                            });
-                        }
-                        if let Some((hi, inc)) = r.hi {
-                            rebuilt.push(Atom::Compare {
-                                attr: attr.clone(),
-                                op: if inc { CompareOp::Le } else { CompareOp::Lt },
-                                value: Literal::Float(hi),
-                            });
-                        }
-                    }
-                }
+                ranges.iter_mut().find(|r| r.attr == attr && r.count > 1)
             }
-            other => rebuilt.push(other.clone()),
+            _ => None,
+        };
+        let Some(r) = merged else {
+            rebuilt.push(atom.clone());
+            continue;
+        };
+        if std::mem::replace(&mut r.emitted, true) {
+            continue;
+        }
+        let attr = r.attr;
+        if let Some(eq) = r.eq {
+            rebuilt.push(Atom::Compare {
+                attr: attr.to_string(),
+                op: CompareOp::Eq,
+                value: Literal::Float(eq),
+            });
+        } else {
+            if let Some((lo, inc)) = r.lo {
+                rebuilt.push(Atom::Compare {
+                    attr: attr.to_string(),
+                    op: if inc { CompareOp::Ge } else { CompareOp::Gt },
+                    value: Literal::Float(lo),
+                });
+            }
+            if let Some((hi, inc)) = r.hi {
+                rebuilt.push(Atom::Compare {
+                    attr: attr.to_string(),
+                    op: if inc { CompareOp::Le } else { CompareOp::Lt },
+                    value: Literal::Float(hi),
+                });
+            }
         }
     }
     let merged = before.saturating_sub(rebuilt.len());
@@ -678,6 +697,28 @@ mod tests {
             OptimizerConfig::default(),
         );
         assert!(!p.empty);
+    }
+
+    /// With two contradictory attributes the reason names the one whose
+    /// comparison appears first, on every run: the ranges are kept in
+    /// first-appearance order, not in a hash map's.
+    #[test]
+    fn unsat_reason_names_the_first_contradictory_attribute() {
+        for sql in [
+            "SELECT * FROM t WHERE b > 5 AND a > 5 AND a < 3 AND b < 3",
+            "SELECT * FROM t WHERE b = 1 AND a > 5 AND a < 3 AND b > 2",
+        ] {
+            for _ in 0..16 {
+                let p = optimize(sql, OptimizerConfig::default());
+                assert!(p.empty, "{sql}");
+                let reason = p
+                    .rewrites
+                    .iter()
+                    .find(|r| r.starts_with("unsatisfiable: "))
+                    .expect("an unsat rewrite");
+                assert!(reason.starts_with("unsatisfiable: b "), "{sql}: {reason}");
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use crate::ast::{Atom, Query};
+use crate::ast::{Atom, NameList, Query};
 
 /// One pipeline stage.
 #[derive(Debug, Clone, PartialEq)]
@@ -184,7 +184,7 @@ impl fmt::Display for LogicalPlan {
                     writeln!(f, "{indent}Filter [{}]", rendered.join(" AND "))?;
                 }
                 PlanNode::Project { attrs } => {
-                    writeln!(f, "{indent}Project [{}]", attrs.join(", "))?;
+                    writeln!(f, "{indent}Project [{}]", NameList(attrs))?;
                 }
                 PlanNode::Limit { n } => writeln!(f, "{indent}Limit {n}")?,
             }
@@ -246,5 +246,17 @@ mod tests {
         assert!(s.contains("Scan t"));
         assert!(s.contains("Filter [a > 2]"));
         assert!(s.contains("Limit 1"));
+    }
+
+    /// Projected names print as the query spells them: quoted exactly
+    /// when they would not lex back as one bare name.
+    #[test]
+    fn display_quotes_projected_names() {
+        let q = parse(r#"SELECT "Drug Name", dose, "select" FROM t"#).unwrap();
+        let s = LogicalPlan::from_query(&q).to_string();
+        assert!(
+            s.contains(r#"Project ["Drug Name", dose, "select"]"#),
+            "{s}"
+        );
     }
 }

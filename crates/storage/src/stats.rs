@@ -7,8 +7,6 @@
 //! semantic optimizer (in `scdb-query`) combines these with TBox knowledge
 //! to infer selectivities that the raw statistics alone cannot provide.
 
-use std::collections::HashMap;
-
 use scdb_types::Value;
 
 /// Upper bound on the reservoir used to rebuild bucket boundaries. At the
@@ -36,6 +34,8 @@ pub struct Histogram {
     /// Ascending bucket boundaries; `boundaries.len() == counts.len() + 1`.
     boundaries: Vec<f64>,
     counts: Vec<u64>,
+    /// Sum of `counts`: the observed mass inside the bucketed range.
+    in_range: u64,
     total: u64,
     below: u64,
     above: u64,
@@ -55,6 +55,7 @@ impl Histogram {
         Histogram {
             boundaries,
             counts: vec![0; n],
+            in_range: 0,
             total: 0,
             below: 0,
             above: 0,
@@ -109,9 +110,10 @@ impl Histogram {
             let idx = self.boundaries.partition_point(|b| *b <= v);
             let idx = idx.saturating_sub(1).min(self.counts.len() - 1);
             self.counts[idx] += 1;
+            self.in_range += 1;
         }
-        let mass: u64 = self.counts.iter().sum();
-        if (self.below + self.above) * 4 > mass && self.sample.len() >= REBUILD_MIN_SAMPLE {
+        if (self.below + self.above) * 4 > self.in_range && self.sample.len() >= REBUILD_MIN_SAMPLE
+        {
             self.rebuild_equi_depth();
         }
     }
@@ -140,6 +142,7 @@ impl Histogram {
             *c = ((*c as f64) * scale).round() as u64;
         }
         self.boundaries = boundaries;
+        self.in_range = counts.iter().sum();
         self.counts = counts;
         self.below = 0;
         self.above = 0;
@@ -153,7 +156,7 @@ impl Histogram {
     /// Observed mass accounted inside the bucketed range plus the
     /// out-of-range tails — the denominator for selectivity estimates.
     fn mass(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.below + self.above
+        self.in_range + self.below + self.above
     }
 
     /// Estimated selectivity of `value <= x` (fraction of rows).
@@ -194,9 +197,15 @@ impl Histogram {
 
 /// Bounded most-common-values sketch (space-saving style: when full, the
 /// minimum-count entry is evicted and its count inherited).
+///
+/// The candidates live in at most `capacity` slots that are searched in
+/// order, and eviction overwrites the first slot holding the minimum
+/// count. Ties therefore break by slot order, so every sketch fed one
+/// stream ends in the same state: a database reopened from its rows
+/// estimates exactly as the one that never closed.
 #[derive(Debug, Clone)]
 pub struct CommonValues {
-    counts: HashMap<Value, u64>,
+    slots: Vec<(Value, u64)>,
     capacity: usize,
     total: u64,
 }
@@ -205,7 +214,7 @@ impl CommonValues {
     /// Sketch tracking at most `capacity` candidates.
     pub fn new(capacity: usize) -> Self {
         CommonValues {
-            counts: HashMap::new(),
+            slots: Vec::new(),
             capacity: capacity.max(1),
             total: 0,
         }
@@ -214,23 +223,23 @@ impl CommonValues {
     /// Observe a value.
     pub fn add(&mut self, v: &Value) {
         self.total += 1;
-        if let Some(c) = self.counts.get_mut(v) {
+        if let Some((_, c)) = self.slots.iter_mut().find(|(s, _)| s == v) {
             *c += 1;
             return;
         }
-        if self.counts.len() < self.capacity {
-            self.counts.insert(v.clone(), 1);
+        if self.slots.len() < self.capacity {
+            self.slots.push((v.clone(), 1));
             return;
         }
-        // Space-saving eviction.
-        let (min_v, min_c) = self
-            .counts
-            .iter()
-            .min_by_key(|(_, c)| **c)
-            .map(|(v, c)| (v.clone(), *c))
+        // Space-saving eviction, in place: `min_by_key` yields the first
+        // of equal minima.
+        let (value, count) = self
+            .slots
+            .iter_mut()
+            .min_by_key(|(_, c)| *c)
             .expect("non-empty at capacity");
-        self.counts.remove(&min_v);
-        self.counts.insert(v.clone(), min_c + 1);
+        *value = v.clone();
+        *count += 1;
     }
 
     /// Estimated frequency (fraction) of `v`.
@@ -238,15 +247,15 @@ impl CommonValues {
         if self.total == 0 {
             return 0.0;
         }
-        self.counts
-            .get(v)
-            .map(|c| *c as f64 / self.total as f64)
-            .unwrap_or(0.0)
+        self.slots
+            .iter()
+            .find(|(s, _)| s == v)
+            .map_or(0.0, |(_, c)| *c as f64 / self.total as f64)
     }
 
     /// The top `k` values by estimated count.
     pub fn top(&self, k: usize) -> Vec<(Value, u64)> {
-        let mut v: Vec<(Value, u64)> = self.counts.iter().map(|(v, c)| (v.clone(), *c)).collect();
+        let mut v = self.slots.clone();
         v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         v.truncate(k);
         v
@@ -461,6 +470,30 @@ mod tests {
         let top = c.top(1);
         assert_eq!(top[0].0, Value::str("hot"));
         assert!(c.frequency(&Value::str("hot")) > 0.5);
+    }
+
+    /// Space-saving breaks count ties by slot order, so every sketch fed
+    /// one stream tracks the same values with the same counts.
+    #[test]
+    fn common_values_sketches_fed_one_stream_agree() {
+        let streams: [Vec<Value>; 3] = [
+            (0..1000).map(Value::Int).collect(),
+            (0..1000).map(|i| Value::Int(i % 40)).collect(),
+            (0..850).map(|i| Value::Float(i as f64 / 8.5)).collect(),
+        ];
+        for stream in &streams {
+            let sketch = || {
+                let mut c = CommonValues::new(16);
+                for v in stream {
+                    c.add(v);
+                }
+                c
+            };
+            let first = sketch().top(16);
+            for _ in 0..20 {
+                assert_eq!(sketch().top(16), first);
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,14 @@
 //! Sweep ≡ per-row: the `discover_links` sweep over rows loaded
 //! reference-first finds exactly the links that per-row curation finds
 //! when the same rows arrive target-first.
+//!
+//! Numeric columns ≡ records ≡ a brute-force oracle: every comparison and
+//! `CLOSE TO` over numeric edge values (NaN, ±0.0, ±2^53 ± 1, nulls,
+//! absent attributes, an attribute that turns non-numeric mid-stream)
+//! returns the same rows in the same order with the same [`ExecStats`]
+//! whether its operand is read from the row store's column or from the
+//! records, on one worker, on four, and behind an index scan; and a
+//! reopened database answers those scans as the never-closed one does.
 
 use std::collections::HashMap;
 
@@ -28,13 +36,14 @@ use scdb_datagen::life_science::{scaled, ScaledConfig};
 use scdb_er::ResolverConfig;
 use scdb_query::exec::{EvalEnv, SemanticEnv};
 use scdb_query::{
-    Atom, CompareOp, ExecStats, Executor, Literal, LogicalPlan, PlanNode, StoreSource,
+    Atom, CompareOp, ExecStats, Executor, Literal, LogicalPlan, PlanNode, RowSource, StoreSource,
 };
 use scdb_semantic::{Ontology, Reasoner, Saturation};
 use scdb_storage::text::tokenize;
-use scdb_storage::{IndexDef, IndexKind, IndexSet, RowStore};
+use scdb_storage::{IndexDef, IndexKind, IndexPredicate, IndexSet, RowStore};
 use scdb_txn::FailpointLog;
 use scdb_types::{Confidence, EntityId, Record, SourceId, Symbol, SymbolTable, Value};
+use scdb_uncertain::FuzzyPredicate;
 
 /// One generated row, symbol-free so it can be interned into any `Db`.
 struct Row {
@@ -640,4 +649,368 @@ fn index_driven_semantic_scan_equals_a_forced_full_scan() {
         matched += usize::from(!got.is_empty());
     }
     assert!(matched > 0, "some probed name is a Drug");
+}
+
+const EDGE: i64 = 1 << 53;
+
+/// The values the numeric arms cycle through: ints and floats at the
+/// edges of the exact range and of the float order, and a null.
+fn edge_values() -> Vec<Value> {
+    let mut values: Vec<Value> = [0, 1, -1, 7, EDGE, -EDGE, EDGE - 1, 1 - EDGE]
+        .into_iter()
+        .map(Value::Int)
+        .collect();
+    values.extend(
+        [
+            0.0,
+            -0.0,
+            0.5,
+            -2.5,
+            7.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            EDGE as f64,
+            1e300,
+        ]
+        .map(Value::Float),
+    );
+    values.push(Value::Null);
+    values
+}
+
+/// Row `i` of the numeric arms. `x` and `y` stay numeric (`x` is absent
+/// from every eleventh row); `wide` holds an Int beyond 2^53, so it never
+/// has a column; `turn` is numeric until row 200, which holds a string.
+fn numeric_row(symbols: &mut SymbolTable, values: &[Value], i: usize) -> Record {
+    let mut r = Record::from_pairs([
+        (symbols.intern("k"), Value::Int(i as i64)),
+        (
+            symbols.intern("y"),
+            values[(i * 13 + 3) % values.len()].clone(),
+        ),
+        (
+            symbols.intern("wide"),
+            Value::Int(if i % 17 == 4 { EDGE + 1 } else { i as i64 }),
+        ),
+        (
+            symbols.intern("turn"),
+            if i == 200 {
+                Value::str("n/a")
+            } else {
+                Value::Float(i as f64 / 3.0)
+            },
+        ),
+    ]);
+    if i % 11 != 5 {
+        r.set(symbols.intern("x"), values[(i * 7) % values.len()].clone());
+    }
+    r
+}
+
+/// A store source with its numeric columns hidden: every atom reads the
+/// records.
+struct RecordPath<'a>(StoreSource<'a>);
+
+impl RowSource for RecordPath<'_> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn rows(&self) -> &[Record] {
+        self.0.rows()
+    }
+    fn attr(&self, name: &str) -> Option<Symbol> {
+        self.0.attr(name)
+    }
+    fn index_candidates(&self, attr: &str, pred: &IndexPredicate) -> Option<Vec<u64>> {
+        self.0.index_candidates(attr, pred)
+    }
+}
+
+/// Does `record` pass `atom`, by `Value::cmp` and the fuzzy predicate
+/// read straight off the record?
+fn numeric_oracle(atom: &Atom, record: &Record, symbols: &SymbolTable) -> bool {
+    let value = |attr: &str| record.get(symbols.get(attr)?);
+    match atom {
+        Atom::Compare { attr, op, value: v } => {
+            let rhs = v.to_value();
+            value(attr).is_some_and(|v| {
+                let ord = v.cmp(&rhs);
+                !v.is_null()
+                    && !rhs.is_null()
+                    && match op {
+                        CompareOp::Eq => ord.is_eq(),
+                        CompareOp::Ne => ord.is_ne(),
+                        CompareOp::Lt => ord.is_lt(),
+                        CompareOp::Le => ord.is_le(),
+                        CompareOp::Gt => ord.is_gt(),
+                        CompareOp::Ge => ord.is_ge(),
+                    }
+            })
+        }
+        Atom::CloseTo {
+            attr,
+            center,
+            width,
+        } => value(attr).and_then(Value::as_float).is_some_and(|x| {
+            let pred = FuzzyPredicate::CloseTo {
+                center: *center,
+                width: *width,
+            };
+            pred.membership(x) >= EvalEnv::default().alpha
+        }),
+        other => panic!("no oracle for {other}"),
+    }
+}
+
+/// What a sequential scan of `rows` returns and counts: every atom in
+/// order until one fails, stopping once `limit` rows are out.
+fn numeric_expected(
+    rows: &[Record],
+    atoms: &[Atom],
+    limit: Option<usize>,
+    symbols: &SymbolTable,
+) -> (Vec<Record>, ExecStats) {
+    let mut stats = ExecStats::default();
+    let mut out = Vec::new();
+    for r in rows {
+        if limit.is_some_and(|l| out.len() >= l) {
+            break;
+        }
+        stats.rows_scanned += 1;
+        let mut pass = true;
+        for atom in atoms {
+            stats.atom_evals += 1;
+            if !numeric_oracle(atom, r, symbols) {
+                pass = false;
+                break;
+            }
+        }
+        if pass {
+            out.push(r.clone());
+        }
+    }
+    stats.rows_out = out.len() as u64;
+    (out, stats)
+}
+
+fn numeric_plan(atoms: Vec<Atom>, limit: Option<usize>) -> LogicalPlan {
+    let mut nodes = vec![
+        PlanNode::Scan {
+            source: SOURCE.into(),
+        },
+        PlanNode::Filter { atoms },
+    ];
+    nodes.extend(limit.map(|n| PlanNode::Limit { n }));
+    LogicalPlan {
+        nodes,
+        estimated_rows: None,
+        empty: false,
+        rewrites: Vec::new(),
+    }
+}
+
+/// The numeric queries: every operator against Int and Float literals
+/// (exact and not) on each attribute, two-attribute ranges, `CLOSE TO`,
+/// and limited variants.
+fn numeric_queries() -> Vec<(Vec<Atom>, Option<usize>)> {
+    let ops = [
+        CompareOp::Eq,
+        CompareOp::Ne,
+        CompareOp::Lt,
+        CompareOp::Le,
+        CompareOp::Gt,
+        CompareOp::Ge,
+    ];
+    let mut literals: Vec<Literal> = [0, 1, 7, EDGE, -EDGE, EDGE - 1, EDGE + 1, -EDGE - 1]
+        .into_iter()
+        .map(Literal::Int)
+        .collect();
+    literals.extend([0.0, -0.0, 0.5, f64::NAN, f64::NEG_INFINITY, 1e300, 66.5].map(Literal::Float));
+    let cmp = |attr: &str, op: CompareOp, value: &Literal| Atom::Compare {
+        attr: attr.into(),
+        op,
+        value: value.clone(),
+    };
+    let close = |attr: &str, center: f64, width: f64| Atom::CloseTo {
+        attr: attr.into(),
+        center,
+        width,
+    };
+    let mut queries = Vec::new();
+    for attr in ["x", "y", "wide", "turn", "absent"] {
+        for op in ops {
+            for lit in &literals {
+                queries.push((vec![cmp(attr, op, lit)], None));
+            }
+        }
+        for (center, width) in [(0.0, 1.0), (7.0, 0.5), (66.0, 3.0), (EDGE as f64, 2.0)] {
+            queries.push((vec![close(attr, center, width)], None));
+        }
+    }
+    for (a, b) in [(&literals[0], &literals[2]), (&literals[9], &literals[3])] {
+        let range = vec![
+            cmp("x", CompareOp::Ge, a),
+            cmp("x", CompareOp::Lt, b),
+            cmp("y", CompareOp::Ne, a),
+        ];
+        queries.push((range.clone(), None));
+        queries.push((range, Some(5)));
+    }
+    queries.push((
+        vec![
+            cmp("turn", CompareOp::Gt, &literals[2]),
+            close("x", 0.0, 8.0),
+        ],
+        Some(3),
+    ));
+    queries.push((vec![close("y", 1.0, 10.0)], Some(4)));
+    queries.push((vec![cmp("k", CompareOp::Ge, &literals[0])], Some(7)));
+    queries
+}
+
+#[test]
+fn numeric_columns_equal_records_and_the_brute_force_oracle() {
+    let values = edge_values();
+    let mut symbols = SymbolTable::new();
+    let mut store = RowStore::new(SourceId(0));
+    let ordered = IndexDef {
+        name: "ix_k".into(),
+        source: SOURCE.into(),
+        attr: "k".into(),
+        kind: IndexKind::Ordered,
+    };
+    let queries = numeric_queries();
+    let mut answered = 0;
+    // Once while `turn` is numeric, once after its string dropped it.
+    for (rows, turn_numeric) in [(0..150, true), (150..320, false)] {
+        for i in rows {
+            let r = numeric_row(&mut symbols, &values, i);
+            store.append(r);
+        }
+        let sym = |a: &str| symbols.get(a).unwrap();
+        assert!(store.numeric_column(sym("x")).is_some());
+        assert!(store.numeric_column(sym("y")).is_some());
+        assert!(store.numeric_column(sym("wide")).is_none());
+        assert_eq!(store.numeric_column(sym("turn")).is_some(), turn_numeric);
+        let mut indexes = IndexSet::new();
+        indexes.create(ordered.clone(), &symbols, &store);
+        let columns = StoreSource::with_indexes(SOURCE, &store, &symbols, &indexes);
+        let records = RecordPath(StoreSource::with_indexes(
+            SOURCE, &store, &symbols, &indexes,
+        ));
+        let env = EvalEnv::default();
+        for (atoms, limit) in &queries {
+            let what = format!("{atoms:?} limit {limit:?} at {} rows", store.len());
+            let (want, want_stats) = numeric_expected(store.rows(), atoms, *limit, &symbols);
+            let plan = numeric_plan(atoms.clone(), *limit);
+            for executor in [Executor::sequential(), PARALLEL] {
+                let by_column = executor.execute(&plan, &columns, &env).unwrap();
+                let by_record = executor.execute(&plan, &records, &env).unwrap();
+                assert_eq!(by_column, by_record, "{executor:?} {what}");
+                assert_eq!(by_column.0, want, "{executor:?} {what}");
+                if limit.is_none() || executor == Executor::sequential() {
+                    assert_eq!(by_column.1, want_stats, "{executor:?} {what}");
+                }
+            }
+            // The same atoms as residuals behind an index scan of k >= 40.
+            let mut indexed = plan.clone();
+            indexed.nodes[0] = PlanNode::IndexScan {
+                source: SOURCE.into(),
+                index: "ix_k".into(),
+                atom: Atom::Compare {
+                    attr: "k".into(),
+                    op: CompareOp::Ge,
+                    value: Literal::Int(40),
+                },
+            };
+            let tail = &store.rows()[40..];
+            let (want, want_stats) = numeric_expected(tail, atoms, *limit, &symbols);
+            let by_column = Executor::sequential()
+                .execute(&indexed, &columns, &env)
+                .unwrap();
+            let by_record = Executor::sequential()
+                .execute(&indexed, &records, &env)
+                .unwrap();
+            assert_eq!(by_column, by_record, "index scan: {what}");
+            assert_eq!(by_column.0, want, "index scan: {what}");
+            assert_eq!(by_column.1.rows_scanned, want_stats.rows_scanned, "{what}");
+            assert_eq!(by_column.1.rows_out, want_stats.rows_out, "{what}");
+            answered += usize::from(!want.is_empty());
+        }
+    }
+    // Not vacuous: most queries answer rows.
+    assert!(answered > queries.len(), "{answered} queries answered rows");
+}
+
+/// A database reopened from a snapshot and a log tail answers every
+/// numeric scan, rows, order and counters, as the never-closed one does:
+/// the reopen rebuilds the columns by appending the same rows.
+#[test]
+fn reopened_numeric_scans_equal_never_closed() {
+    let values = edge_values();
+    let mut names = SymbolTable::new();
+    let rows: Vec<Vec<(String, Value)>> = (0..320)
+        .map(|i| {
+            numeric_row(&mut names, &values, i)
+                .iter()
+                .map(|(a, v)| (names.resolve(a).to_string(), v.clone()))
+                .collect()
+        })
+        .collect();
+    let load = |db: &Db, rows: &[Vec<(String, Value)>]| {
+        for row in rows {
+            let record = Record::from_pairs(row.iter().map(|(a, v)| (db.intern(a), v.clone())));
+            db.ingest("nums", record, None).expect("ingest");
+        }
+    };
+    let dir = std::env::temp_dir().join(format!("scdb-numeric-reopen-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let never_closed = Db::new();
+    never_closed.register_source("nums", None);
+    load(&never_closed, &rows);
+    {
+        let db = Db::builder()
+            .durability_config(DurabilityConfig::dir(&dir))
+            .open()
+            .expect("open");
+        db.register_source("nums", None);
+        load(&db, &rows[..160]);
+        db.checkpoint().expect("checkpoint");
+        load(&db, &rows[160..]);
+    }
+    let reopened = Db::builder()
+        .durability_config(DurabilityConfig::dir(&dir))
+        .open()
+        .expect("reopen");
+    let mut answered = 0;
+    for attr in ["x", "y", "wide", "turn", "k"] {
+        for op in ["=", "!=", "<", "<=", ">", ">="] {
+            for lit in [
+                "0",
+                "-0.0",
+                "0.5",
+                "7",
+                "9007199254740992",
+                "-9007199254740991",
+                "1e300",
+            ] {
+                let sql = format!("SELECT k, {attr} FROM nums WHERE {attr} {op} {lit} LIMIT 50");
+                let want = never_closed.query(&sql).expect(&sql);
+                let got = reopened.query(&sql).expect(&sql);
+                assert_eq!(got.rows, want.rows, "{sql}");
+                assert_eq!(got.stats, want.stats, "{sql}");
+                answered += usize::from(!want.rows.is_empty());
+            }
+        }
+        let sql = format!("SELECT * FROM nums WHERE {attr} CLOSE TO 7 WITHIN 2");
+        let (want, got) = (
+            never_closed.query(&sql).unwrap(),
+            reopened.query(&sql).unwrap(),
+        );
+        assert_eq!((got.rows, got.stats), (want.rows, want.stats), "{sql}");
+    }
+    assert!(answered > 60, "{answered} queries answered rows");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -34,6 +34,24 @@ fn wait_until(what: &str, timeout: Duration, mut done: impl FnMut() -> bool) {
     }
 }
 
+/// `register_source` panics where `try_register_source` refuses a
+/// degraded, read-only database.
+#[test]
+#[should_panic(expected = "database is degraded (read-only)")]
+fn register_source_panics_on_a_degraded_database() {
+    let log = FailpointLog::new();
+    let plan = log.plan();
+    let db = Db::builder()
+        .durability_config(DurabilityConfig::store(Box::new(log.clone())))
+        .open()
+        .expect("open durable db");
+    db.register_source("trials", Some("name"));
+    let _ = plan.fail_fsyncs_from(1);
+    db.ingest("trials", row(&db, 0), None).unwrap_err();
+    assert!(db.mode().is_degraded());
+    db.register_source("reviews", None);
+}
+
 #[test]
 fn persistent_fsync_failure_degrades_then_recovers_without_reopen() {
     let log = FailpointLog::new();

@@ -283,6 +283,14 @@ fn sys_namespace_is_reserved() {
     ));
 }
 
+/// `register_source` panics where `try_register_source` refuses a
+/// reserved name.
+#[test]
+#[should_panic(expected = "name sys.custom is in the reserved sys namespace")]
+fn register_source_panics_on_a_reserved_name() {
+    Db::new().register_source("sys.custom", None);
+}
+
 /// Satellite: the slow-query ring holds at most [`SLOW_QUERY_RING`]
 /// captures, keeping the newest.
 #[test]
