@@ -21,7 +21,8 @@
 //! `op_p50_ms` is the checkpointed open and `setup_s` includes a raw
 //! replay. `--smoke` runs one size and *asserts* by
 //! counts alone (stable on a 1-core box): the checkpointed open replays
-//! no record, runs no ER comparison, and reinstalls every live row.
+//! no record, runs no ER comparison, and reinstalls every live row, and
+//! the snapshot stays within its pinned bytes per live row.
 
 use scdb_bench::{apply_curation_op, banner, time_ms, Table};
 use scdb_core::{Db, DurabilityConfig, FsyncPolicy};
@@ -32,6 +33,19 @@ const SIZES: &[usize] = &[250, 500, 1000, 2000];
 /// Schedule length of the `--smoke` gate.
 const SMOKE_OPS: usize = 500;
 
+/// Snapshot bytes per live row of the `--smoke` checkpoint (bytes over
+/// live rows), pinned at its exact value once graph nodes stopped
+/// storing a copy of their rows' attributes and the snapshot began to
+/// carry the resolver's alignment cache, so that no second copy of the
+/// rows creeps back into the snapshot.
+const SMOKE_SNAPSHOT_BYTES_PER_ROW: f64 = 38_299.0 / 390.0;
+
+/// The same figure while `Node` frames carried the attributes and no
+/// alignment was snapshotted. The smoke schedule resolves its 390 rows
+/// into one entity, so the node copy was one node's attributes here
+/// (56 B), less than the three alignment frames add (297 B).
+const SMOKE_SNAPSHOT_BYTES_PER_ROW_BEFORE: f64 = 38_058.0 / 390.0;
+
 struct RunResult {
     log_bytes: u64,
     open_ms: f64,
@@ -40,6 +54,9 @@ struct RunResult {
     txns_discarded: usize,
     /// Records the database held when it was closed.
     live_rows: u64,
+    /// Bytes of the checkpoint's snapshot (`txn.checkpoint.snapshot_bytes`);
+    /// 0 without one.
+    snapshot_bytes: u64,
     /// `er.comparisons` counted during the reopen.
     open_comparisons: u64,
 }
@@ -74,6 +91,8 @@ fn run(ops: usize, checkpoint: bool) -> RunResult {
         },
         0xEEC,
     );
+    let snapshot_counter = scdb_obs::metrics().counter("txn.checkpoint.snapshot_bytes");
+    let snapshot_before = snapshot_counter.get();
     let live_rows = {
         // EveryN batches fsyncs so building the log is not the bottleneck;
         // the clean Drop syncs the tail.
@@ -89,6 +108,7 @@ fn run(ops: usize, checkpoint: bool) -> RunResult {
         }
         db.stats().records
     };
+    let snapshot_bytes = snapshot_counter.get() - snapshot_before;
     let log_bytes = dir_bytes(&dir);
     let comparisons = scdb_obs::metrics().counter("er.comparisons");
     let comparisons_before = comparisons.get();
@@ -101,6 +121,7 @@ fn run(ops: usize, checkpoint: bool) -> RunResult {
         snapshot_rows: report.snapshot_rows,
         txns_discarded: report.txns_discarded,
         live_rows,
+        snapshot_bytes,
         open_comparisons: comparisons.get() - comparisons_before,
     };
     drop(db);
@@ -137,6 +158,19 @@ fn smoke() -> i32 {
         failures.push(format!(
             "snapshot reinstalled {} rows, the database held {}",
             ckpt.snapshot_rows, ckpt.live_rows
+        ));
+    }
+    let per_row = ckpt.snapshot_bytes as f64 / ckpt.live_rows.max(1) as f64;
+    println!(
+        "smoke: snapshot {} B for {} live rows = {per_row:.2} B/row \
+         (pinned {SMOKE_SNAPSHOT_BYTES_PER_ROW:.2}; {SMOKE_SNAPSHOT_BYTES_PER_ROW_BEFORE:.2} \
+         while nodes stored their attributes)",
+        ckpt.snapshot_bytes, ckpt.live_rows
+    );
+    if ckpt.snapshot_bytes == 0 || per_row > SMOKE_SNAPSHOT_BYTES_PER_ROW {
+        failures.push(format!(
+            "snapshot is {per_row:.2} B per live row (want > 0 and <= \
+             {SMOKE_SNAPSHOT_BYTES_PER_ROW:.2})"
         ));
     }
     for f in &failures {

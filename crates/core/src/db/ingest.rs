@@ -783,19 +783,11 @@ fn curate_one(
     if !event.fresh {
         rel.stats.merges += 1;
     }
-    rel.graph.ensure_node(entity);
+    rel.graph.ensure_node(entity); // the survivor of the merges below
     rel.absorb(entity, &event.absorbed)?;
+    rel.graph.ensure_node(entity).records.push(record_id);
     let (source, state) = &inst.sources[source_id.0 as usize];
     let record = state.store.get(record_id)?;
-    {
-        let node = rel.graph.node_mut(entity)?;
-        for (sym, v) in record.iter() {
-            if node.attrs.get(sym).is_none() {
-                node.attrs.set(sym, v.clone());
-            }
-        }
-        node.records.push(record_id);
-    }
     let identity = match identity_attr {
         Some(attr) => record.get(attr),
         None => first_string(record),

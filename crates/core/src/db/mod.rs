@@ -230,6 +230,24 @@ impl InstanceShard {
             .ok_or_else(|| CoreError::UnknownSource(name.to_string()))
     }
 
+    /// A graph node's attributes, folded from its rows: the first value
+    /// of each attribute in `records` order wins.
+    fn fold_attrs(&self, records: &[RecordId]) -> Record {
+        let mut attrs = Record::new();
+        for rid in records {
+            let row = self
+                .sources
+                .get(rid.source.0 as usize)
+                .map(|(_, s)| s.store.get(*rid));
+            for (attr, value) in row.into_iter().flatten().flat_map(Record::iter) {
+                if attrs.get(attr).is_none() {
+                    attrs.set(attr, value.clone());
+                }
+            }
+        }
+        attrs
+    }
+
     /// The source that owns the index named `name` (index names are
     /// unique across the database).
     fn index_owner_mut(&mut self, name: &str) -> Option<&mut SourceState> {
@@ -861,6 +879,17 @@ impl Db {
         RwLockReadGuard::map(self.inner.shard0().relation.read(), |r: &RelationShard| {
             &r.graph
         })
+    }
+
+    /// The attributes of `entity` (shard 0), folded from its rows: the
+    /// first value of each attribute, the survivor's rows first.
+    pub(crate) fn entity_attrs(&self, entity: EntityId) -> Option<Record> {
+        let shard = self.inner.shard0();
+        // Lock order: instance before relation.
+        let instance = shard.instance.read();
+        let relation = shard.relation.read();
+        let node = relation.graph.node(entity).ok()?;
+        Some(instance.fold_attrs(&node.records))
     }
 
     /// The text store. The guard holds the instance lock until dropped.

@@ -7,6 +7,8 @@ use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use scdb_er::AlignmentMap;
+use scdb_graph::Edge;
 use scdb_obs::{metrics, FieldValue as F};
 use scdb_placement::ShardMap;
 use scdb_storage::{IndexDef, IndexKind};
@@ -451,6 +453,7 @@ impl Db {
         let inst = &mut *instance;
         let rel = &mut *relation;
         let mut adopt: Vec<(RecordId, Record, EntityId)> = Vec::new();
+        let mut alignments = Vec::new();
         let mut rows = 0usize;
         for rec in records {
             match rec {
@@ -482,16 +485,21 @@ impl Db {
                     adopt.push((rid, record, EntityId(entity)));
                     rows += 1;
                 }
-                SnapshotRecord::Node {
-                    entity,
-                    attrs,
-                    records,
+                SnapshotRecord::Alignment {
+                    a,
+                    b,
+                    built_at,
+                    pairs,
                 } => {
-                    let node = rel.graph.ensure_node(EntityId(entity));
-                    for (name, value) in attrs {
-                        node.attrs.set(symbols.intern(&name), value);
-                    }
-                    node.records = records
+                    let pairs = pairs
+                        .into_iter()
+                        .map(|(l, r, w)| (symbols.intern(&l), symbols.intern(&r), w))
+                        .collect();
+                    let map = AlignmentMap::from_pairs(pairs);
+                    alignments.push(((SourceId(a), SourceId(b)), map, built_at));
+                }
+                SnapshotRecord::Node { entity, records } => {
+                    rel.graph.ensure_node(EntityId(entity)).records = records
                         .into_iter()
                         .map(|(src, off)| RecordId::new(SourceId(src), off))
                         .collect();
@@ -598,6 +606,16 @@ impl Db {
         // recovery flat in log size (experiment E-REC).
         let installed = Instant::now();
         rel.resolver.adopt_batch(adopt);
+        // The alignment cache goes back once every row it counts is
+        // adopted, so the next realignment falls where it would have.
+        for (pair, map, built_at) in alignments {
+            if !rel.resolver.restore_alignment(pair, map, built_at) {
+                return Err(CoreError::Recovery(format!(
+                    "snapshot alignment built at row {built_at}, beyond the {} rows adopted",
+                    rel.resolver.len()
+                )));
+            }
+        }
         let nanos = |from: Instant, to: Instant| F::U64(to.duration_since(from).as_nanos() as u64);
         scdb_obs::event(
             "core",
@@ -749,8 +767,8 @@ fn dump_shard_state(
     nodes.sort();
     for v in &nodes {
         let node = relation.graph.node(*v).expect("listed node exists");
-        let mut attrs: Vec<String> = node
-            .attrs
+        let mut attrs: Vec<String> = instance
+            .fold_attrs(&node.records)
             .iter()
             .map(|(a, val)| format!("{}={}", symbols.resolve(a), val.render()))
             .collect();
@@ -848,17 +866,25 @@ fn build_snapshot(
             text: instance.text.get(*rid).map(str::to_owned),
         });
     }
+    let mut alignments: Vec<_> = relation.resolver.alignments().collect();
+    alignments.sort_unstable_by_key(|(pair, _, _)| *pair);
+    for ((a, b), map, built_at) in alignments {
+        let name = |s| symbols.resolve(s).to_string();
+        let pairs = map.pairs().map(|(l, r, w)| (name(l), name(r), w));
+        let (a, b, pairs) = (a.0, b.0, pairs.collect());
+        recs.push(SnapshotRecord::Alignment {
+            a,
+            b,
+            built_at,
+            pairs,
+        });
+    }
     let mut nodes: Vec<EntityId> = relation.graph.node_ids().collect();
     nodes.sort();
     for v in &nodes {
         let node = relation.graph.node(*v).expect("listed node exists");
         recs.push(SnapshotRecord::Node {
             entity: v.0,
-            attrs: node
-                .attrs
-                .iter()
-                .map(|(a, val)| (symbols.resolve(a).to_string(), val.clone()))
-                .collect(),
             records: node
                 .records
                 .iter()
@@ -866,21 +892,18 @@ fn build_snapshot(
                 .collect(),
         });
     }
+    // Edges in `(from, to, role, source, tick)` order.
     for v in &nodes {
-        let mut edges: Vec<SnapshotRecord> = relation
-            .graph
-            .edges(*v)
-            .iter()
-            .map(|e| SnapshotRecord::Edge {
-                from: v.0,
-                to: e.to.0,
-                role: symbols.resolve(e.role).to_string(),
-                source: e.provenance.source.0,
-                tick: e.provenance.tick,
-            })
-            .collect();
-        edges.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-        recs.extend(edges);
+        let mut edges: Vec<&Edge> = relation.graph.edges(*v).iter().collect();
+        let role = |e: &Edge| symbols.resolve(e.role);
+        edges.sort_by_key(|e| (e.to, role(e), e.provenance.source, e.provenance.tick));
+        recs.extend(edges.into_iter().map(|e| SnapshotRecord::Edge {
+            from: v.0,
+            to: e.to.0,
+            role: role(e).to_string(),
+            source: e.provenance.source.0,
+            tick: e.provenance.tick,
+        }));
     }
     recs.extend(relation.name_frames());
     // Index definitions after every row of their source (contents
@@ -1064,6 +1087,188 @@ mod tests {
         let reopened = Db::open(&dir).unwrap();
         assert_eq!(estimates(&reopened), estimates(&never_closed));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A bridge merge joins two entities whose rows disagree on `shelf`.
+    /// The folded view keeps the survivor's first value, live and after
+    /// a checkpoint reopen.
+    #[test]
+    fn bridged_entities_keep_the_survivors_first_value() {
+        use scdb_types::Value;
+        let dir = tmpdir("bridge-fold");
+        let note = |db: &Db, title: &str, shelf: i64| {
+            Record::from_pairs([
+                (db.intern("title"), Value::str(title)),
+                (db.intern("shelf"), Value::Int(shelf)),
+            ])
+        };
+        let folded = |db: &Db, entity: EntityId| {
+            let attrs = db.entity_attrs(entity).expect("live entity");
+            let symbols = db.symbols_ref();
+            let get = |name| attrs.get(symbols.get(name).unwrap()).cloned();
+            (get("title"), get("shelf"))
+        };
+        let kept = (Some(Value::str("aspirin tablet")), Some(Value::Int(100)));
+        let survivor = {
+            let db = Db::open(&dir).unwrap();
+            db.register_source("notes", None);
+            let a = db
+                .ingest("notes", note(&db, "aspirin tablet", 100), None)
+                .unwrap();
+            let b = db
+                .ingest("notes", note(&db, "aspirin coated small pill", 90), None)
+                .unwrap();
+            assert_ne!(a.entity, b.entity, "two entities before the bridge");
+            let bridge = db
+                .ingest(
+                    "notes",
+                    note(&db, "aspirin tablet coated small pill", 95),
+                    None,
+                )
+                .unwrap();
+            assert_eq!(bridge.entity, a.entity);
+            assert_eq!(bridge.absorbed, vec![b.entity]);
+            assert_eq!(folded(&db, a.entity), kept);
+            assert!(db.entity_attrs(b.entity).is_none(), "absorbed");
+            db.checkpoint().unwrap();
+            a.entity
+        };
+        let db = Db::open(&dir).unwrap();
+        assert_eq!(db.recovery_report().unwrap().records_replayed, 0);
+        assert_eq!(folded(&db, survivor), kept);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The schedule behind `fixtures/node-attrs-checkpoint`: the part
+    /// before the checkpoint, or the part after it.
+    fn fixture_schedule(db: &Db, after_checkpoint: bool) {
+        use scdb_storage::IndexKind;
+        use scdb_types::Value;
+        let gene = |g: &str, f: &str| {
+            Record::from_pairs([
+                (db.intern("gene"), Value::str(g)),
+                (db.intern("function"), Value::str(f)),
+            ])
+        };
+        let drug = |n: &str, t: &str, dose: i64| {
+            Record::from_pairs([
+                (db.intern("name"), Value::str(n)),
+                (db.intern("target"), Value::str(t)),
+                (db.intern("dose"), Value::Int(dose)),
+            ])
+        };
+        let note = |title: &str, shelf: i64| {
+            Record::from_pairs([
+                (db.intern("title"), Value::str(title)),
+                (db.intern("shelf"), Value::Int(shelf)),
+            ])
+        };
+        if after_checkpoint {
+            db.ingest("genes", gene("PTGS2", "cyclooxygenase"), None)
+                .unwrap();
+            db.ingest("drugs", drug("Nutlin", "TP53", 2), None).unwrap();
+            return;
+        }
+        db.register_source("genes", Some("gene"));
+        db.register_source("drugs", Some("name"));
+        db.register_source("notes", None);
+        db.create_index("ix_dose", "drugs", "dose", IndexKind::Ordered)
+            .unwrap();
+        db.ingest("genes", gene("TP53", "tumor suppressor"), None)
+            .unwrap();
+        db.ingest("drugs", drug("Warfarin", "VKORC1", 5), None)
+            .unwrap();
+        db.ingest("drugs", drug("warfarin", "VKORC1", 3), None)
+            .unwrap();
+        db.ingest("genes", gene("VKORC1", "vitamin k epoxide reductase"), None)
+            .unwrap();
+        db.discover_links().unwrap();
+        for (title, shelf) in [
+            ("aspirin tablet", 100),
+            ("aspirin coated small pill", 90),
+            ("aspirin tablet coated small pill", 95),
+        ] {
+            db.ingest("notes", note(title, shelf), None).unwrap();
+        }
+        db.ingest_json("drugs", r#"{"name":"Aspirin","target":"PTGS2","dose":81}"#)
+            .unwrap();
+        db.kv_enrich(7, Value::Int(42)).unwrap();
+    }
+
+    /// `fixtures/node-attrs-checkpoint` was written by commit 4d22ac9,
+    /// whose graph nodes kept a copy of their rows' attributes: a
+    /// snapshot whose `Node` frames carry attribute lists, and a log
+    /// suffix of two rows, from [`fixture_schedule`] on one shard.
+    /// `state_dump.txt` is that commit's dump of it. The directory
+    /// still opens to that dump, and the schedule run today reaches it
+    /// too.
+    #[test]
+    fn checkpoint_whose_nodes_carry_attributes_still_opens() {
+        const FILES: [(&str, &[u8]); 2] = [
+            (
+                "snap-00000002.scdb",
+                include_bytes!("../../fixtures/node-attrs-checkpoint/snap-00000002.scdb"),
+            ),
+            (
+                "wal-00000002.seg",
+                include_bytes!("../../fixtures/node-attrs-checkpoint/wal-00000002.seg"),
+            ),
+        ];
+        let expected = include_str!("../../fixtures/node-attrs-checkpoint/state_dump.txt");
+        let dir = tmpdir("node-attrs");
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, bytes) in FILES {
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+        let db = Db::open(&dir).unwrap();
+        let report = db.recovery_report().unwrap();
+        assert_eq!(report.wal.snapshot_seq, Some(2));
+        assert_eq!((report.snapshot_rows, report.records_replayed), (8, 4));
+        assert_eq!(db.state_dump(), expected);
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let live = Db::new();
+        fixture_schedule(&live, false);
+        fixture_schedule(&live, true);
+        assert_eq!(live.state_dump(), expected);
+    }
+
+    /// An alignment frame counts the rows its map was built from; one
+    /// that claims more rows than the snapshot adopts is refused as a
+    /// recovery error, not left to underflow at the next comparison.
+    #[test]
+    fn alignment_built_past_the_adopted_rows_is_a_recovery_error() {
+        use scdb_types::Value;
+        let install = |built_at: u64| {
+            let frames = [
+                SnapshotRecord::Source {
+                    name: "a".into(),
+                    identity_attr: None,
+                },
+                SnapshotRecord::Source {
+                    name: "b".into(),
+                    identity_attr: None,
+                },
+                SnapshotRecord::Row {
+                    source: "a".into(),
+                    entity: 0,
+                    attrs: vec![("name".into(), Value::str("warfarin"))],
+                    text: None,
+                },
+                SnapshotRecord::Alignment {
+                    a: 0,
+                    b: 1,
+                    built_at,
+                    pairs: vec![("name".into(), "drug".into(), 0.5)],
+                },
+                SnapshotRecord::Tail { count: 4 },
+            ];
+            let frames = frames.iter().map(|f| f.encode().into()).collect();
+            Db::new().install_snapshot(0, frames)
+        };
+        assert_eq!(install(1).unwrap(), 1);
+        assert!(matches!(install(2), Err(CoreError::Recovery(_))));
     }
 
     #[test]

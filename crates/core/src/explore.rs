@@ -77,10 +77,10 @@ impl Db {
             .first()
             .cloned()
             .unwrap_or_else(|| "name".to_string());
-        let refined = match self.symbols_ref().get(&name_attr_str) {
-            Some(sym) => refine_queries(&query, &discoveries, &self.graph(), sym, &name_attr_str),
-            None => Vec::new(),
-        };
+        let name_attr = self.symbols_ref().get(&name_attr_str);
+        let refined = refine_queries(&query, &discoveries, &name_attr_str, |e| {
+            Some(self.entity_attrs(e)?.get(name_attr?)?.render().into_owned())
+        });
 
         // Materialize discovered links (edges from seeds into discoveries)
         // under the context key, weighted by current graph richness.

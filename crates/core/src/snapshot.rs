@@ -3,19 +3,25 @@
 //! A snapshot is a sequence of CRC-framed records (the framing lives in
 //! `scdb_txn::frame`; this module only defines the payloads) that
 //! materializes the *durable* portion of a database: sources, rows in
-//! global ingest order with their final entity assignments, the property
-//! graph, the identity indexes, and the kv/enrichment store. Recovery
-//! installs these records directly — no entity resolution re-runs — so
-//! checkpointed recovery costs O(data), not O(data × ER comparisons),
-//! and cannot diverge from the state that was snapshotted (replaying
-//! merges through the live pipeline would be order-sensitive).
+//! global ingest order with their final entity assignments, the
+//! resolver's cached cross-source alignments, the property graph, the
+//! identity indexes, and the kv/enrichment store. Recovery installs these
+//! records directly — no entity resolution re-runs — so checkpointed
+//! recovery costs O(data), not O(data × ER comparisons), and cannot
+//! diverge from the state that was snapshotted (replaying merges through
+//! the live pipeline would be order-sensitive).
+//!
+//! A `Node` frame lists the node's records; its attribute list is
+//! written empty and read past, so a checkpoint whose nodes still
+//! carried a copy of their attributes opens.
 //!
 //! Record order inside a snapshot is load-bearing: `Source` records come
 //! first (row installs need the stores), then `Row` (graph nodes refer
-//! to record ids), then `Node` before `Edge` (edges need endpoints),
-//! then the index maps, the kv store, `Meta`, and a final `Tail` whose
-//! count must match — a snapshot without its `Tail` is a torn write and
-//! is rejected wholesale.
+//! to record ids), then `Alignment` (restored once every row is
+//! adopted), then `Node` before `Edge` (edges need endpoints), then the
+//! index maps, the kv store, `Meta`, and a final `Tail` whose count must
+//! match — a snapshot without its `Tail` is a torn write and is rejected
+//! wholesale.
 //!
 //! The semantic layer (ontology, cached saturation, trained models) is
 //! deliberately absent: it is derived or user-supplied configuration,
@@ -47,11 +53,19 @@ pub(crate) enum SnapshotRecord {
         attrs: Vec<(String, Value)>,
         text: Option<String>,
     },
-    /// A property-graph node: merged attribute view plus fused records.
+    /// A property-graph node: the records fused into it, in order.
     Node {
         entity: u64,
-        attrs: Vec<(String, Value)>,
         records: Vec<(u32, u64)>,
+    },
+    /// One source pair's cached attribute alignment: the resolver's
+    /// `(left, right, weight)` triples for sources `a < b`, and the
+    /// number of rows it had seen when it built them.
+    Alignment {
+        a: u32,
+        b: u32,
+        built_at: u64,
+        pairs: Vec<(String, String, f64)>,
     },
     /// A discovered link (provenance: inferred, certain).
     Edge {
@@ -115,6 +129,7 @@ const TAG_META: u8 = 8;
 const TAG_TAIL: u8 = 9;
 const TAG_INDEX_DEF: u8 = 10;
 const TAG_SHARD_STATE: u8 = 11;
+const TAG_ALIGNMENT: u8 = 12;
 
 impl SnapshotRecord {
     /// Serialize into a standalone frame payload.
@@ -141,18 +156,31 @@ impl SnapshotRecord {
                 put_attrs(&mut buf, attrs);
                 put_opt_str(&mut buf, text);
             }
-            SnapshotRecord::Node {
-                entity,
-                attrs,
-                records,
-            } => {
+            SnapshotRecord::Node { entity, records } => {
                 buf.put_u8(TAG_NODE);
                 buf.put_u64(*entity);
-                put_attrs(&mut buf, attrs);
+                put_attrs(&mut buf, &[]);
                 buf.put_u32(records.len() as u32);
                 for (src, off) in records {
                     buf.put_u32(*src);
                     buf.put_u64(*off);
+                }
+            }
+            SnapshotRecord::Alignment {
+                a,
+                b,
+                built_at,
+                pairs,
+            } => {
+                buf.put_u8(TAG_ALIGNMENT);
+                buf.put_u32(*a);
+                buf.put_u32(*b);
+                buf.put_u64(*built_at);
+                buf.put_u32(pairs.len() as u32);
+                for (left, right, weight) in pairs {
+                    put_str(&mut buf, left);
+                    put_str(&mut buf, right);
+                    buf.put_u64(weight.to_bits());
                 }
             }
             SnapshotRecord::Edge {
@@ -262,12 +290,33 @@ impl SnapshotRecord {
             TAG_NODE => {
                 need(buf, 8, 0)?;
                 let entity = buf.get_u64();
-                let attrs = get_attrs(buf, 0)?;
+                // Attributes are folded from the records: read past any.
+                get_attrs(buf, 0)?;
                 let n = get_count(buf, 12, 0)?;
                 SnapshotRecord::Node {
                     entity,
-                    attrs,
                     records: (0..n).map(|_| (buf.get_u32(), buf.get_u64())).collect(),
+                }
+            }
+            TAG_ALIGNMENT => {
+                need(buf, 16, 0)?;
+                let a = buf.get_u32();
+                let b = buf.get_u32();
+                let built_at = buf.get_u64();
+                // A triple is at least two length prefixes and the weight.
+                let n = get_count(buf, 16, 0)?;
+                let mut pairs = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let left = get_str(buf, 0)?;
+                    let right = get_str(buf, 0)?;
+                    need(buf, 8, 0)?;
+                    pairs.push((left, right, f64::from_bits(buf.get_u64())));
+                }
+                SnapshotRecord::Alignment {
+                    a,
+                    b,
+                    built_at,
+                    pairs,
                 }
             }
             TAG_EDGE => {
@@ -380,8 +429,22 @@ mod tests {
             },
             SnapshotRecord::Node {
                 entity: 7,
-                attrs: vec![("drug".into(), Value::str("Warfarin"))],
                 records: vec![(0, 0), (1, 3)],
+            },
+            SnapshotRecord::Alignment {
+                a: 0,
+                b: 2,
+                built_at: 256,
+                pairs: vec![
+                    ("drug".into(), "name".into(), 0.75),
+                    ("target".into(), "gene".into(), f64::MIN_POSITIVE),
+                ],
+            },
+            SnapshotRecord::Alignment {
+                a: 1,
+                b: 2,
+                built_at: 0,
+                pairs: Vec::new(),
             },
             SnapshotRecord::Edge {
                 from: 7,
@@ -448,6 +511,26 @@ mod tests {
         }
     }
 
+    /// A `Node` frame written when nodes carried a copy of their
+    /// attributes decodes to the same node; the attributes are read past.
+    #[test]
+    fn node_attributes_are_read_past() {
+        let mut buf = BytesMut::new();
+        buf.put_u8(TAG_NODE);
+        buf.put_u64(7);
+        put_attrs(&mut buf, &[("drug".into(), Value::str("Warfarin"))]);
+        buf.put_u32(1);
+        buf.put_u32(0);
+        buf.put_u64(3);
+        assert_eq!(
+            SnapshotRecord::decode(buf.freeze()).unwrap(),
+            SnapshotRecord::Node {
+                entity: 7,
+                records: vec![(0, 3)],
+            }
+        );
+    }
+
     #[test]
     fn unknown_tag_is_rejected() {
         let res = SnapshotRecord::decode(Bytes::from(vec![99u8, 0, 0]));
@@ -459,13 +542,15 @@ mod tests {
     #[test]
     fn counts_past_the_payload_are_rejected() {
         let max: &[u8] = &u32::MAX.to_be_bytes();
-        let inputs: [&[&[u8]]; 3] = [
+        let inputs: [&[&[u8]]; 4] = [
             // A row (source "s", entity 0) claiming u32::MAX attributes.
             &[&[TAG_ROW, 0, 0, 0, 1, b's'], &[0; 8], max, &[0; 16]],
             // A node with no attributes claiming u32::MAX records.
             &[&[TAG_NODE], &[0; 8], &[0; 4], max, &[0; 12]],
             // A shard state claiming u32::MAX slots.
             &[&[TAG_SHARD_STATE], &[0; 8], max, &[0; 8]],
+            // An alignment claiming u32::MAX attribute pairs.
+            &[&[TAG_ALIGNMENT], &[0; 16], max, &[0; 32]],
         ];
         for parts in inputs {
             let res = SnapshotRecord::decode(Bytes::from(parts.concat()));
@@ -479,7 +564,7 @@ mod tests {
         /// Random bytes behind every tag — each arm sees garbage, not
         /// just the catch-all — decode or err, never panic.
         #[test]
-        fn random_tails_never_panic(tag in 0u8..13, tail in vec(any::<u8>(), 0..64)) {
+        fn random_tails_never_panic(tag in 0u8..14, tail in vec(any::<u8>(), 0..64)) {
             let mut bytes = vec![tag];
             bytes.extend(&tail);
             let _ = SnapshotRecord::decode(Bytes::from(bytes));

@@ -551,6 +551,38 @@ impl IncrementalResolver {
         adopted
     }
 
+    /// Every cached cross-source alignment as `(pair, map, built_at)`,
+    /// in arbitrary order: `pair` is `(min, max)`, the orientation of
+    /// `map`, and `built_at` the number of records the resolver had seen
+    /// when it built `map`. It is rebuilt once `realign_interval` more
+    /// records have arrived, so a checkpoint carries it.
+    pub fn alignments(
+        &self,
+    ) -> impl Iterator<Item = ((SourceId, SourceId), &AlignmentMap, u64)> + '_ {
+        self.alignments
+            .iter()
+            .map(|(k, c)| (*k, &c.map, c.built_at))
+    }
+
+    /// Put back an alignment [`alignments`](Self::alignments) listed,
+    /// after [`adopt_batch`](Self::adopt_batch) has adopted the rows, so
+    /// that a reopened resolver rebuilds it when a never-closed one
+    /// would. Refuses, returning false and changing nothing, a
+    /// `built_at` beyond the records seen so far.
+    pub fn restore_alignment(
+        &mut self,
+        pair: (SourceId, SourceId),
+        map: AlignmentMap,
+        built_at: u64,
+    ) -> bool {
+        if built_at > self.added {
+            return false;
+        }
+        self.alignments
+            .insert(pair, CachedAlignment { map, built_at });
+        true
+    }
+
     /// Every record added so far, in arrival order, with its id — the
     /// order-preserving feed checkpoint snapshots are built from.
     pub fn history(&self) -> impl Iterator<Item = &(RecordId, Record)> {

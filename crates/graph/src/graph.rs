@@ -1,14 +1,15 @@
 //! The mutable property graph over resolved entities.
 //!
-//! Nodes are [`EntityId`]s carrying attributes and the set of source
-//! records they were resolved from; edges are *roles* (named semantic
-//! properties, e.g. `has_target`) with [`Provenance`]. The graph is the
-//! update-friendly half of the OS.2 answer — traversal-heavy workloads
-//! compile it into a [`CsrSnapshot`](crate::csr::CsrSnapshot).
+//! Nodes are [`EntityId`]s carrying the source records they were resolved
+//! from (whose values, held by the instance layer, are their attributes);
+//! edges are *roles* (named semantic properties, e.g. `has_target`) with
+//! [`Provenance`]. The graph is the update-friendly half of the OS.2
+//! answer — traversal-heavy workloads compile it into a
+//! [`CsrSnapshot`](crate::csr::CsrSnapshot).
 
 use std::collections::HashMap;
 
-use scdb_types::{Confidence, EntityId, Provenance, Record, RecordId, Symbol};
+use scdb_types::{Confidence, EntityId, Provenance, RecordId, Symbol};
 
 use crate::error::GraphError;
 
@@ -23,23 +24,21 @@ pub struct Edge {
     pub provenance: Provenance,
 }
 
-/// Node payload: merged attributes plus the records resolved into this
-/// entity.
+/// One node: the records resolved into this entity, and its edges both
+/// ways (private, so that an edge is always on both endpoints' lists).
 #[derive(Debug, Clone, Default)]
 pub struct NodeData {
-    /// Merged attribute view (last-writer-wins per attribute; the curation
-    /// pipeline controls merge order).
-    pub attrs: Record,
-    /// Source records fused into this entity (FS.1 output).
+    /// Source records fused into this entity (FS.1 output); a merge
+    /// appends the absorbed node's after the survivor's.
     pub records: Vec<RecordId>,
+    out: Vec<Edge>,
+    incoming: Vec<(EntityId, Symbol)>,
 }
 
 /// A mutable, provenance-carrying property graph.
 #[derive(Debug, Default)]
 pub struct PropertyGraph {
     nodes: HashMap<EntityId, NodeData>,
-    out: HashMap<EntityId, Vec<Edge>>,
-    incoming: HashMap<EntityId, Vec<(EntityId, Symbol)>>,
     edge_count: usize,
 }
 
@@ -51,8 +50,6 @@ impl PropertyGraph {
 
     /// Insert (or get) a node.
     pub fn ensure_node(&mut self, id: EntityId) -> &mut NodeData {
-        self.out.entry(id).or_default();
-        self.incoming.entry(id).or_default();
         self.nodes.entry(id).or_default()
     }
 
@@ -64,11 +61,6 @@ impl PropertyGraph {
     /// Node payload.
     pub fn node(&self, id: EntityId) -> Result<&NodeData, GraphError> {
         self.nodes.get(&id).ok_or(GraphError::NoSuchEntity(id))
-    }
-
-    /// Mutable node payload.
-    pub fn node_mut(&mut self, id: EntityId) -> Result<&mut NodeData, GraphError> {
-        self.nodes.get_mut(&id).ok_or(GraphError::NoSuchEntity(id))
     }
 
     /// Add a directed edge. Both endpoints must exist. Duplicate
@@ -87,7 +79,7 @@ impl PropertyGraph {
         if !self.nodes.contains_key(&to) {
             return Err(GraphError::MissingEndpoint(to));
         }
-        let edges = self.out.entry(from).or_default();
+        let edges = &mut self.nodes.get_mut(&from).expect("checked").out;
         if let Some(e) = edges.iter_mut().find(|e| e.to == to && e.role == role) {
             e.provenance = provenance;
             return Ok(false);
@@ -97,23 +89,24 @@ impl PropertyGraph {
             role,
             provenance,
         });
-        self.incoming.entry(to).or_default().push((from, role));
+        let incoming = &mut self.nodes.get_mut(&to).expect("checked").incoming;
+        incoming.push((from, role));
         self.edge_count += 1;
         Ok(true)
     }
 
     /// Remove an edge; returns whether it existed.
     pub fn remove_edge(&mut self, from: EntityId, to: EntityId, role: Symbol) -> bool {
-        let Some(edges) = self.out.get_mut(&from) else {
+        let Some(node) = self.nodes.get_mut(&from) else {
             return false;
         };
-        let before = edges.len();
-        edges.retain(|e| !(e.to == to && e.role == role));
-        let removed = edges.len() < before;
+        let before = node.out.len();
+        node.out.retain(|e| !(e.to == to && e.role == role));
+        let removed = node.out.len() < before;
         if removed {
             self.edge_count -= 1;
-            if let Some(inc) = self.incoming.get_mut(&to) {
-                inc.retain(|(f, r)| !(*f == from && *r == role));
+            if let Some(target) = self.nodes.get_mut(&to) {
+                target.incoming.retain(|(f, r)| !(*f == from && *r == role));
             }
         }
         removed
@@ -121,12 +114,12 @@ impl PropertyGraph {
 
     /// Outgoing edges of a node (empty slice if absent).
     pub fn edges(&self, id: EntityId) -> &[Edge] {
-        self.out.get(&id).map(Vec::as_slice).unwrap_or(&[])
+        self.nodes.get(&id).map_or(&[], |n| n.out.as_slice())
     }
 
     /// Incoming `(source, role)` pairs of a node.
     pub fn incoming(&self, id: EntityId) -> &[(EntityId, Symbol)] {
-        self.incoming.get(&id).map(Vec::as_slice).unwrap_or(&[])
+        self.nodes.get(&id).map_or(&[], |n| n.incoming.as_slice())
     }
 
     /// Outgoing neighbors via a specific role.
@@ -162,9 +155,9 @@ impl PropertyGraph {
         self.edges(id).len()
     }
 
-    /// Merge node `src` into `dst`: attributes (dst wins conflicts),
-    /// records, and edges are transferred; `src` is removed. Used when
-    /// incremental ER discovers two entities are the same (FS.1).
+    /// Merge node `src` into `dst`: records and edges are transferred;
+    /// `src` is removed. Used when incremental ER discovers two entities
+    /// are the same (FS.1).
     pub fn merge_nodes(&mut self, dst: EntityId, src: EntityId) -> Result<(), GraphError> {
         if dst == src {
             return Ok(());
@@ -172,38 +165,32 @@ impl PropertyGraph {
         if !self.nodes.contains_key(&dst) {
             return Err(GraphError::NoSuchEntity(dst));
         }
-        let src_data = self
+        let src_node = self
             .nodes
             .remove(&src)
             .ok_or(GraphError::NoSuchEntity(src))?;
-        // Attributes: keep dst's value on conflict.
-        {
-            let dst_data = self.nodes.get_mut(&dst).expect("checked");
-            for (attr, value) in src_data.attrs.iter() {
-                if dst_data.attrs.get(attr).is_none() {
-                    dst_data.attrs.set(attr, value.clone());
-                }
-            }
-            dst_data.records.extend(src_data.records);
-        }
+        let mut incoming = src_node.incoming;
+        let records = &mut self.nodes.get_mut(&dst).expect("checked").records;
+        records.extend(src_node.records);
         // Outgoing edges of src → dst.
-        let src_out = self.out.remove(&src).unwrap_or_default();
-        for e in src_out {
+        for e in src_node.out {
             self.edge_count -= 1;
-            if let Some(inc) = self.incoming.get_mut(&e.to) {
-                inc.retain(|(f, r)| !(*f == src && *r == e.role));
-            }
+            // A self-loop's target is src itself, already out of the map.
+            let target = match self.nodes.get_mut(&e.to) {
+                Some(node) => &mut node.incoming,
+                None => &mut incoming,
+            };
+            target.retain(|(f, r)| !(*f == src && *r == e.role));
             if e.to != dst {
                 let _ = self.add_edge(dst, e.to, e.role, e.provenance);
             }
         }
         // Incoming edges of src: re-point to dst.
-        let src_in = self.incoming.remove(&src).unwrap_or_default();
-        for (from, role) in src_in {
-            if let Some(edges) = self.out.get_mut(&from) {
+        for (from, role) in incoming {
+            if let Some(node) = self.nodes.get_mut(&from) {
                 let mut prov = None;
-                let before = edges.len();
-                edges.retain(|e| {
+                let before = node.out.len();
+                node.out.retain(|e| {
                     if e.to == src && e.role == role {
                         prov = Some(e.provenance.clone());
                         false
@@ -211,7 +198,7 @@ impl PropertyGraph {
                         true
                     }
                 });
-                self.edge_count -= before - edges.len();
+                self.edge_count -= before - node.out.len();
                 if let Some(p) = prov {
                     if from != dst {
                         let _ = self.add_edge(from, dst, role, p);
@@ -231,7 +218,7 @@ pub fn test_provenance(source: u32, tick: u64) -> Provenance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scdb_types::{SymbolTable, Value};
+    use scdb_types::SymbolTable;
 
     fn setup() -> (PropertyGraph, SymbolTable, Symbol) {
         let mut syms = SymbolTable::new();
@@ -301,8 +288,7 @@ mod tests {
             .unwrap();
         g.add_edge(EntityId(3), EntityId(1), role, test_provenance(0, 0))
             .unwrap();
-        g.node_mut(EntityId(1))
-            .unwrap()
+        g.ensure_node(EntityId(1))
             .records
             .push(RecordId::new(scdb_types::SourceId(0), 7));
         // Merge 1 into 0.
@@ -324,25 +310,6 @@ mod tests {
         g.merge_nodes(EntityId(0), EntityId(1)).unwrap();
         assert_eq!(g.edge_count(), 0);
         assert!(g.edges(EntityId(0)).is_empty());
-    }
-
-    #[test]
-    fn merge_attr_conflict_keeps_dst() {
-        let (mut g, mut syms, _role) = setup();
-        let name = syms.intern("name");
-        g.node_mut(EntityId(0))
-            .unwrap()
-            .attrs
-            .set(name, Value::str("kept"));
-        g.node_mut(EntityId(1))
-            .unwrap()
-            .attrs
-            .set(name, Value::str("dropped"));
-        g.merge_nodes(EntityId(0), EntityId(1)).unwrap();
-        assert_eq!(
-            g.node(EntityId(0)).unwrap().attrs.get(name),
-            Some(&Value::str("kept"))
-        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! * [`PropertyGraph`] — a mutable, provenance-carrying graph over resolved
 //!   entities, whose edges are *roles* (semantic properties) linking
-//!   entities, and whose nodes carry attributes;
+//!   entities, and whose nodes carry the records they were resolved from;
 //! * [`csr`] — **OS.2**: immutable CSR snapshots with locality-aware vertex
 //!   ordering (BFS / reverse Cuthill–McKee / degree), answering "what is an
 //!   optimal representation that provides efficient locality-aware

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scdb_graph::PropertyGraph;
-use scdb_types::{EntityId, Symbol};
+use scdb_types::EntityId;
 
 use crate::ast::{Atom, CompareOp, Literal, Query};
 
@@ -146,25 +146,23 @@ fn rank(visits: HashMap<EntityId, u64>, exclude: &[EntityId], top_k: usize) -> V
 }
 
 /// Generate refined follow-up queries from discoveries: for each
-/// discovered entity whose node carries `name_attr`, emit a query probing
-/// that entity in the original source.
+/// discovered entity that `name_of` names, emit a query probing that
+/// name through `name_attr` in the original source.
 pub fn refine_queries(
     original: &Query,
     discoveries: &[Discovery],
-    graph: &PropertyGraph,
-    name_attr: Symbol,
-    name_attr_str: &str,
+    name_attr: &str,
+    name_of: impl Fn(EntityId) -> Option<String>,
 ) -> Vec<Query> {
     discoveries
         .iter()
         .filter_map(|d| {
-            let node = graph.node(d.entity).ok()?;
-            let name = node.attrs.get(name_attr)?.render().into_owned();
+            let name = name_of(d.entity)?;
             Some(Query {
                 select: original.select.clone(),
                 from: original.from.clone(),
                 atoms: vec![Atom::Compare {
-                    attr: name_attr_str.to_string(),
+                    attr: name_attr.to_string(),
                     op: CompareOp::Eq,
                     value: Literal::Str(name),
                 }],
@@ -178,7 +176,7 @@ pub fn refine_queries(
 mod tests {
     use super::*;
     use scdb_graph::graph::test_provenance;
-    use scdb_types::{SymbolTable, Value};
+    use scdb_types::{Symbol, SymbolTable};
 
     /// Two clusters bridged by one edge; seeds in cluster A.
     fn two_clusters() -> (PropertyGraph, Symbol) {
@@ -278,13 +276,7 @@ mod tests {
 
     #[test]
     fn refined_queries_probe_discovered_names() {
-        let (mut g, _) = two_clusters();
-        let mut syms = SymbolTable::new();
-        let name = syms.intern("name");
-        g.node_mut(EntityId(1))
-            .unwrap()
-            .attrs
-            .set(name, Value::str("Gene-1"));
+        let name_of = |e: EntityId| (e == EntityId(1)).then(|| "Gene-1".to_string());
         let original =
             crate::parser::parse("SELECT * FROM src WHERE name = 'seed' LIMIT 5").unwrap();
         let discoveries = vec![
@@ -297,7 +289,7 @@ mod tests {
                 score: 0.5,
             },
         ];
-        let refined = refine_queries(&original, &discoveries, &g, name, "name");
+        let refined = refine_queries(&original, &discoveries, "name", name_of);
         assert_eq!(refined.len(), 1);
         assert_eq!(refined[0].from, "src");
         assert_eq!(refined[0].limit, Some(5));

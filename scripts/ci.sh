@@ -62,7 +62,8 @@ cargo run -q --offline --release -p scdb-bench --bin e_faults -- --smoke
 echo "== checkpointed recovery smoke (release)"
 # Asserts by counts that a checkpointed open re-pays no curation: zero
 # records replayed, zero ER comparisons, and snapshot_rows equal to the
-# live row count (a raw-replay control proves the counter is live).
+# live row count (a raw-replay control proves the counter is live); and
+# that the snapshot stays within its pinned bytes per live row.
 cargo run -q --offline --release -p scdb-bench --bin e_recovery -- --smoke
 
 echo "== incremental entity resolution smoke (release)"

@@ -172,8 +172,8 @@ fn reopened_equals_never_closed(shards: u32, resolver: ResolverConfig) {
 }
 
 /// Realigning before every cross-source comparison: the cross-source
-/// alignment cache, which the snapshot does not carry, then decides
-/// nothing, and everything the snapshot does rebuild must match.
+/// alignment cache then decides nothing, so this arm checks everything
+/// else the snapshot rebuilds.
 fn realign_every_row() -> ResolverConfig {
     ResolverConfig {
         realign_interval: 1,
@@ -192,11 +192,10 @@ fn reopened_equals_never_closed_two_shards() {
 }
 
 /// At the default realign interval a never-closed resolver scores with
-/// alignments cached up to 255 rows earlier, while a reopened one
-/// rebuilds them at its first cross-source comparison, so a later merge
-/// decision can differ.
+/// alignments cached up to 255 rows earlier. The snapshot carries that
+/// cache, so a reopened resolver scores with the same maps and rebuilds
+/// them at the same rows.
 #[test]
-#[ignore = "ROADMAP F1: the snapshot does not carry the alignment cache"]
 fn reopened_equals_never_closed_at_the_default_realign_interval() {
     for shards in [1, 2] {
         reopened_equals_never_closed(shards, ResolverConfig::default());

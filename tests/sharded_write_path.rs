@@ -656,7 +656,7 @@ fn curation_digests_are_pinned_for_one_and_two_shards() {
         1,
         (2049, 0xda74_2b39_8490_1760),
         &[
-            ("snap-00000002.scdb", 0x77e, 0x9a47_bbd8_5c66_4dd5),
+            ("snap-00000002.scdb", 0x69a, 0x6f3b_053c_cad9_7c96),
             ("wal-00000002.seg", 0x19e, 0x3be1_e702_a4d1_1685),
         ],
     );
@@ -664,8 +664,8 @@ fn curation_digests_are_pinned_for_one_and_two_shards() {
         2,
         (2090, 0x8cf3_eab6_361e_45ba),
         &[
-            ("snap-s0-00000002.scdb", 0x667, 0xdbbd_4576_2cc6_adfa),
-            ("snap-s1-00000002.scdb", 0x366, 0x7103_7691_ac65_b149),
+            ("snap-s0-00000002.scdb", 0x5b9, 0x3cee_ed5c_cbc3_a46f),
+            ("snap-s1-00000002.scdb", 0x2f9, 0xdeb9_e815_072c_112a),
             ("wal-s0-00000002.seg", 0xd2, 0xa36b_0d08_e723_6c4e),
             ("wal-s1-00000002.seg", 0xcc, 0x2711_65cb_ffc1_5297),
         ],
