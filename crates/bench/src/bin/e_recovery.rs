@@ -34,17 +34,13 @@ const SIZES: &[usize] = &[250, 500, 1000, 2000];
 const SMOKE_OPS: usize = 500;
 
 /// Snapshot bytes per live row of the `--smoke` checkpoint (bytes over
-/// live rows), pinned at its exact value once graph nodes stopped
-/// storing a copy of their rows' attributes and the snapshot began to
-/// carry the resolver's alignment cache, so that no second copy of the
-/// rows creeps back into the snapshot.
-const SMOKE_SNAPSHOT_BYTES_PER_ROW: f64 = 38_299.0 / 390.0;
-
-/// The same figure while `Node` frames carried the attributes and no
-/// alignment was snapshotted. The smoke schedule resolves its 390 rows
-/// into one entity, so the node copy was one node's attributes here
-/// (56 B), less than the three alignment frames add (297 B).
-const SMOKE_SNAPSHOT_BYTES_PER_ROW_BEFORE: f64 = 38_058.0 / 390.0;
+/// live rows), pinned at its exact value so that no second copy of the
+/// rows creeps back into the snapshot. The schedule's 390 rows resolve
+/// into 59 entities joined by 122 edges, so the snapshot carries that
+/// many `Node` and `Edge` frames and a name per entity. (While the
+/// schedule's pool names chained into one entity, the same checkpoint
+/// held one node, no edge, and 38 299 B.)
+const SMOKE_SNAPSHOT_BYTES_PER_ROW: f64 = 51_040.0 / 390.0;
 
 struct RunResult {
     log_bytes: u64,
@@ -59,6 +55,9 @@ struct RunResult {
     snapshot_bytes: u64,
     /// `er.comparisons` counted during the reopen.
     open_comparisons: u64,
+    /// Graph nodes and edges of the reopened database.
+    nodes: usize,
+    edges: usize,
 }
 
 fn dir_bytes(dir: &std::path::Path) -> u64 {
@@ -114,6 +113,12 @@ fn run(ops: usize, checkpoint: bool) -> RunResult {
     let comparisons_before = comparisons.get();
     let (db, open_ms) = time_ms(|| Db::open(&dir).expect("recover"));
     let report = db.recovery_report().expect("durable open has a report");
+    let (nodes, edges) = {
+        let graph = db.graph();
+        let nodes: Vec<_> = graph.node_ids().collect();
+        let edges = nodes.iter().map(|&v| graph.edges(v).len()).sum();
+        (nodes.len(), edges)
+    };
     let result = RunResult {
         log_bytes,
         open_ms,
@@ -123,6 +128,8 @@ fn run(ops: usize, checkpoint: bool) -> RunResult {
         live_rows,
         snapshot_bytes,
         open_comparisons: comparisons.get() - comparisons_before,
+        nodes,
+        edges,
     };
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
@@ -160,11 +167,22 @@ fn smoke() -> i32 {
             ckpt.snapshot_rows, ckpt.live_rows
         ));
     }
+    // The open replays no record (above), so its graph is what the
+    // snapshot's `Node` and `Edge` frames installed, one per frame.
+    println!(
+        "smoke: checkpoint installed {} Node and {} Edge frame(s)",
+        ckpt.nodes, ckpt.edges
+    );
+    if ckpt.nodes <= 1 || ckpt.edges == 0 {
+        failures.push(format!(
+            "checkpoint holds {} node(s) and {} edge(s) (want > 1 and > 0)",
+            ckpt.nodes, ckpt.edges
+        ));
+    }
     let per_row = ckpt.snapshot_bytes as f64 / ckpt.live_rows.max(1) as f64;
     println!(
         "smoke: snapshot {} B for {} live rows = {per_row:.2} B/row \
-         (pinned {SMOKE_SNAPSHOT_BYTES_PER_ROW:.2}; {SMOKE_SNAPSHOT_BYTES_PER_ROW_BEFORE:.2} \
-         while nodes stored their attributes)",
+         (pinned {SMOKE_SNAPSHOT_BYTES_PER_ROW:.2})",
         ckpt.snapshot_bytes, ckpt.live_rows
     );
     if ckpt.snapshot_bytes == 0 || per_row > SMOKE_SNAPSHOT_BYTES_PER_ROW {

@@ -155,7 +155,9 @@ impl Db {
     /// the whole batch, and the curation pipeline runs for every
     /// row under one instance+relation write-lock acquisition. Reports
     /// come back in input order. With an ingest queue configured the
-    /// records ride the shared committer instead — same semantics.
+    /// records ride the shared committer instead — same semantics: each
+    /// shard's rows enter its queue together, in chunks of at most the
+    /// queue's capacity, so a batch up to that size commits as one group.
     ///
     /// On a per-record pipeline error the first failure is returned;
     /// every row of a sealed batch is logged, so memory matches the log
@@ -171,14 +173,30 @@ impl Db {
         }
         let items = records
             .into_iter()
-            .map(|record| IngestItem::new(source.to_string(), record, None));
-        if self.queued() {
-            let tickets: Vec<CommitTicket> = items
-                .map(|item| self.enqueue(item))
-                .collect::<Result<_, _>>()?;
-            return tickets.into_iter().map(CommitTicket::wait).collect();
+            .map(|record| IngestItem::new(source.to_string(), record, None))
+            .collect();
+        if !self.queued() {
+            return self.route_and_commit(items).into_iter().collect();
         }
-        self.route_and_commit(items.collect()).into_iter().collect()
+        let mut tickets: Vec<Option<CommitTicket>> = Vec::new();
+        for (shard, group) in self.inner.shards.iter().zip(self.group_by_shard(items)) {
+            let queue = shard.queue.as_ref().expect("every shard has a queue");
+            let mut group = group.into_iter().peekable();
+            while group.peek().is_some() {
+                let (slots, chunk): (Vec<usize>, Vec<IngestItem>) =
+                    group.by_ref().take(queue.capacity()).unzip();
+                for (slot, ticket) in slots.into_iter().zip(queue.submit_all(chunk)?) {
+                    if tickets.len() <= slot {
+                        tickets.resize_with(slot + 1, || None);
+                    }
+                    tickets[slot] = Some(ticket);
+                }
+            }
+        }
+        tickets
+            .into_iter()
+            .map(|ticket| ticket.expect("every row was submitted").wait())
+            .collect()
     }
 
     /// Enqueue one record for group commit and return its awaitable
@@ -224,17 +242,24 @@ impl Db {
             .submit(item)
     }
 
-    /// Route an unqueued batch: group its rows by owning shard (input
-    /// order kept within a shard, shards ascending) and commit the
-    /// groups as one batch. Results come back in input order.
-    fn route_and_commit(&self, items: Vec<IngestItem>) -> Vec<Result<IngestReport, CoreError>> {
+    /// Group a batch's rows by owning shard, each with its slot in the
+    /// batch: one group per shard, input order kept within a group.
+    fn group_by_shard(&self, items: Vec<IngestItem>) -> Vec<Vec<(usize, IngestItem)>> {
         let mut groups: Vec<Vec<(usize, IngestItem)>> =
             self.inner.shards.iter().map(|_| Vec::new()).collect();
         for (slot, item) in items.into_iter().enumerate() {
             let shard = self.route_shard(&item.source, &item.record);
             groups[shard as usize].push((slot, item));
         }
-        let participants = groups
+        groups
+    }
+
+    /// Route an unqueued batch: group its rows by owning shard (shards
+    /// ascending) and commit the groups as one batch. Results come back
+    /// in input order.
+    fn route_and_commit(&self, items: Vec<IngestItem>) -> Vec<Result<IngestReport, CoreError>> {
+        let participants = self
+            .group_by_shard(items)
             .into_iter()
             .enumerate()
             .filter(|(_, group)| !group.is_empty())
@@ -582,7 +607,7 @@ impl Db {
         for (_, state) in &instance.sources {
             for (rid, record) in state.store.scan() {
                 if let Some(entity) = rel.resolver.entity_of(rid) {
-                    new_links += rel.link(entity, record, state.id, tick)?;
+                    new_links += rel.link(entity, record, state.id, None, tick)?;
                 }
             }
         }
@@ -798,7 +823,13 @@ fn curate_one(
     clock.lap(|s| &s.apply_graph);
     // 3. Link discovery: non-identity values referencing other
     // entities become edges labelled by the attribute.
-    let links = rel.link(entity, record, source_id, tick)?;
+    let links = rel.link(
+        entity,
+        record,
+        source_id,
+        Some(record_id.offset as usize),
+        tick,
+    )?;
     clock.lap(|s| &s.apply_links);
     scdb_obs::event(
         "core",

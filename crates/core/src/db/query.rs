@@ -3,7 +3,7 @@
 //! plan → optimize → execute pipeline.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use scdb_obs::{metrics, FieldValue as F, HistogramHandle, ProfileBuilder, QueryProfile};
@@ -13,10 +13,18 @@ use scdb_query::plan::LogicalPlan;
 use scdb_query::{parse, ExecStats, Query};
 use scdb_semantic::{Saturation, Taxonomy};
 use scdb_storage::{IndexDef, IndexSet, RowStore};
-use scdb_types::{Record, SourceId, Symbol};
+use scdb_types::{EntityId, Record, SourceId, Symbol};
 
 use super::{Db, QueryOutcome};
 use crate::error::CoreError;
+
+/// The semantic environment's name map, which no query of a database
+/// reads: its sources look names up in their shard's own name index
+/// ([`StoreSource::with_names`]).
+fn no_names() -> &'static HashMap<String, EntityId> {
+    static NONE: OnceLock<HashMap<String, EntityId>> = OnceLock::new();
+    NONE.get_or_init(HashMap::new)
+}
 
 /// Capacity of the slow-query ring ([`Db::slow_queries`]).
 pub const SLOW_QUERY_RING: usize = 32;
@@ -157,10 +165,14 @@ impl Db {
             };
             let symbols = self.inner.symbols.read();
             let instance = shard.instance.read();
-            let relation = shard.relation.read();
+            let state = instance.source_state(plan.source().unwrap_or_default())?;
+            let relation = if needs_semantic {
+                shard.relation_for_names(state)
+            } else {
+                shard.relation.read()
+            };
             let semantic = self.inner.semantic.read();
 
-            let state = instance.source_state(plan.source().unwrap_or_default())?;
             // The taxonomy cache may have been invalidated by a concurrent
             // ontology edit between prep and here; fall back to a local
             // build from the guarded ontology (consistent, just uncached).
@@ -200,13 +212,14 @@ impl Db {
                 &state.store,
                 &symbols,
                 &state.indexes,
-            );
+            )
+            .with_names(&relation.names);
             let mut env = EvalEnv::default();
             if let Some(sat) = saturation {
                 env.semantic = Some(SemanticEnv {
                     ontology: &semantic.ontology,
                     saturation: sat,
-                    entity_by_name: relation.names(),
+                    entity_by_name: no_names(),
                 });
             }
             // Model atoms: features default to the numeric attributes of the

@@ -969,6 +969,43 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_reopen_notes_name_columns_at_the_first_semantic_query() {
+        let dir = tmpdir("names-ckpt");
+        {
+            let db = Db::open(&dir).unwrap();
+            seed_curated(&db);
+            db.checkpoint().unwrap();
+        }
+        let db = Db::open(&dir).unwrap();
+        // Rows of drugbank its name columns cover, and rows it holds.
+        let noted = |db: &Db| {
+            let shard = db.inner.shard0();
+            let instance = shard.instance.read();
+            let state = instance.source_state("drugbank").unwrap();
+            (
+                shard.relation.read().names.rows(state.id),
+                state.store.len(),
+            )
+        };
+        assert_eq!(noted(&db), (0, 2), "install notes no row");
+        db.query(r#"SELECT * FROM drugbank WHERE "Drug Name" = 'x'"#)
+            .unwrap();
+        assert_eq!(noted(&db), (0, 2), "a query without semantic atoms");
+        db.with_ontology(|o| o.subclass("ApprovedDrug", "Drug"));
+        db.assert_entity_type("methotrexate", "ApprovedDrug")
+            .unwrap();
+        let out = db
+            .query(r#"SELECT * FROM drugbank WHERE "Drug Name" IS 'Drug'"#)
+            .unwrap();
+        assert_eq!(out.rows.len(), 2, "both rows name the merged entity");
+        assert_eq!(noted(&db), (2, 2), "the semantic query caught up");
+        // Rows curated after the catch-up are noted as they arrive.
+        db.ingest("drugbank", drug_record(&db, "Warfarin", "TP53"), None)
+            .unwrap();
+        assert_eq!(noted(&db), (3, 3));
+    }
+
+    #[test]
     fn checkpoint_then_reopen_skips_replay() {
         let dir = tmpdir("ckpt");
         let reference = Db::new();

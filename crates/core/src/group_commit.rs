@@ -221,10 +221,23 @@ impl IngestQueue {
     /// (backpressure; the blocked time feeds
     /// `txn.group_commit.stall_ns`). Errors once the queue is closed.
     pub(crate) fn submit(&self, item: IngestItem) -> Result<CommitTicket, CoreError> {
+        let ticket = self.submit_all(vec![item])?.pop();
+        Ok(ticket.expect("one ticket per item"))
+    }
+
+    /// Enqueue `items` (at most the capacity) together, under one lock,
+    /// once the queue has room for all of them: the committer, which
+    /// drains up to the capacity at a time, then pops them in one batch.
+    /// Blocks and errors as [`IngestQueue::submit`] does.
+    pub(crate) fn submit_all(
+        &self,
+        items: Vec<IngestItem>,
+    ) -> Result<Vec<CommitTicket>, CoreError> {
+        let room = self.capacity.saturating_sub(items.len().min(self.capacity));
         let mut state = lock(&self.state);
-        if state.items.len() >= self.capacity && !state.closed {
+        if state.items.len() > room && !state.closed {
             let start = Instant::now();
-            while state.items.len() >= self.capacity && !state.closed {
+            while state.items.len() > room && !state.closed {
                 state = wait(&self.not_full, state);
             }
             metrics().observe(
@@ -237,11 +250,17 @@ impl IngestQueue {
                 "ingest queue is closed (database dropped)".to_string(),
             ));
         }
-        let ticket = TicketState::new();
-        state.items.push_back((item, Arc::clone(&ticket)));
+        let tickets = items
+            .into_iter()
+            .map(|item| {
+                let ticket = TicketState::new();
+                state.items.push_back((item, Arc::clone(&ticket)));
+                CommitTicket { inner: ticket }
+            })
+            .collect();
         metrics().gauge_set("core.ingest_queue.depth", state.items.len() as i64);
         self.not_empty.notify_one();
-        Ok(CommitTicket { inner: ticket })
+        Ok(tickets)
     }
 
     /// Dequeue up to `max` items in arrival order, blocking while the
@@ -321,6 +340,21 @@ mod tests {
         assert_eq!(vals, vec![0, 1, 2], "arrival order preserved");
         assert_eq!(q.pop_batch(16).len(), 2);
         drop(tickets);
+    }
+
+    /// A chunk waits for room for all of its items, so the committer pops
+    /// it whole rather than leaving its tail for a second batch.
+    #[test]
+    fn a_chunk_enters_the_queue_whole() {
+        let q = Arc::new(IngestQueue::new(4, None));
+        let _first = q.submit(item(0)).unwrap();
+        let q2 = Arc::clone(&q);
+        let chunk = std::thread::spawn(move || q2.submit_all((1..5).map(item).collect()));
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert_eq!(q.pop_batch(4).len(), 1, "the chunk waited for room");
+        let tickets = chunk.join().unwrap().unwrap();
+        assert_eq!(tickets.len(), 4);
+        assert_eq!(q.pop_batch(4).len(), 4, "one batch holds the chunk");
     }
 
     #[test]

@@ -107,9 +107,13 @@ impl Default for ScheduleConfig {
     }
 }
 
+/// Pool entry `i`'s name. A hashed prefix keeps the names far apart in
+/// edit space, so identity matching never chains two entries into one
+/// entity: the pool stays a population of distinct entities, and the
+/// references between them become graph edges.
 fn pool_name(i: usize) -> String {
-    // Readable, normalization-stable names: "drug-0", "drug-1", …
-    format!("drug-{i}")
+    let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 44;
+    format!("{h:05x}-drug-{i}")
 }
 
 /// Generate a deterministic schedule. The first `config.sources` ops are

@@ -210,7 +210,7 @@ fn quoted(input: &str, at: usize) -> Result<(Cow<'_, str>, usize), QueryError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn kinds(input: &str) -> Vec<TokenKind<'_>> {
@@ -555,7 +555,7 @@ mod tests {
     /// Fragments that exercise every lexer path: names (ASCII and not),
     /// keywords, numbers with signs and exponents, strings with `''`
     /// escapes, lone quotes, operators and stray characters.
-    fn fragment() -> impl Strategy<Value = String> {
+    pub(crate) fn fragment() -> impl Strategy<Value = String> {
         prop_oneof![
             "[a-zA-Z_]{1,6}",
             "[a-zé_ß0-9.]{1,5}",

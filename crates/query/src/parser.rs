@@ -512,4 +512,38 @@ mod tests {
             prop_assert_eq!(parse(&text), Ok(q), "{}", text);
         }
     }
+
+    /// The lexer's fragments and the parser's keywords, to be strung
+    /// together in any order.
+    fn soup() -> impl Strategy<Value = String> {
+        prop_oneof![
+            crate::lexer::tests::fragment(),
+            (0..KEYWORDS.len()).prop_map(|i| format!(" {} ", KEYWORDS[i])),
+            Just(" IS ".to_string()),
+            Just(" HAS SOME ".to_string()),
+            Just(" CLOSE TO ".to_string()),
+            Just(" LINKED BY ".to_string()),
+            Just("\"".to_string()),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// `parse` answers any input with `Ok` or `Err` and never panics:
+        /// arbitrary text (control characters, ASCII, Latin and wider
+        /// characters), and soups of fragments and keywords, alone and
+        /// after a `WHERE`, which reach deeper into the grammar than
+        /// random text does.
+        #[test]
+        fn parse_never_panics(
+            text in "[\u{0}-\u{17f}中—²]{0,40}",
+            parts in proptest::collection::vec(soup(), 0..16),
+        ) {
+            let soup = parts.concat();
+            let _ = parse(&text);
+            let _ = parse(&soup);
+            let _ = parse(&format!("SELECT * FROM t WHERE {soup}"));
+        }
+    }
 }

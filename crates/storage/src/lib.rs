@@ -18,7 +18,9 @@
 //!   source's attributes, read by the cost-based side of the query
 //!   optimizer (OS.3) and the §5 Codd report;
 //! * [`mod@index`] — secondary hash / ordered indexes over attribute
-//!   values, the optimizer's alternative access path to a full scan.
+//!   values, the optimizer's alternative access path to a full scan;
+//! * [`names`] — interned normalized strings and per-attribute name
+//!   columns, which semantic atoms read instead of the records.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,6 +29,7 @@ pub mod cluster;
 pub mod column;
 pub mod error;
 pub mod index;
+pub mod names;
 pub mod page;
 pub mod row;
 pub mod stats;
@@ -36,6 +39,7 @@ pub use cluster::{ClusteredLayout, CoAccessTracker};
 pub use column::{ColumnSegment, Encoding};
 pub use error::StorageError;
 pub use index::{IndexDef, IndexKind, IndexPredicate, IndexSet, SecondaryIndex};
+pub use names::{NameColumn, NameId, NameIndex, SourceNames};
 pub use page::{PageConfig, PageMap, TouchCounter};
 pub use row::RowStore;
 pub use stats::{AttrStatistics, Histogram};

@@ -303,9 +303,9 @@ impl AttrStatistics {
             common: CommonValues::new(mcv_capacity),
             distinct: 0,
             distinct_cap,
-            distinct_set: Some(std::collections::HashSet::with_capacity(
-                distinct_cap.min(1024),
-            )),
+            // Grown as values arrive: most attributes see far fewer
+            // distinct values than the cap.
+            distinct_set: Some(std::collections::HashSet::new()),
         }
     }
 
