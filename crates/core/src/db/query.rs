@@ -166,11 +166,7 @@ impl Db {
             let symbols = self.inner.symbols.read();
             let instance = shard.instance.read();
             let state = instance.source_state(plan.source().unwrap_or_default())?;
-            let relation = if needs_semantic {
-                shard.relation_for_names(state)
-            } else {
-                shard.relation.read()
-            };
+            let relation = shard.relation.read();
             let semantic = self.inner.semantic.read();
 
             // The taxonomy cache may have been invalidated by a concurrent

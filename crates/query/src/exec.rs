@@ -204,7 +204,7 @@ impl RowSource for StoreSource<'_> {
         self.store.numeric_column(attr)
     }
     fn names(&self) -> Option<SourceNames<'_>> {
-        Some(self.names?.source(self.store.source(), self.store.len()))
+        Some(self.names?.source(self.store.source()))
     }
     fn index_candidates(&self, attr: &str, pred: &IndexPredicate) -> Option<Vec<u64>> {
         // Offsets are sorted ascending, i.e. arrival order — the same

@@ -17,11 +17,10 @@
 //! The caller normalizes: the index stores the keys it is given. Like
 //! the row store's numeric columns, a name column only grows, holds
 //! nothing that is not derived from the rows, and is rebuilt by feeding
-//! the rows again, in order; columns that lack some of a source's rows
-//! serve no atom until they are fed. While every non-null value an
-//! attribute has held is a string the column is kept; the first value of
-//! another kind drops it for good, and the attribute is read from the
-//! records.
+//! the rows again, in order. The caller notes every row it stores, so the
+//! columns always cover the rows. While every non-null value an attribute
+//! has held is a string the column is kept; the first value of another
+//! kind drops it for good, and the attribute is read from the records.
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -96,17 +95,9 @@ pub struct NameIndex {
     first: Vec<NameId>,
     /// One past the largest entity id any name was registered under.
     entity_bound: u64,
-    /// By source id.
-    sources: Vec<SourceColumns>,
-}
-
-/// One source's name columns.
-#[derive(Debug, Default)]
-struct SourceColumns {
-    /// Rows noted so far: the columns cover offsets `0..rows`.
-    rows: usize,
-    /// By [`Symbol::index`].
-    attrs: Vec<Column>,
+    /// By source id, then by [`Symbol::index`]: one source's name
+    /// columns.
+    sources: Vec<Vec<Column>>,
 }
 
 impl NameIndex {
@@ -217,23 +208,8 @@ impl NameIndex {
             .filter_map(|id| Some((self.resolve(id), self.entity(id)?)))
     }
 
-    /// Start noting row `offset` of `source`, when it is the next row its
-    /// columns lack; otherwise note nothing of it. Returns whether to note
-    /// the row's values.
-    pub fn begin_row(&mut self, source: SourceId, offset: usize) -> bool {
-        let columns = self.source_mut(source);
-        let next = columns.rows == offset;
-        columns.rows += usize::from(next);
-        next
-    }
-
-    /// Rows of `source` noted so far.
-    pub fn rows(&self, source: SourceId) -> usize {
-        self.sources.get(source.0 as usize).map_or(0, |s| s.rows)
-    }
-
-    /// Row `offset` of `source`, begun with [`NameIndex::begin_row`],
-    /// holds the string `id` in `attr`.
+    /// Row `offset` of `source` holds the string `id` in `attr`. Each
+    /// row is noted once, in order.
     pub fn note_name(&mut self, source: SourceId, attr: Symbol, offset: usize, id: NameId) {
         let column = self.column_mut(source, attr);
         match column {
@@ -256,16 +232,12 @@ impl NameIndex {
         *self.column_mut(source, attr) = Column::Dropped;
     }
 
-    fn source_mut(&mut self, source: SourceId) -> &mut SourceColumns {
+    fn column_mut(&mut self, source: SourceId, attr: Symbol) -> &mut Column {
         let s = source.0 as usize;
         if self.sources.len() <= s {
-            self.sources.resize_with(s + 1, SourceColumns::default);
+            self.sources.resize_with(s + 1, Vec::new);
         }
-        &mut self.sources[s]
-    }
-
-    fn column_mut(&mut self, source: SourceId, attr: Symbol) -> &mut Column {
-        let columns = &mut self.source_mut(source).attrs;
+        let columns = &mut self.sources[s];
         let i = attr.index();
         if columns.len() <= i {
             columns.resize_with(i + 1, Column::default);
@@ -273,13 +245,11 @@ impl NameIndex {
         &mut columns[i]
     }
 
-    /// The view of `source` that semantic atoms over its `rows` rows read:
-    /// its columns serve only once they cover every row.
-    pub fn source(&self, source: SourceId, rows: usize) -> SourceNames<'_> {
+    /// The view of `source` that semantic atoms over its rows read.
+    pub fn source(&self, source: SourceId) -> SourceNames<'_> {
         SourceNames {
             index: self,
             source,
-            current: self.rows(source) == rows,
         }
     }
 }
@@ -289,20 +259,15 @@ impl NameIndex {
 pub struct SourceNames<'a> {
     index: &'a NameIndex,
     source: SourceId,
-    /// The columns cover every row of the source.
-    current: bool,
 }
 
 impl<'a> SourceNames<'a> {
     /// `attr`'s name column, while every non-null value the attribute
-    /// has held is a string and the columns cover every row.
+    /// has held is a string.
     pub fn column(&self, attr: Symbol) -> Option<NameColumn<'a>> {
         let index = self.index;
-        if !self.current {
-            return None;
-        }
         let source = index.sources.get(self.source.0 as usize)?;
-        match source.attrs.get(attr.index())? {
+        match source.get(attr.index())? {
             Column::Names(ids) => Some(NameColumn {
                 ids,
                 entities: &index.entities,
@@ -332,13 +297,16 @@ impl NameColumn<'_> {
     /// no string, or one no entity is registered under.
     #[inline]
     pub fn entity(&self, offset: usize) -> Option<EntityId> {
-        match self.ids.get(offset) {
-            Some(&id) if id != NO_NAME => match self.entities[id.0 as usize] {
-                NO_ENTITY => None,
-                e => Some(EntityId(e)),
-            },
-            _ => None,
+        match self.entities[self.name(offset)?.0 as usize] {
+            NO_ENTITY => None,
+            e => Some(EntityId(e)),
         }
+    }
+
+    /// The name row `offset` holds: `None` when it holds no string.
+    #[inline]
+    pub fn name(&self, offset: usize) -> Option<NameId> {
+        self.ids.get(offset).copied().filter(|&id| id != NO_NAME)
     }
 
     /// Every entity [`NameColumn::entity`] returns is below this id.
@@ -425,46 +393,22 @@ mod tests {
         let attr = Symbol(2);
         let w = names.intern("warfarin");
         let a = names.intern("aspirin");
-        for row in 0..4 {
-            assert!(names.begin_row(SRC, row));
-        }
         names.note_name(SRC, attr, 1, w);
         names.note_name(SRC, attr, 3, a);
-        let col = names.source(SRC, 4).column(attr).expect("all strings");
+        let col = names.source(SRC).column(attr).expect("all strings");
         assert_eq!((0..5).map(|i| col.entity(i)).collect::<Vec<_>>(), [None; 5]);
         names.register(w, EntityId(7));
-        let col = names.source(SRC, 4).column(attr).unwrap();
+        let col = names.source(SRC).column(attr).unwrap();
         assert_eq!(col.entity(1), Some(EntityId(7)));
         assert_eq!(col.entity(0), None);
         assert_eq!(col.entity(2), None);
         assert_eq!(col.entity_bound(), 8);
         names.merge(EntityId(2), EntityId(7));
-        let col = names.source(SRC, 4).column(attr).unwrap();
+        let col = names.source(SRC).column(attr).unwrap();
         assert_eq!(col.entity(1), Some(EntityId(2)));
         assert_eq!(col.entity_bound(), 8);
-        assert!(names.source(SourceId(1), 0).column(attr).is_none());
-        assert!(names.source(SRC, 4).column(Symbol(0)).is_none());
-    }
-
-    /// Rows are noted in order, each once; columns that lack some of the
-    /// source's rows serve no atom until the missing rows are noted.
-    #[test]
-    fn columns_serve_once_they_cover_every_row() {
-        let mut names = NameIndex::new();
-        let attr = Symbol(0);
-        let w = names.intern("warfarin");
-        assert!(!names.begin_row(SRC, 1), "row 0 comes first");
-        assert!(names.begin_row(SRC, 0));
-        assert!(!names.begin_row(SRC, 0), "a row is noted once");
-        names.note_name(SRC, attr, 0, w);
-        assert_eq!(names.rows(SRC), 1);
-        assert!(names.source(SRC, 1).column(attr).is_some());
-        assert!(
-            names.source(SRC, 2).column(attr).is_none(),
-            "row 1 is missing"
-        );
-        assert!(names.begin_row(SRC, 1));
-        assert!(names.source(SRC, 2).column(attr).is_some());
+        assert!(names.source(SourceId(1)).column(attr).is_none());
+        assert!(names.source(SRC).column(Symbol(0)).is_none());
     }
 
     #[test]
@@ -472,13 +416,11 @@ mod tests {
         let mut names = NameIndex::new();
         let attr = Symbol(0);
         let w = names.intern("warfarin");
-        names.begin_row(SRC, 0);
         names.note_name(SRC, attr, 0, w);
-        names.begin_row(SRC, 1);
+        assert!(names.source(SRC).column(attr).is_some());
         names.note_other(SRC, attr);
-        assert!(names.source(SRC, 2).column(attr).is_none());
-        names.begin_row(SRC, 2);
+        assert!(names.source(SRC).column(attr).is_none());
         names.note_name(SRC, attr, 2, w);
-        assert!(names.source(SRC, 3).column(attr).is_none());
+        assert!(names.source(SRC).column(attr).is_none());
     }
 }

@@ -588,7 +588,6 @@ fn semantic_oracle(
 fn name_columns(store: &RowStore) -> NameIndex {
     let mut names = NameIndex::new();
     for (rid, row) in store.scan() {
-        names.begin_row(rid.source, rid.offset as usize);
         for (attr, value) in row.iter() {
             match value {
                 Value::Str(s) => {
