@@ -13,6 +13,8 @@
 use std::time::{Duration, Instant};
 
 use scdb_core::{CoreError, Db, DbMode, DurabilityConfig, FailpointLog, IngestConfig};
+use scdb_er::normalize::normalize;
+use scdb_placement::{PlacementPolicy, ShardMap};
 use scdb_types::{Record, Value};
 
 fn row(db: &Db, i: i64) -> Record {
@@ -222,6 +224,77 @@ fn committer_panic_mid_batch_resolves_every_ticket_and_restarts() {
     };
     assert!(has("thread.panic"), "thread.panic event recorded");
     assert!(has("thread.restart"), "thread.restart event recorded");
+}
+
+/// The two-shard arm of the committer panic: a queued mixed-key batch
+/// whose second participant's append panics leaves no half behind,
+/// neither in the live database nor in what a reopen recovers.
+#[test]
+fn committer_panic_between_participants_leaves_no_half_batch() {
+    let map = ShardMap::build(PlacementPolicy::Range, 2, &[]);
+    let keys_on = |shard: u32, n: usize| -> Vec<String> {
+        (0..)
+            .map(|i| format!("entity-{i}"))
+            .filter(|k| map.shard_of_key(&normalize(k)) == shard)
+            .take(n)
+            .collect()
+    };
+    let open = |log: &FailpointLog| {
+        Db::builder()
+            .durability_config(DurabilityConfig::store(Box::new(log.clone())))
+            .ingest_config(IngestConfig::queued(64))
+            .write_shards(2)
+            .open()
+    };
+    let entry = |db: &Db, key: &str, dose: i64| {
+        Record::from_pairs([
+            (db.intern("name"), Value::str(key)),
+            (db.intern("dose"), Value::Int(dose)),
+        ])
+    };
+    let (home, away) = (keys_on(0, 2), keys_on(1, 1));
+    let log = FailpointLog::new();
+    let plan = log.plan();
+    let db = open(&log).expect("open queued two-shard db");
+    db.register_source("trials", Some("name"));
+    db.ingest("trials", entry(&db, &home[0], 0), None)
+        .expect("seed ingest");
+    let before = db.state_dump();
+    let sizes = |log: &FailpointLog| -> Vec<u64> {
+        log.file_names()
+            .iter()
+            .map(|name| log.durable_len(name))
+            .collect()
+    };
+    let sizes_before = sizes(&log);
+
+    // The set-up appended three times: the source registration on each
+    // shard's log, then the seed row. The batch's participants append
+    // in shard order, so its fifth append is shard 1's.
+    let _ = plan.clone().panic_on_nth_append(3 + 2);
+    let err = db
+        .ingest_batch(
+            "trials",
+            vec![entry(&db, &home[1], 1), entry(&db, &away[0], 2)],
+        )
+        .expect_err("the batch whose commit panicked fails");
+    assert!(err.to_string().contains("panic"), "names the panic: {err}");
+    assert_eq!(
+        db.state_dump(),
+        before,
+        "the live database holds neither half of the failed batch"
+    );
+    let sizes_after = sizes(&log);
+    assert!(
+        sizes_after[0] > sizes_before[0] && sizes_after[1] == sizes_before[1],
+        "the panic struck between the participants: {sizes_before:?} -> {sizes_after:?}"
+    );
+    let reopened = open(&log.fork()).expect("reopen a fork");
+    assert_eq!(
+        reopened.state_dump(),
+        db.state_dump(),
+        "recovery discards shard 0's sealed half, as the live database did"
+    );
 }
 
 #[test]

@@ -12,7 +12,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use scdb_core::{CoreError, Db, DurabilityConfig, IndexKind};
+use scdb_core::{CoreError, Db, DurabilityConfig, IndexKind, IngestConfig};
 use scdb_er::normalize::normalize;
 use scdb_obs::EventFilter;
 use scdb_placement::{PlacementPolicy, ShardMap};
@@ -52,12 +52,29 @@ fn row(db: &Db, name: &str, dose: i64) -> Record {
     ])
 }
 
-/// Open over `log` with `shards` write shards (fsync on every seal).
-fn open_with(log: &FailpointLog, shards: u32) -> Result<Db, CoreError> {
+/// Open over `log` with `shards` write shards (fsync on every seal) and
+/// `ingest` as the ingest pipeline.
+fn open_configured(log: &FailpointLog, shards: u32, ingest: IngestConfig) -> Result<Db, CoreError> {
     Db::builder()
         .durability_config(DurabilityConfig::store(Box::new(log.clone())))
+        .ingest_config(ingest)
         .write_shards(shards)
         .open()
+}
+
+/// Open over `log` with `shards` write shards and direct ingest.
+fn open_with(log: &FailpointLog, shards: u32) -> Result<Db, CoreError> {
+    open_configured(log, shards, IngestConfig::direct())
+}
+
+/// The two ingest pipelines a commit may arrive through, named for
+/// assertion messages: a direct commit on the caller's thread, and the
+/// group-commit queue's committer.
+fn ingest_paths() -> [(&'static str, IngestConfig); 2] {
+    [
+        ("direct", IngestConfig::direct()),
+        ("queued", IngestConfig::queued(64)),
+    ]
 }
 
 fn open_sharded(log: &FailpointLog) -> Result<Db, CoreError> {
@@ -274,9 +291,17 @@ fn torn_single_shard_batch_spares_the_other_shards() {
 
 #[test]
 fn torn_cross_shard_seal_discards_the_batch_on_every_shard() {
+    for (path, ingest) in ingest_paths() {
+        torn_cross_shard_seal_arm(path, ingest);
+    }
+}
+
+/// One arm of the torn-seal sweep: the batch arrives through `ingest`,
+/// and recovery must treat it as one unit either way.
+fn torn_cross_shard_seal_arm(path: &str, ingest: IngestConfig) {
     let map = routing_map();
     let live = FailpointLog::new();
-    let db = open_sharded(&live).unwrap();
+    let db = open_configured(&live, SHARDS, ingest).unwrap();
     db.register_source("trials", Some("name"));
     // Committed single-shard history on both future participants: it
     // must survive every cut below.
@@ -287,9 +312,9 @@ fn torn_cross_shard_seal_discards_the_batch_on_every_shard() {
     }
     let before_dump = db.state_dump();
     let before = durable_sizes(&live);
-    // One multi-shard batch spanning shards 0 and 3: the unqueued
-    // batch path appends the rows plus a cross-shard CommitGroup seal
-    // to *both* participant logs.
+    // One multi-shard batch spanning shards 0 and 3: either path
+    // appends the rows plus a cross-shard CommitGroup seal to *both*
+    // participant logs.
     db.ingest_batch("trials", vec![row(&db, &a[2], 100), row(&db, &b[2], 101)])
         .unwrap();
     let after_dump = db.state_dump();
@@ -298,7 +323,7 @@ fn torn_cross_shard_seal_discards_the_batch_on_every_shard() {
     assert_eq!(
         grew.len(),
         2,
-        "the multi-shard batch grew both participant logs: {grew:?}"
+        "{path}: the multi-shard batch grew both participant logs: {grew:?}"
     );
     assert!(grew.iter().any(|(n, _, _)| n.starts_with("wal-s0-")));
     assert!(grew.iter().any(|(n, _, _)| n.starts_with("wal-s3-")));
@@ -322,8 +347,8 @@ fn torn_cross_shard_seal_discards_the_batch_on_every_shard() {
             assert_eq!(
                 recovered.state_dump(),
                 before_dump,
-                "cut at byte {cut} of {name} must discard the multi-shard \
-                 batch on every participant"
+                "{path}: cut at byte {cut} of {name} must discard the \
+                 multi-shard batch on every participant"
             );
             let report = recovered.recovery_report().unwrap();
             discard_reported += usize::from(report.txns_discarded > 0);
@@ -337,13 +362,13 @@ fn torn_cross_shard_seal_discards_the_batch_on_every_shard() {
         assert_eq!(
             recovered.state_dump(),
             after_dump,
-            "intact seals on both logs commit the batch"
+            "{path}: intact seals on both logs commit the batch"
         );
     }
-    assert!(cuts_tested > 10, "swept real bytes: {cuts_tested}");
+    assert!(cuts_tested > 10, "{path}: swept real bytes: {cuts_tested}");
     assert!(
         discard_reported > 0,
-        "at least the intact-peer forks report a discarded txn"
+        "{path}: at least the intact-peer forks report a discarded txn"
     );
 }
 
@@ -437,50 +462,25 @@ fn labels(items: &[&str]) -> Vec<String> {
 /// a seal whose participant vector is empty; a cross-shard batch with
 /// the identical non-empty vector in every participant's log. An
 /// unsharded database writes the unsuffixed `wal-*.seg`; shard `k` of a
-/// sharded one writes `wal-s<k>-*.seg`.
+/// sharded one writes `wal-s<k>-*.seg`. A queued database writes the
+/// same bytes as a direct one: the committer commits each popped batch
+/// through the same routed commit.
 #[test]
 fn commit_framing_is_pinned_for_one_and_two_shards() {
-    // 1 shard: every key is home, one unsuffixed log, no shard vectors.
     let map = routing_map_for(2);
     let home = keys_on(&map, 0, 5);
     let away = keys_on(&map, 1, 1).remove(0);
-    let log = FailpointLog::new();
-    let db = open_with(&log, 1).unwrap();
-    run_framing_schedule(&db, &home, &away);
-    drop(db);
-    assert_eq!(
-        decoded_segments(&log),
-        vec![(
-            "wal-00000001.seg".to_string(),
-            labels(&[
-                "SourceReg",
-                "IngestRow",
-                "CommitGroup(1 txns, shards [])",
-                "IngestRow",
-                "IngestRow",
-                "IngestRow",
-                "CommitGroup(3 txns, shards [])",
-                "IngestRow",
-                "IngestRow",
-                "CommitGroup(2 txns, shards [])",
-            ])
-        )]
-    );
-    assert_eq!(
-        segment_digests(&log),
-        vec![("wal-00000001.seg".to_string(), 532, 0x1c76_8052_5c13_67f6)]
-    );
-
-    // 2 shards: the same schedule splits its last batch over both logs.
-    let log = FailpointLog::new();
-    let db = open_with(&log, 2).unwrap();
-    run_framing_schedule(&db, &home, &away);
-    drop(db);
-    assert_eq!(
-        decoded_segments(&log),
-        vec![
-            (
-                "wal-s0-00000001.seg".to_string(),
+    for (path, ingest) in ingest_paths() {
+        // 1 shard: every key is home, one unsuffixed log, no shard
+        // vectors.
+        let log = FailpointLog::new();
+        let db = open_configured(&log, 1, ingest.clone()).unwrap();
+        run_framing_schedule(&db, &home, &away);
+        drop(db);
+        assert_eq!(
+            decoded_segments(&log),
+            vec![(
+                "wal-00000001.seg".to_string(),
                 labels(&[
                     "SourceReg",
                     "IngestRow",
@@ -490,45 +490,80 @@ fn commit_framing_is_pinned_for_one_and_two_shards() {
                     "IngestRow",
                     "CommitGroup(3 txns, shards [])",
                     "IngestRow",
-                    "CommitGroup(1 txns, shards [0, 1])",
-                ])
-            ),
-            (
-                "wal-s1-00000001.seg".to_string(),
-                labels(&[
-                    "SourceReg",
                     "IngestRow",
-                    "CommitGroup(1 txns, shards [0, 1])",
+                    "CommitGroup(2 txns, shards [])",
                 ])
-            ),
-        ]
-    );
-    // Both participants sealed the identical vector, and each entry
-    // names the first transaction its own shard sealed under it.
-    let mut vectors = Vec::new();
-    for (shard, (_, records)) in segment_records(&log).into_iter().enumerate() {
-        let Some(LogRecord::CommitGroup { txns, shards }) = records.last() else {
-            panic!("each log ends in the cross-shard seal: {records:?}");
-        };
-        assert_eq!(shards[shard], (shard as u32, txns[0]));
-        vectors.push(shards.clone());
+            )],
+            "{path}, 1 shard"
+        );
+        assert_eq!(
+            segment_digests(&log),
+            vec![("wal-00000001.seg".to_string(), 532, 0x1c76_8052_5c13_67f6)],
+            "{path}, 1 shard"
+        );
+
+        // 2 shards: the same schedule splits its last batch over both
+        // logs.
+        let log = FailpointLog::new();
+        let db = open_configured(&log, 2, ingest).unwrap();
+        run_framing_schedule(&db, &home, &away);
+        drop(db);
+        assert_eq!(
+            decoded_segments(&log),
+            vec![
+                (
+                    "wal-s0-00000001.seg".to_string(),
+                    labels(&[
+                        "SourceReg",
+                        "IngestRow",
+                        "CommitGroup(1 txns, shards [])",
+                        "IngestRow",
+                        "IngestRow",
+                        "IngestRow",
+                        "CommitGroup(3 txns, shards [])",
+                        "IngestRow",
+                        "CommitGroup(1 txns, shards [0, 1])",
+                    ])
+                ),
+                (
+                    "wal-s1-00000001.seg".to_string(),
+                    labels(&[
+                        "SourceReg",
+                        "IngestRow",
+                        "CommitGroup(1 txns, shards [0, 1])",
+                    ])
+                ),
+            ],
+            "{path}, 2 shards"
+        );
+        // Both participants sealed the identical vector, and each entry
+        // names the first transaction its own shard sealed under it.
+        let mut vectors = Vec::new();
+        for (shard, (_, records)) in segment_records(&log).into_iter().enumerate() {
+            let Some(LogRecord::CommitGroup { txns, shards }) = records.last() else {
+                panic!("{path}: each log ends in the cross-shard seal: {records:?}");
+            };
+            assert_eq!(shards[shard], (shard as u32, txns[0]), "{path}");
+            vectors.push(shards.clone());
+        }
+        assert_eq!(vectors[0], vectors[1], "{path}: one vector, sealed twice");
+        assert_eq!(
+            segment_digests(&log),
+            vec![
+                (
+                    "wal-s0-00000001.seg".to_string(),
+                    482,
+                    0x7ca3_f426_97ce_0130
+                ),
+                (
+                    "wal-s1-00000001.seg".to_string(),
+                    147,
+                    0xe435_7cd1_53bb_66fe
+                ),
+            ],
+            "{path}, 2 shards"
+        );
     }
-    assert_eq!(vectors[0], vectors[1], "one vector, sealed twice");
-    assert_eq!(
-        segment_digests(&log),
-        vec![
-            (
-                "wal-s0-00000001.seg".to_string(),
-                482,
-                0x7ca3_f426_97ce_0130
-            ),
-            (
-                "wal-s1-00000001.seg".to_string(),
-                147,
-                0xe435_7cd1_53bb_66fe
-            ),
-        ]
-    );
 }
 
 /// First differential arm of ROADMAP item E: a shard is a whole
