@@ -422,13 +422,7 @@ impl Db {
                 }
             })
             .collect();
-        let queue_capacity = self
-            .inner
-            .shard0()
-            .queue
-            .as_ref()
-            .map(|q| q.capacity())
-            .unwrap_or(0);
+        let queue_capacity = self.inner.queue.as_ref().map_or(0, |q| q.capacity());
         let flushes = metrics().counter("txn.group_commit.flushes").get();
         // The commit-latency decomposition, in pipeline order. The
         // per-row queue_wait count doubling as "did any staged ingest
@@ -603,7 +597,8 @@ impl Db {
 /// The telemetry sampler loop: sleep one interval (interruptible by
 /// [`TelemetryState::stop`]), upgrade the [`Weak`], run one tick. Exits
 /// on shutdown or once the last [`Db`] handle is gone — the thread
-/// never keeps the database alive, exactly like the committer above.
+/// never keeps the database alive, exactly like the group-commit
+/// committer.
 pub(super) fn telemetry_sampler(inner: Weak<DbInner>, state: Arc<TelemetryState>) {
     loop {
         if state.wait_shutdown(state.interval) {

@@ -131,9 +131,12 @@ impl IngestConfig {
         IngestConfig::default()
     }
 
-    /// Group-commit ingest through a bounded in-memory queue of
-    /// `capacity` records (minimum 1) per write shard, drained by a
-    /// dedicated committer thread. [`Db::ingest`] keeps its exact
+    /// Group-commit ingest through the database's one bounded in-memory
+    /// queue of `capacity` records (minimum 1), drained by one dedicated
+    /// committer thread whatever the shard count. The committer commits
+    /// each batch it pops (at most `capacity` records) as one group
+    /// across the shards its rows route to, exactly as a direct
+    /// [`Db::ingest_batch`] commits. [`Db::ingest`] keeps its exact
     /// signature — it enqueues and blocks until the batch containing
     /// its record is durably sealed and applied — while
     /// [`Db::ingest_async`] returns the
@@ -269,11 +272,12 @@ impl DbBuilder {
     }
 
     /// Partition the write path into `shards` range-sharded slices (§14,
-    /// DESIGN.md). Each shard owns its own instance/relation state
-    /// slice, its own WAL (`wal-s<k>-*.seg`), and — with an ingest
-    /// queue configured — its own committer thread, so single-shard
-    /// batches commit fully independently: one lock acquisition, one
-    /// append, one fsync per shard. Records route by their identity
+    /// DESIGN.md). Each shard owns its own instance/relation state slice
+    /// and its own WAL (`wal-s<k>-*.seg`), so a single-shard batch takes
+    /// only its shard's locks: one lock acquisition, one append, one
+    /// fsync. A batch that spans shards commits as one group across
+    /// them — with an ingest queue configured, each chunk of at most
+    /// the queue's capacity does. Records route by their identity
     /// value through a [`ShardMap`] built with [`PlacementPolicy::Range`]
     /// (contiguous slot ranges, so neighbouring keys co-locate) and
     /// persisted in checkpoints. `0`/`1` leave the database unsharded
@@ -334,10 +338,6 @@ impl DbBuilder {
                         RelationShard::new(self.resolver.clone()),
                     ),
                     durable: TrackedMutex::new(durable.0, durable.1, None),
-                    queue: self
-                        .ingest
-                        .queue_capacity
-                        .map(|cap| Arc::new(IngestQueue::new(cap, self.ingest.max_delay))),
                 }
             })
             .collect();
@@ -351,6 +351,10 @@ impl DbBuilder {
                 ),
                 shards,
                 shard_map,
+                queue: self
+                    .ingest
+                    .queue_capacity
+                    .map(|cap| Arc::new(IngestQueue::new(cap, self.ingest.max_delay))),
                 identities: parking_lot::RwLock::new(HashMap::new()),
                 enriched: EnrichedDb::with_manager(TxnManager::new(), isolation),
                 recovery: Mutex::new(None),
@@ -387,25 +391,17 @@ impl DbBuilder {
             }),
         };
         metrics().gauge_set("core.mode", 0);
-        // One committer thread per shard queue. Each holds only a Weak:
-        // the threads never keep the database alive. Recovery
+        // One committer thread for the one queue. It holds only a Weak:
+        // the thread never keeps the database alive. Recovery
         // (DbBuilder::open) runs before any producer can enqueue, so the
-        // threads just park until then. The supervisor wrapper catches
+        // thread just parks until then. The supervisor wrapper catches
         // panics (including injected ones), fails the in-flight tickets,
         // and restarts the loop.
-        for (k, slice) in db.inner.shards.iter().enumerate() {
-            let Some(queue) = slice.queue.clone() else {
-                continue;
-            };
-            let shard = k as u32;
-            let label = ShardLabel {
-                k: shard,
-                shards: shard_count,
-            };
+        if let Some(queue) = db.inner.queue.clone() {
             let weak = Arc::downgrade(&db.inner);
             let inflight: InflightTickets = Arc::new(std::sync::Mutex::new(Vec::new()));
             std::thread::Builder::new()
-                .name(label.committer_thread())
+                .name("scdb-group-commit".to_string())
                 .spawn(move || {
                     let body_weak = weak.clone();
                     let body_inflight = Arc::clone(&inflight);
@@ -414,7 +410,6 @@ impl DbBuilder {
                             body_weak.clone(),
                             Arc::clone(&queue),
                             Arc::clone(&body_inflight),
-                            shard,
                         )
                     })
                 })

@@ -132,7 +132,7 @@ impl Db {
     /// exclusively for the whole pipeline, so concurrent readers see
     /// either none or all of the record's effects. With
     /// [`IngestConfig::queued`](super::IngestConfig::queued) configured
-    /// the record is enqueued for the batching committer and this call
+    /// the record is enqueued for the database's committer and this call
     /// blocks until the batch containing it is durably sealed and
     /// applied — same guarantees, one amortized fsync.
     pub fn ingest(
@@ -143,10 +143,10 @@ impl Db {
     ) -> Result<IngestReport, CoreError> {
         self.ensure_writable()?;
         let item = IngestItem::new(source.to_string(), record, text.map(str::to_owned));
-        if self.queued() {
-            return self.enqueue(item)?.wait();
+        match &self.inner.queue {
+            Some(queue) => queue.submit(item)?.wait(),
+            None => self.commit_one(item),
         }
-        self.commit_one(item)
     }
 
     /// Ingest many records into `source` as one group-committed batch:
@@ -154,13 +154,12 @@ impl Db {
     /// [`FsyncPolicy::Always`](scdb_txn::FsyncPolicy::Always)) seals
     /// the whole batch, and the curation pipeline runs for every
     /// row under one instance+relation write-lock acquisition. Reports
-    /// come back in input order. With an ingest queue configured the
-    /// records ride each shard's committer instead: a shard's rows enter
-    /// its queue together, in chunks of at most the queue's capacity, so
-    /// up to that size they commit as one group. A batch whose rows route
-    /// to several shards is not atomic on that path: each shard's part
-    /// commits on its own, so a reader or a crash can see one part
-    /// without the other.
+    /// come back in input order. A batch whose rows route to several
+    /// shards commits atomically across them: every participant's log
+    /// ends in the same seal. With an ingest queue configured the
+    /// records ride the committer instead: they enter the queue in input
+    /// order, in chunks of at most the queue's capacity, and each chunk
+    /// commits as one group across shards.
     ///
     /// On a per-record pipeline error the first failure is returned;
     /// every row of a sealed batch is logged, so memory matches the log
@@ -171,35 +170,18 @@ impl Db {
         records: Vec<Record>,
     ) -> Result<Vec<IngestReport>, CoreError> {
         self.ensure_writable()?;
-        if records.is_empty() {
-            return Ok(Vec::new());
-        }
-        let items = records
-            .into_iter()
-            .map(|record| IngestItem::new(source.to_string(), record, None))
-            .collect();
-        if !self.queued() {
+        let item = |record| IngestItem::new(source.to_string(), record, None);
+        let Some(queue) = &self.inner.queue else {
+            let items = records.into_iter().map(item).collect();
             return self.route_and_commit(items).into_iter().collect();
+        };
+        let mut records = records.into_iter().peekable();
+        let mut tickets = Vec::new();
+        while records.peek().is_some() {
+            let chunk = records.by_ref().take(queue.capacity()).map(item).collect();
+            tickets.extend(queue.submit_all(chunk)?);
         }
-        let mut tickets: Vec<Option<CommitTicket>> = Vec::new();
-        for (shard, group) in self.inner.shards.iter().zip(self.group_by_shard(items)) {
-            let queue = shard.queue.as_ref().expect("every shard has a queue");
-            let mut group = group.into_iter().peekable();
-            while group.peek().is_some() {
-                let (slots, chunk): (Vec<usize>, Vec<IngestItem>) =
-                    group.by_ref().take(queue.capacity()).unzip();
-                for (slot, ticket) in slots.into_iter().zip(queue.submit_all(chunk)?) {
-                    if tickets.len() <= slot {
-                        tickets.resize_with(slot + 1, || None);
-                    }
-                    tickets[slot] = Some(ticket);
-                }
-            }
-        }
-        tickets
-            .into_iter()
-            .map(|ticket| ticket.expect("every row was submitted").wait())
-            .collect()
+        tickets.into_iter().map(CommitTicket::wait).collect()
     }
 
     /// Enqueue one record for group commit and return its awaitable
@@ -215,10 +197,10 @@ impl Db {
     ) -> Result<CommitTicket, CoreError> {
         self.ensure_writable()?;
         let item = IngestItem::new(source.to_string(), record, text.map(str::to_owned));
-        if self.queued() {
-            return self.enqueue(item);
+        match &self.inner.queue {
+            Some(queue) => queue.submit(item),
+            None => Ok(CommitTicket::resolved(self.commit_one(item))),
         }
-        Ok(CommitTicket::resolved(self.commit_one(item)))
     }
 
     /// The unqueued single-record path: a batch of one, applied on the
@@ -229,57 +211,23 @@ impl Db {
             .expect("one result per item")
     }
 
-    /// True when ingest rides the per-shard group-commit queues (they
-    /// are configured for every shard or for none).
-    fn queued(&self) -> bool {
-        self.inner.shard0().queue.is_some()
-    }
-
-    /// Hand `item` to its shard's committer.
-    fn enqueue(&self, item: IngestItem) -> Result<CommitTicket, CoreError> {
-        let shard = self.route_shard(&item.source, &item.record);
-        self.inner.shards[shard as usize]
-            .queue
-            .as_ref()
-            .expect("one queue per shard when queued ingest is configured")
-            .submit(item)
-    }
-
-    /// Group a batch's rows by owning shard, each with its slot in the
-    /// batch: one group per shard, input order kept within a group.
-    fn group_by_shard(&self, items: Vec<IngestItem>) -> Vec<Vec<(usize, IngestItem)>> {
+    /// Route a batch — a direct call's or a committer's — and commit it
+    /// as one: its rows grouped by owning shard (shards ascending, input
+    /// order kept within a group). Results come back in input order.
+    fn route_and_commit(&self, items: Vec<IngestItem>) -> Vec<Result<IngestReport, CoreError>> {
         let mut groups: Vec<Vec<(usize, IngestItem)>> =
             self.inner.shards.iter().map(|_| Vec::new()).collect();
         for (slot, item) in items.into_iter().enumerate() {
             let shard = self.route_shard(&item.source, &item.record);
             groups[shard as usize].push((slot, item));
         }
-        groups
-    }
-
-    /// Route an unqueued batch: group its rows by owning shard (shards
-    /// ascending) and commit the groups as one batch. Results come back
-    /// in input order.
-    fn route_and_commit(&self, items: Vec<IngestItem>) -> Vec<Result<IngestReport, CoreError>> {
-        let participants = self
-            .group_by_shard(items)
+        let participants = groups
             .into_iter()
             .enumerate()
             .filter(|(_, group)| !group.is_empty())
             .map(|(k, group)| (k as u32, group))
             .collect();
         self.commit(participants)
-    }
-
-    /// Commit `items` on `shard` without routing: what a shard's
-    /// committer does with its batch, and what replay does with a row —
-    /// the row is pinned to the log that carried it.
-    pub(super) fn commit_on(
-        &self,
-        shard: u32,
-        items: Vec<IngestItem>,
-    ) -> Vec<Result<IngestReport, CoreError>> {
-        self.commit(vec![(shard, items.into_iter().enumerate().collect())])
     }
 
     /// The shard a record's rows belong to: its routing key hashed
@@ -346,7 +294,7 @@ impl Db {
     /// log, so a torn or missing seal on any one shard discards the
     /// whole batch everywhere, while commits on other shards are
     /// unaffected.
-    fn commit(
+    pub(super) fn commit(
         &self,
         participants: Vec<(u32, Vec<(usize, IngestItem)>)>,
     ) -> Vec<Result<IngestReport, CoreError>> {
@@ -872,19 +820,15 @@ pub(super) fn lock_inflight(
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// The committer loop: drain the queue in batches, run each batch
-/// through the shared pipeline, resolve the tickets. Exits when the
-/// queue is closed and drained (the last [`Db`] handle dropped).
-///
-/// One committer runs per write shard, each draining its own queue.
-/// Items were routed to the queue at submit time, so the whole batch
-/// belongs to `shard` and commits with one lock acquisition, one
-/// append, and one fsync on that shard alone.
+/// The committer loop: drain the queue in batches, commit each batch
+/// as a direct batch commits ([`Db::route_and_commit`]), resolve the
+/// tickets. Exits when the queue is closed and drained (the last [`Db`]
+/// handle dropped). One committer serves every write shard, so a batch
+/// whose rows span shards commits as one, sealed across them.
 pub(super) fn group_committer(
     inner: Weak<DbInner>,
     queue: Arc<IngestQueue>,
     inflight: InflightTickets,
-    shard: u32,
 ) {
     let max_batch = queue.capacity();
     loop {
@@ -901,7 +845,7 @@ pub(super) fn group_committer(
                 // pipeline: if apply panics, the supervisor resolves
                 // them from here.
                 *lock_inflight(&inflight) = tickets.clone();
-                let results = db.commit_on(shard, items);
+                let results = db.route_and_commit(items);
                 for (ticket, result) in tickets.iter().zip(results) {
                     ticket.resolve(result);
                 }
